@@ -6,7 +6,6 @@ from .model import (
     PRESETS,
     build_model,
     count_params,
-    forward_batch,
     load_model,
     save_model,
     train_step,
@@ -16,13 +15,11 @@ from .pipeline import (
     SamplingConfig,
     TrainingRun,
     ZoneRegistry,
-    compare_transfer,
-    predict_tile,
     predict_zone,
     run_transfer,
     train_zone,
 )
 from .raster import RasterGrid, read_raster, write_raster
-from .synth import SceneParams, synth_twin_zones, synth_zone
+from .synth import SceneParams, synth_zone
 
 __version__ = "0.1.0"

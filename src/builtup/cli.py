@@ -3,7 +3,8 @@
 
 Every executed command writes a JSON run manifest next to its primary
 output (flags echoed, seeds, input/output hashes, timings, per-tile
-statuses, metric summaries). Exit codes:
+statuses, metric summaries), on success and on error. Exit codes, each the
+``exit_code`` of an error class in errors.py:
 
     0  success                  6  shape error
     1  unexpected error         7  numeric error
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -25,44 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, model as model_mod, pipeline, raster, sampling, synth
-from .errors import (
-    ConfigError,
-    DegenerateBatchError,
-    DegenerateClassError,
-    FormatError,
-    GenerationError,
-    MetricError,
-    MissingInputError,
-    NumericError,
-    ParameterError,
-    RegistryError,
-    ShapeError,
-    StatsError,
-    ToolkitError,
-)
-
-EXIT_CODES = {
-    MissingInputError: 3,
-    FormatError: 4,
-    ConfigError: 5,
-    ParameterError: 5,
-    ShapeError: 6,
-    DegenerateBatchError: 8,
-    NumericError: 7,
-    DegenerateClassError: 8,
-    RegistryError: 9,
-    StatsError: 10,
-    MetricError: 10,
-    GenerationError: 11,
-}
-
-
-def _exit_code(exc: Exception) -> int:
-    for klass in type(exc).__mro__:
-        if klass in EXIT_CODES:
-            return EXIT_CODES[klass]
-    return 1
+from . import evaluation, model as model_mod, pipeline, raster, synth
+from .errors import FormatError, MissingInputError, ToolkitError
 
 
 def _sha256(path) -> str:
@@ -85,13 +51,18 @@ def _require(path, what: str) -> Path:
 
 
 class Manifest:
-    """Accumulates the reproducibility record for one command."""
+    """Accumulates the reproducibility record for one command.
 
-    def __init__(self, command: str, argv, config: dict):
+    Used as a context manager: on leaving the block, successfully or by an
+    exception, the manifest is finished and written to path, and the
+    exception propagates."""
+
+    def __init__(self, command: str, argv, args, path):
+        self.path = Path(path)
         self.data = {
             "command": command,
             "argv": list(argv),
-            "config": config,
+            "config": {k: v for k, v in vars(args).items() if k != "func"},
             "inputs": {},
             "outputs": {},
             "timings_s": {},
@@ -103,23 +74,27 @@ class Manifest:
     def time(self, stage: str, start: float) -> None:
         self.data["timings_s"][stage] = round(time.perf_counter() - start, 4)
 
-    def finish(self, error: Exception = None) -> None:
+    def __enter__(self) -> "Manifest":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.data["timings_s"]["total"] = round(
             time.perf_counter() - self._t0, 4
         )
-        if error is None:
+        if exc is None:
             self.data["status"] = "ok"
         else:
             self.data["status"] = "error"
             self.data["error"] = {
-                "class": getattr(error, "error_class", "error"),
-                "message": str(error),
+                "class": getattr(exc, "error_class", "error"),
+                "message": str(exc),
             }
-
-    def write(self, path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.data, f, indent=2, sort_keys=True)
+        # Replace the file atomically, so a manifest is never partial.
+        text = json.dumps(self.data, indent=2, sort_keys=True)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, self.path)
 
 
 def _zone_names(n: int):
@@ -141,9 +116,7 @@ def _zone_names(n: int):
 
 def cmd_synth(args, argv) -> int:
     out = Path(args.out)
-    manifest = Manifest("synth", argv, vars(args))
-    error = None
-    try:
+    with Manifest("synth", argv, args, out / "synth_manifest.json") as manifest:
         params = synth.SceneParams(size=args.size, tile_size=args.tile_size,
                                    clusters=args.clusters,
                                    noise_sigma=args.noise_sigma,
@@ -161,12 +134,6 @@ def cmd_synth(args, argv) -> int:
         manifest.data["outputs"] = _hash_paths(
             p for z in zones.values() for p in z["paths"].values()
         )
-    except Exception as exc:
-        error = exc
-    manifest.finish(error)
-    manifest.write(out / "synth_manifest.json")
-    if error is not None:
-        raise error
     return 0
 
 
@@ -176,9 +143,8 @@ def _arch_from_args(args) -> model_mod.ArchitectureConfig:
 
 def cmd_train(args, argv) -> int:
     out = Path(args.out)
-    manifest = Manifest("train", argv, vars(args))
-    error = None
-    try:
+    with Manifest("train", argv, args,
+                  out.parent / f"{out.stem}.train_manifest.json") as manifest:
         zone_dir = _require(Path(args.data) / args.zone, "zone directory")
         comp_path = _require(zone_dir / "composite.ghsr", "composite raster")
         label_path = _require(zone_dir / "labels.ghsr", "label raster")
@@ -206,6 +172,7 @@ def cmd_train(args, argv) -> int:
         net, history, info = pipeline.train_zone(composite, labels, arch,
                                                  run, cfg)
         manifest.time("train", t0)
+        out.parent.mkdir(parents=True, exist_ok=True)
         model_mod.save_model(net, out)
         history_path = out.with_suffix(".history.json")
         with open(history_path, "w", encoding="utf-8") as f:
@@ -219,12 +186,6 @@ def cmd_train(args, argv) -> int:
             registry.record(args.zone, str(out), pipeline.CLOSE_RANGE,
                             args.zone)
             registry.save(args.registry)
-    except Exception as exc:
-        error = exc
-    manifest.finish(error)
-    manifest.write(out.parent / f"{out.stem}.train_manifest.json")
-    if error is not None:
-        raise error
     return 0
 
 
@@ -248,7 +209,8 @@ def _write_predictions(predictions, net, composite, out_dir: Path):
             quant = raster.quantize_probability(
                 np.where(pred.valid, pred.prob, 0.0), pred.valid
             )
-            quant_grid = replace_data(prob_grid, quant[None], "u8", 255.0)
+            quant_grid = replace(prob_grid, data=quant[None], dtype="u8",
+                                 nodata=255.0)
             prob_path = out_dir / f"{stem}_prob.ghsr"
             quant_path = out_dir / f"{stem}_quant.ghsr"
             raster.write_raster(prob_grid, prob_path)
@@ -261,20 +223,10 @@ def _write_predictions(predictions, net, composite, out_dir: Path):
     return statuses
 
 
-def replace_data(grid: raster.RasterGrid, data, dtype: str,
-                 nodata: float) -> raster.RasterGrid:
-    return raster.RasterGrid(width=grid.width, height=grid.height,
-                             bands=data.shape[0], dtype=dtype, nodata=nodata,
-                             zone_id=grid.zone_id, origin_x=grid.origin_x,
-                             origin_y=grid.origin_y,
-                             pixel_size=grid.pixel_size, data=data)
-
-
 def _predict_common(args, argv, command: str) -> int:
     out_dir = Path(args.out)
-    manifest = Manifest(command, argv, vars(args))
-    error = None
-    try:
+    with Manifest(command, argv, args,
+                  out_dir / f"{command}_manifest.json") as manifest:
         zone_dir = _require(Path(args.data) / args.zone, "zone directory")
         comp_path = _require(zone_dir / "composite.ghsr", "composite raster")
         inputs = [comp_path]
@@ -319,12 +271,6 @@ def _predict_common(args, argv, command: str) -> int:
         )
         failed = [s for s in statuses if s["status"] != "ok"]
         manifest.data["tiles_failed"] = len(failed)
-    except Exception as exc:
-        error = exc
-    manifest.finish(error)
-    manifest.write(out_dir / f"{command}_manifest.json")
-    if error is not None:
-        raise error
     return 0
 
 
@@ -349,6 +295,10 @@ def _load_prediction_mosaic(probs_dir: Path):
         )
     with open(manifest_path, "r", encoding="utf-8") as f:
         info = json.load(f)
+    if "tiles" not in info:
+        raise FormatError(
+            f"{manifest_path} lists no tiles (run status {info.get('status')!r})"
+        )
     tiles = info["tiles"]
     height = max(t["row0"] + t["rows"] for t in tiles)
     width = max(t["col0"] + t["cols"] for t in tiles)
@@ -370,9 +320,8 @@ def _load_prediction_mosaic(probs_dir: Path):
 
 def cmd_evaluate(args, argv) -> int:
     report_path = Path(args.report)
-    manifest = Manifest("evaluate", argv, vars(args))
-    error = None
-    try:
+    with Manifest("evaluate", argv, args, report_path.parent
+                  / f"{report_path.stem}.evaluate_manifest.json") as manifest:
         probs_dir = _require(args.probs, "prediction directory")
         ref_dir = _require(args.reference, "reference directory")
         fp_path = _require(Path(ref_dir) / "footprints.json", "footprints")
@@ -389,6 +338,7 @@ def cmd_evaluate(args, argv) -> int:
             thresholds=thresholds, aoi_id=footprints.get("aoi_id", ""),
         )
         manifest.time("evaluate", t0)
+        report_path.parent.mkdir(parents=True, exist_ok=True)
         evaluation.report_to_json(report, report_path)
         outputs = [report_path]
         if args.csv:
@@ -397,12 +347,6 @@ def cmd_evaluate(args, argv) -> int:
         manifest.data["inputs"] = _hash_paths([fp_path])
         manifest.data["outputs"] = _hash_paths(outputs)
         manifest.data["metrics"] = report
-    except Exception as exc:
-        error = exc
-    manifest.finish(error)
-    manifest.write(report_path.parent / f"{report_path.stem}.evaluate_manifest.json")
-    if error is not None:
-        raise error
     return 0
 
 
@@ -509,7 +453,7 @@ def main(argv=None) -> int:
         return args.func(args, argv)
     except ToolkitError as exc:
         print(f"error[{exc.error_class}]: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except Exception as exc:  # noqa: BLE001
         print(f"error[unexpected]: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -11,13 +11,15 @@ Spatial extent shrinks 5 -> 4 -> 3 -> 2 -> 1 across the four convolutions,
 so the flatten width equals f_b.
 
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
-JSON header, then float32 little-endian parameter blobs in build order
-(conv kernels laid out [out][in][kh][kw], dense weights [out][in]).
+JSON header, then float32 little-endian parameter blobs in the order of the
+layer table LAYERS (conv kernels laid out [out][in][kh][kw], dense weights
+[out][in]).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -105,113 +107,109 @@ def preset(name: str, divisor: Optional[float] = None,
     return cfg
 
 
-def count_params(arch: ArchitectureConfig):
-    """Closed-form (trainable, non_trainable) parameter counts."""
-    arch.validate()
+# The network in forward order: (name, layer class, activation, input width,
+# output width), widths named as in _layer_shapes(). Each BatchNorm is
+# followed by dropout in training, and the first dense layer flattens its
+# input. GHSM parameter blobs follow this order, each layer's trainable
+# arrays (param_names) before its statistics (state_names).
+LAYERS = (
+    ("conv1", ConvLayer, "linear", "bands", "f_a"),
+    ("conv2", ConvLayer, "tanh", "f_a", "f_a"),
+    ("bn1", BatchNorm, None, "f_a", "f_a"),
+    ("conv3", ConvLayer, "linear", "f_a", "f_b"),
+    ("conv4", ConvLayer, "tanh", "f_b", "f_b"),
+    ("bn2", BatchNorm, None, "f_b", "f_b"),
+    ("dense1", DenseLayer, "tanh", "f_b", "hidden"),
+    ("dense2", DenseLayer, "sigmoid", "hidden", "out"),
+)
+
+
+def _layer_shapes(arch: ArchitectureConfig):
+    """(name, class, activation, trainable array shapes) per table row."""
     f_a, f_b = arch.block_filters
-    k2 = nncore.KERNEL_SIZE ** 2
+    width = {"bands": arch.bands, "f_a": f_a, "f_b": f_b,
+             "hidden": arch.hidden_units, "out": 1}
+    k = nncore.KERNEL_SIZE
+    for name, cls, activation, cin, cout in LAYERS:
+        n_in, n_out = width[cin], width[cout]
+        main = {ConvLayer: (n_out, n_in, k, k), DenseLayer: (n_out, n_in),
+                BatchNorm: (n_out,)}[cls]
+        yield name, cls, activation, [main, (n_out,)]
 
-    def conv(cin, cout):
-        return (k2 * cin + 1) * cout
 
-    trainable = (
-        conv(arch.bands, f_a) + conv(f_a, f_a) + 2 * f_a
-        + conv(f_a, f_b) + conv(f_b, f_b) + 2 * f_b
-        + (f_b + 1) * arch.hidden_units
-        + (arch.hidden_units + 1) * 1
-    )
-    non_trainable = 2 * f_a + 2 * f_b
+def count_params(arch: ArchitectureConfig):
+    """(trainable, non_trainable) parameter counts."""
+    arch.validate()
+    trainable = non_trainable = 0
+    for _, cls, _, shapes in _layer_shapes(arch):
+        trainable += sum(math.prod(s) for s in shapes)
+        non_trainable += len(cls.state_names) * shapes[-1][0]
     return trainable, non_trainable
 
 
 class Model:
-    """Built network plus identity metadata; immutable once training ends."""
+    """Built network plus identity metadata; immutable once training ends.
+
+    Every trainable array is a view into the flat vector `params`, so the
+    optimizer updates the whole network in place. A new Model has zero
+    conv/dense weights and identity BatchNorm (gamma 1, beta 0, moving mean
+    0, moving variance 1); build_model draws the initial weights.
+    """
 
     def __init__(self, arch: ArchitectureConfig, zone_id: str = "",
-                 seed: int = 0, epochs_trained: int = 0):
+                 seed: int = 0, epochs_trained: int = 0, dtype=np.float32):
         arch.validate()
         self.arch = arch
         self.zone_id = zone_id
         self.seed = seed
         self.epochs_trained = epochs_trained
-        self.conv1: ConvLayer = None
-        self.conv2: ConvLayer = None
-        self.bn1: BatchNorm = None
-        self.conv3: ConvLayer = None
-        self.conv4: ConvLayer = None
-        self.bn2: BatchNorm = None
-        self.dense1: DenseLayer = None
-        self.dense2: DenseLayer = None
+        self.params = np.zeros(count_params(arch)[0], dtype=dtype)
+        pos = 0
+        for name, cls, activation, shapes in _layer_shapes(arch):
+            arrays = []
+            for shape in shapes:
+                size = math.prod(shape)
+                arrays.append(self.params[pos:pos + size].reshape(shape))
+                pos += size
+            if cls is BatchNorm:
+                gamma, beta = arrays
+                gamma[...] = 1.0
+                layer = BatchNorm(gamma, beta, np.zeros_like(beta),
+                                  np.ones_like(beta))
+            else:
+                layer = cls(*arrays, activation)
+            setattr(self, name, layer)
+
+    @property
+    def layers(self) -> list:
+        """Layer objects in table order."""
+        return [getattr(self, name) for name, *_ in LAYERS]
 
     # -- parameter bookkeeping -------------------------------------------
 
+    def _arrays(self, *groups) -> list:
+        return [getattr(layer, attr) for layer in self.layers
+                for group in groups for attr in getattr(layer, group)]
+
     def trainable_arrays(self):
-        """Trainable parameter arrays in build order."""
-        return [
-            self.conv1.kernel, self.conv1.bias,
-            self.conv2.kernel, self.conv2.bias,
-            self.bn1.gamma, self.bn1.beta,
-            self.conv3.kernel, self.conv3.bias,
-            self.conv4.kernel, self.conv4.bias,
-            self.bn2.gamma, self.bn2.beta,
-            self.dense1.weights, self.dense1.bias,
-            self.dense2.weights, self.dense2.bias,
-        ]
+        """Trainable parameter arrays in table order (views into params)."""
+        return self._arrays("param_names")
 
     def non_trainable_arrays(self):
-        return [
-            self.bn1.moving_mean, self.bn1.moving_var,
-            self.bn2.moving_mean, self.bn2.moving_var,
-        ]
+        return self._arrays("state_names")
 
     def serialization_arrays(self):
-        """All parameter blobs in the GHSM build order."""
-        return [
-            self.conv1.kernel, self.conv1.bias,
-            self.conv2.kernel, self.conv2.bias,
-            self.bn1.gamma, self.bn1.beta, self.bn1.moving_mean, self.bn1.moving_var,
-            self.conv3.kernel, self.conv3.bias,
-            self.conv4.kernel, self.conv4.bias,
-            self.bn2.gamma, self.bn2.beta, self.bn2.moving_mean, self.bn2.moving_var,
-            self.dense1.weights, self.dense1.bias,
-            self.dense2.weights, self.dense2.bias,
-        ]
-
-    def flat_trainable(self) -> np.ndarray:
-        return np.concatenate([a.reshape(-1) for a in self.trainable_arrays()])
-
-    def set_flat_trainable(self, vec: np.ndarray) -> None:
-        pos = 0
-        for a in self.trainable_arrays():
-            n = a.size
-            a[...] = vec[pos:pos + n].reshape(a.shape)
-            pos += n
-        if pos != vec.size:
-            raise ShapeError(f"flat vector length {vec.size} != {pos}")
+        """All parameter blobs in the GHSM order."""
+        return self._arrays("param_names", "state_names")
 
     def astype(self, dtype) -> "Model":
         """Copy of the model with every parameter array cast to dtype."""
-        clone = Model(self.arch, self.zone_id, self.seed, self.epochs_trained)
-        clone.conv1 = ConvLayer(self.conv1.kernel.astype(dtype),
-                                self.conv1.bias.astype(dtype), "linear")
-        clone.conv2 = ConvLayer(self.conv2.kernel.astype(dtype),
-                                self.conv2.bias.astype(dtype), "tanh")
-        clone.bn1 = BatchNorm(self.bn1.gamma.astype(dtype),
-                              self.bn1.beta.astype(dtype),
-                              self.bn1.moving_mean.astype(dtype),
-                              self.bn1.moving_var.astype(dtype))
-        clone.conv3 = ConvLayer(self.conv3.kernel.astype(dtype),
-                                self.conv3.bias.astype(dtype), "linear")
-        clone.conv4 = ConvLayer(self.conv4.kernel.astype(dtype),
-                                self.conv4.bias.astype(dtype), "tanh")
-        clone.bn2 = BatchNorm(self.bn2.gamma.astype(dtype),
-                              self.bn2.beta.astype(dtype),
-                              self.bn2.moving_mean.astype(dtype),
-                              self.bn2.moving_var.astype(dtype))
-        clone.dense1 = DenseLayer(self.dense1.weights.astype(dtype),
-                                  self.dense1.bias.astype(dtype), "tanh")
-        clone.dense2 = DenseLayer(self.dense2.weights.astype(dtype),
-                                  self.dense2.bias.astype(dtype), "sigmoid")
+        clone = Model(self.arch, self.zone_id, self.seed, self.epochs_trained,
+                      dtype=dtype)
+        clone.params[...] = self.params
+        for dst, src in zip(clone.non_trainable_arrays(),
+                            self.non_trainable_arrays()):
+            dst[...] = src
         return clone
 
     # -- passes -----------------------------------------------------------
@@ -227,94 +225,63 @@ class Model:
     def forward(self, patches: np.ndarray) -> np.ndarray:
         """Inference pass: moving BN statistics, no dropout. Returns (N,)."""
         self._check_patches(patches)
-        h = self.conv1.forward(patches)
-        h = self.conv2.forward(h)
-        h = self.bn1.forward_infer(h)
-        h = self.conv3.forward(h)
-        h = self.conv4.forward(h)
-        h = self.bn2.forward_infer(h)
-        h = h.reshape(h.shape[0], -1)
-        h = self.dense1.forward(h)
-        h = self.dense2.forward(h)
+        h = patches
+        for layer in self.layers:
+            if isinstance(layer, BatchNorm):
+                h = layer.forward_infer(h)
+            else:
+                if isinstance(layer, DenseLayer):
+                    h = h.reshape(h.shape[0], -1)
+                h = layer.forward(h)
         return h[:, 0]
 
     def forward_train(self, patches: np.ndarray, rng: np.random.Generator,
                       update_running: bool = True):
-        """Training pass: batch BN statistics and fresh dropout masks."""
+        """Training pass: batch BN statistics and fresh dropout masks.
+
+        Returns (probabilities, caches); caches holds one (input shape,
+        layer cache, dropout mask) entry per layer for backward()."""
         self._check_patches(patches)
-        rate = self.arch.dropout_rate
-        caches = {}
-        h, caches["conv1"] = self.conv1.forward_train(patches)
-        h, caches["conv2"] = self.conv2.forward_train(h)
-        h, caches["bn1"] = self.bn1.forward_train(h, update_running=update_running)
-        h, caches["drop1"] = dropout(h, rate, rng, train=True)
-        h, caches["conv3"] = self.conv3.forward_train(h)
-        h, caches["conv4"] = self.conv4.forward_train(h)
-        h, caches["bn2"] = self.bn2.forward_train(h, update_running=update_running)
-        h, caches["drop2"] = dropout(h, rate, rng, train=True)
-        shape4 = h.shape
-        h = h.reshape(shape4[0], -1)
-        caches["flatten"] = shape4
-        h, caches["dense1"] = self.dense1.forward_train(h)
-        h, caches["dense2"] = self.dense2.forward_train(h)
+        h = patches
+        caches = []
+        for layer in self.layers:
+            shape, mask = h.shape, None
+            if isinstance(layer, BatchNorm):
+                h, cache = layer.forward_train(h, update_running=update_running)
+                h, mask = dropout(h, self.arch.dropout_rate, rng, train=True)
+            else:
+                if isinstance(layer, DenseLayer):
+                    h = h.reshape(h.shape[0], -1)
+                h, cache = layer.forward_train(h)
+            caches.append((shape, cache, mask))
         return h[:, 0], caches
 
     def backward(self, dprobs: np.ndarray, caches):
         """Gradients for every trainable array, aligned with trainable_arrays()."""
         d = dprobs[:, None]
-        d, dw2, db2 = self.dense2.backward(d, caches["dense2"])
-        d, dw1, db1 = self.dense1.backward(d, caches["dense1"])
-        d = d.reshape(caches["flatten"])
-        d = dropout_backward(d, caches["drop2"])
-        d, dg2, dbeta2 = self.bn2.backward(d, caches["bn2"])
-        d, dk4, dc4 = self.conv4.backward(d, caches["conv4"])
-        d, dk3, dc3 = self.conv3.backward(d, caches["conv3"])
-        d = dropout_backward(d, caches["drop1"])
-        d, dg1, dbeta1 = self.bn1.backward(d, caches["bn1"])
-        d, dk2, dc2 = self.conv2.backward(d, caches["conv2"])
-        _, dk1, dc1 = self.conv1.backward(d, caches["conv1"])
-        return [dk1, dc1, dk2, dc2, dg1, dbeta1, dk3, dc3, dk4, dc4,
-                dg2, dbeta2, dw1, db1, dw2, db2]
+        grads = []
+        for layer, (shape, cache, mask) in zip(self.layers[::-1], caches[::-1]):
+            d = dropout_backward(d, mask)
+            d, *layer_grads = layer.backward(d, cache)
+            d = d.reshape(shape)
+            grads = layer_grads + grads
+        return grads
 
 
 def build_model(arch: ArchitectureConfig, seed: int = 0, zone_id: str = "",
                 rng: Optional[np.random.Generator] = None) -> Model:
     """Initialize all layers; conv/dense weights and biases uniform on
-    [-0.1065, 0.1065], BN at gamma=1, beta=0, moving mean 0 / var 1."""
-    arch.validate()
+    [-0.1065, 0.1065], drawn in table order; BN at gamma=1, beta=0, moving
+    mean 0 / var 1."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    f_a, f_b = arch.block_filters
-    k = nncore.KERNEL_SIZE
     model = Model(arch, zone_id=zone_id, seed=seed)
-
-    def conv(cin, cout, act):
-        return ConvLayer(nncore.init_uniform(rng, (cout, cin, k, k)),
-                         nncore.init_uniform(rng, (cout,)), act)
-
-    def bn(ch):
-        return BatchNorm(np.ones(ch, dtype=np.float32),
-                         np.zeros(ch, dtype=np.float32),
-                         np.zeros(ch, dtype=np.float32),
-                         np.ones(ch, dtype=np.float32))
-
-    model.conv1 = conv(arch.bands, f_a, "linear")
-    model.conv2 = conv(f_a, f_a, "tanh")
-    model.bn1 = bn(f_a)
-    model.conv3 = conv(f_a, f_b, "linear")
-    model.conv4 = conv(f_b, f_b, "tanh")
-    model.bn2 = bn(f_b)
-    model.dense1 = DenseLayer(nncore.init_uniform(rng, (arch.hidden_units, f_b)),
-                              nncore.init_uniform(rng, (arch.hidden_units,)),
-                              "tanh")
-    model.dense2 = DenseLayer(nncore.init_uniform(rng, (1, arch.hidden_units)),
-                              nncore.init_uniform(rng, (1,)), "sigmoid")
+    for layer in model.layers:
+        if not isinstance(layer, BatchNorm):
+            for attr in layer.param_names:
+                arr = getattr(layer, attr)
+                arr[...] = nncore.init_uniform(rng, arr.shape)
     return model
-
-
-def forward_batch(model: Model, patches: np.ndarray) -> np.ndarray:
-    """One probability per patch, order-preserving, inference mode."""
-    return model.forward(np.ascontiguousarray(patches, dtype=np.float32))
 
 
 def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
@@ -326,10 +293,8 @@ def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss}")
     grads = model.backward(dprobs, caches)
-    flat = model.flat_trainable()
-    gflat = np.concatenate([g.reshape(-1) for g in grads])
-    adam_step(flat, gflat, state)
-    model.set_flat_trainable(flat)
+    adam_step(model.params, np.concatenate([g.reshape(-1) for g in grads]),
+              state)
     return loss
 
 

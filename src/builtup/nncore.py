@@ -11,7 +11,7 @@ dtype-generic so gradient checks can run the same code in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,6 +55,9 @@ class ConvLayer:
     kernel is (out_ch, in_ch, 2, 2); forward maps (N, H, W, in_ch) to
     (N, H-1, W-1, out_ch).
     """
+
+    param_names = ("kernel", "bias")
+    state_names = ()
 
     def __init__(self, kernel: np.ndarray, bias: np.ndarray, activation: str):
         if activation not in ("linear", "tanh"):
@@ -143,6 +146,9 @@ class ConvLayer:
 class DenseLayer:
     """Fully connected layer: out = act(x @ W.T + b), W is (out, in)."""
 
+    param_names = ("weights", "bias")
+    state_names = ()
+
     def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
         if activation not in ("tanh", "sigmoid", "linear"):
             raise ParameterError(f"dense activation {activation!r} not supported")
@@ -192,6 +198,9 @@ class BatchNorm:
     statistics by exponential momentum; inference uses the moving
     statistics only.
     """
+
+    param_names = ("gamma", "beta")
+    state_names = ("moving_mean", "moving_var")
 
     def __init__(self, gamma: np.ndarray, beta: np.ndarray,
                  moving_mean: np.ndarray, moving_var: np.ndarray,
@@ -333,44 +342,3 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
         params.dtype
     )
     return params
-
-
-def finite_difference(f, arrays, step: float = 1e-4):
-    """Central finite differences of scalar f() w.r.t. each array, in place.
-
-    f must re-read the arrays on every call; arrays are restored afterwards.
-    """
-    if not 1e-6 <= step <= 1e-3:
-        raise ParameterError(f"step must be in [1e-6, 1e-3], got {step}")
-    grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr, dtype=np.float64)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = f()
-            flat[i] = orig - step
-            fm = f()
-            flat[i] = orig
-            gflat[i] = (fp - fm) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def max_relative_error(analytic, numeric, floor: float = 1e-8) -> float:
-    """Worst-case |a - n| / max(|a|, |n|, floor) over paired gradient arrays."""
-    worst = 0.0
-    for a, nmr in zip(analytic, numeric):
-        a = np.asarray(a, dtype=np.float64)
-        nmr = np.asarray(nmr, dtype=np.float64)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(nmr)), floor)
-        worst = max(worst, float(np.max(np.abs(a - nmr) / denom)))
-    return worst
-
-
-def grad_check(f, arrays, analytic, step: float = 1e-4) -> float:
-    """Compare analytic gradients against central differences of scalar f."""
-    numeric = finite_difference(f, arrays, step=step)
-    return max_relative_error(analytic, numeric)

@@ -16,12 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import evaluation, model as model_mod, raster, sampling
+from . import model as model_mod, raster, sampling
 from .errors import (
     ConfigError,
     DegenerateClassError,
     RegistryError,
-    ShapeError,
 )
 from .model import Model, build_model, train_step
 from .nncore import AdamState, bce_loss
@@ -151,7 +150,7 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     rows, cols, labels = samples.rows, samples.cols, samples.labels
 
     net = build_model(arch, seed=run.seed, zone_id=run.zone_id)
-    state = AdamState.for_size(net.flat_trainable().size,
+    state = AdamState.for_size(net.params.size,
                                learning_rate=run.learning_rate)
     history = TrainingHistory()
     best_val = np.inf
@@ -209,26 +208,6 @@ def _predict_padded(net: Model, padded_window: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_tile(net: Model, tile: RasterGrid,
-                 valid: Optional[np.ndarray] = None):
-    """Probability grid plus validity mask for one standalone rescaled tile.
-
-    The tile is padded with constant zero; output dims equal tile dims.
-    """
-    if tile.bands != net.arch.bands:
-        raise ConfigError(
-            f"tile has {tile.bands} bands, model expects {net.arch.bands}"
-        )
-    if valid is None:
-        valid = tile.valid_mask()
-    padded = np.pad(tile.data.astype(np.float32, copy=False),
-                    ((0, 0), (PATCH_MARGIN, PATCH_MARGIN),
-                     (PATCH_MARGIN, PATCH_MARGIN)), mode="constant")
-    prob = _predict_padded(net, padded)
-    prob[~valid] = -1.0
-    return prob, valid
-
-
 @dataclass
 class TilePrediction:
     tile: TileIndex
@@ -280,19 +259,6 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
         return [run_tile(t) for t in tiles]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_tile, tiles))
-
-
-def mosaic_predictions(predictions, height: int, width: int):
-    """Assemble per-tile outputs into one zone grid plus validity mask."""
-    prob = np.full((height, width), -1.0, dtype=np.float32)
-    valid = np.zeros((height, width), dtype=bool)
-    for pred in predictions:
-        if not pred.ok:
-            continue
-        t = pred.tile
-        prob[t.row0:t.row0 + t.rows, t.col0:t.col0 + t.cols] = pred.prob
-        valid[t.row0:t.row0 + t.rows, t.col0:t.col0 + t.cols] = pred.valid
-    return prob, valid
 
 
 # -- transfer ---------------------------------------------------------------
@@ -350,30 +316,3 @@ def run_transfer(registry: ZoneRegistry, source_zone: str, target_zone: str,
     mode = CLOSE_RANGE if source_zone == target_zone else FAR_RANGE
     registry.record(target_zone, path, mode, source_zone)
     return predictions, mode
-
-
-def compare_transfer(close_prob: np.ndarray, far_prob: np.ndarray,
-                     reference: np.ndarray, valid: np.ndarray,
-                     thresholds=evaluation.DEFAULT_THRESHOLDS) -> dict:
-    """Side-by-side OA/BA (plus kappa) per threshold for both modes."""
-    for name, grid in (("close", close_prob), ("far", far_prob)):
-        if grid.shape != reference.shape:
-            raise ShapeError(
-                f"{name} predictions {grid.shape} do not cover the "
-                f"reference {reference.shape}"
-            )
-    report = {"thresholds": [float(t) for t in thresholds], "modes": {}}
-    for mode, prob in ((CLOSE_RANGE, close_prob), (FAR_RANGE, far_prob)):
-        rows = {}
-        for t in thresholds:
-            counts = evaluation.confusion(
-                evaluation.binarize(prob, t), reference, valid, threshold=t
-            )
-            metrics = evaluation.accuracy_metrics(counts)
-            rows[f"{t:g}"] = {
-                "overall_accuracy": metrics["oa"],
-                "balanced_accuracy": metrics["balanced_accuracy"],
-                "kappa": metrics["kappa"],
-            }
-        report["modes"][mode] = rows
-    return report

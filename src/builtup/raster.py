@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -189,49 +189,6 @@ def rescale_reflectance(grid: RasterGrid, divisor: float = 10000.0):
     return out, valid
 
 
-def pad_constant(grid: RasterGrid, margin: int, value: float) -> RasterGrid:
-    if margin < 0:
-        raise ParameterError(f"margin must be >= 0, got {margin}")
-    if margin == 0:
-        return grid
-    np_dtype = DTYPE_NUMPY[grid.dtype]
-    data = np.pad(grid.data, ((0, 0), (margin, margin), (margin, margin)),
-                  mode="constant", constant_values=np_dtype.type(value))
-    return RasterGrid(width=grid.width + 2 * margin,
-                      height=grid.height + 2 * margin,
-                      bands=grid.bands, dtype=grid.dtype, nodata=grid.nodata,
-                      zone_id=grid.zone_id, origin_x=grid.origin_x,
-                      origin_y=grid.origin_y, pixel_size=grid.pixel_size,
-                      data=data)
-
-
-@dataclass
-class Patch:
-    center: tuple  # (row, col) in unpadded coordinates
-    values: np.ndarray  # (size, size, bands)
-
-
-def iter_patches(grid: RasterGrid, size: int = PATCH_SIZE) -> Iterator[Patch]:
-    """Yield one patch per original pixel from a margin-padded grid.
-
-    The grid must already carry a margin of size//2 on every side; centers
-    are reported in the unpadded coordinate frame, row-major.
-    """
-    margin = size // 2
-    if grid.height < size or grid.width < size:
-        raise ShapeError(
-            f"padded grid {grid.height}x{grid.width} smaller than patch size {size}"
-        )
-    rows = grid.height - 2 * margin
-    cols = grid.width - 2 * margin
-    data = grid.data
-    for r in range(rows):
-        for c in range(cols):
-            block = data[:, r:r + size, c:c + size]
-            yield Patch(center=(r, c),
-                        values=np.ascontiguousarray(block.transpose(1, 2, 0)))
-
-
 def patch_view(padded: np.ndarray, size: int = PATCH_SIZE) -> np.ndarray:
     """Sliding-window view over (bands, Hp, Wp): result (H, W, size, size, bands)."""
     win = np.lib.stride_tricks.sliding_window_view(padded, (size, size), axis=(1, 2))
@@ -281,11 +238,6 @@ def tile_grid(height: int, width: int, tile_pixels: int,
             tiles.append(TileIndex(tile_row=tr, tile_col=tc, row0=r0, col0=c0,
                                    rows=rows, cols=cols, water_dominated=water))
     return tiles
-
-
-def tile_pixels_for(tile_size_m: float, pixel_size_m: float) -> int:
-    """Tile edge length in pixels for a physical tile size."""
-    return int(round(tile_size_m / pixel_size_m))
 
 
 def quantize_probability(prob: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Label compositing and the two-stage tile/patch training sampler.
+"""The two-stage tile/patch training sampler and epoch minibatching.
 
 Stage one picks a systematic subset of tiles (checkerboard parity at the
 default 50% fraction). Stage two keeps every patch whose 5x5 label block
@@ -14,43 +14,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StatsError
+from .errors import ParameterError, StatsError
 from .raster import PATCH_MARGIN, RasterGrid
 
 LABEL_NODATA = 255
-
-
-@dataclass
-class LabelSource:
-    raster: RasterGrid  # values in {0, 1, nodata}
-    priority: int  # 1 = highest
-    name: str = ""
-
-
-def composite_labels(sources) -> RasterGrid:
-    """Per pixel, the value of the highest-priority source that is not
-    nodata; nodata only where every source is nodata."""
-    if not sources:
-        raise ParameterError("composite_labels needs at least one source")
-    ordered = sorted(sources, key=lambda s: s.priority)
-    first = ordered[0].raster
-    out = np.full((first.height, first.width), LABEL_NODATA, dtype=np.uint8)
-    filled = np.zeros(out.shape, dtype=bool)
-    for src in ordered:
-        g = src.raster
-        if (g.height, g.width) != out.shape:
-            raise ShapeError(
-                f"label source {src.name!r} is {g.height}x{g.width}, "
-                f"expected {out.shape[0]}x{out.shape[1]}"
-            )
-        values = g.data[0]
-        usable = (values != g.nodata) & ~filled
-        out[usable] = values[usable]
-        filled |= usable
-    return RasterGrid(width=first.width, height=first.height, bands=1,
-                      dtype="u8", nodata=LABEL_NODATA, zone_id=first.zone_id,
-                      origin_x=first.origin_x, origin_y=first.origin_y,
-                      pixel_size=first.pixel_size, data=out[None, :, :])
 
 
 def select_training_tiles(tiles, fraction: float,
@@ -178,13 +145,19 @@ def shuffle_minibatches(n_samples: int, chunk_size: int, batch_size: int,
                         rng: np.random.Generator) -> Iterator[np.ndarray]:
     """One epoch of sample indices: a full shuffle grouped into staging
     chunks, each chunk split into optimizer batches. Every index appears
-    exactly once."""
+    exactly once.
+
+    A size-1 batch (the tail of a chunk, or a final chunk of one sample)
+    is merged into the batch before it, since train-mode batch norm needs
+    at least two samples."""
     if chunk_size < batch_size:
         raise ParameterError(
             f"chunk_size {chunk_size} must be >= batch_size {batch_size}"
         )
     order = rng.permutation(n_samples)
-    for c0 in range(0, n_samples, chunk_size):
-        chunk = order[c0:c0 + chunk_size]
-        for b0 in range(0, chunk.size, batch_size):
-            yield chunk[b0:b0 + batch_size]
+    starts = [b0 for c0 in range(0, n_samples, chunk_size)
+              for b0 in range(c0, min(c0 + chunk_size, n_samples), batch_size)]
+    ends = starts[1:] + [n_samples]
+    starts = [s for s, e in zip(starts, ends) if e - s > 1 or s == 0]
+    for s, e in zip(starts, starts[1:] + [n_samples]):
+        yield order[s:e]

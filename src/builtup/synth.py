@@ -119,15 +119,6 @@ def synth_zone(params: SceneParams, zone_id: str = "A") -> Zone:
                 footprints=footprints, params=params)
 
 
-def synth_twin_zones(params: SceneParams, seed_a: int, seed_b: int,
-                     zone_ids=("A", "B")):
-    """Two independent draws from the same generative process."""
-    from dataclasses import replace
-    zone_a = synth_zone(replace(params, seed=seed_a), zone_id=zone_ids[0])
-    zone_b = synth_zone(replace(params, seed=seed_b), zone_id=zone_ids[1])
-    return zone_a, zone_b
-
-
 def zone_stats(zone: Zone) -> dict:
     labels = zone.labels.data[0]
     n = labels.size

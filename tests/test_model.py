@@ -1,5 +1,7 @@
 """Topology assembly, parameter counting, batched passes, GHSM files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from builtup.model import (
     PRESETS,
     build_model,
     count_params,
-    forward_batch,
     load_model,
     save_model,
     train_step,
@@ -43,7 +44,7 @@ class TestBuild:
     def test_output_in_open_unit_interval(self):
         rng = np.random.default_rng(3)
         net = build_model(PRESETS["desk"], seed=2)
-        probs = forward_batch(net, random_patches(rng, 64, PRESETS["desk"]))
+        probs = net.forward(random_patches(rng, 64, PRESETS["desk"]))
         assert probs.shape == (64,)
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
@@ -66,6 +67,59 @@ class TestBuild:
         b = build_model(PRESETS["desk"], seed=9)
         for x, y in zip(a.serialization_arrays(), b.serialization_arrays()):
             assert x.tobytes() == y.tobytes()
+
+
+class TestFlatParams:
+    """Every trainable array is a view into the one flat vector net.params."""
+
+    def assert_views(self, net):
+        arrays = net.trainable_arrays()
+        np.testing.assert_array_equal(
+            np.concatenate([a.reshape(-1) for a in arrays]), net.params
+        )
+        for a in arrays:
+            assert np.shares_memory(a, net.params)
+
+    def test_build_model(self):
+        self.assert_views(build_model(PRESETS["desk"], seed=0))
+
+    def test_load_model(self, tmp_path):
+        path = tmp_path / "m.ghsm"
+        save_model(build_model(TINY, seed=1), path)
+        self.assert_views(load_model(path))
+
+    def test_astype_float64(self):
+        net = build_model(TINY, seed=2).astype(np.float64)
+        assert net.params.dtype == np.float64
+        self.assert_views(net)
+
+    def test_train_step_updates_params_in_place(self):
+        rng = np.random.default_rng(3)
+        net = build_model(TINY, seed=3)
+        before = net.params.copy()
+        x = rng.random((8, 5, 5, TINY.bands)).astype(np.float32)
+        y = (rng.random(8) < 0.5).astype(np.float32)
+        train_step(net, x, y, AdamState.for_size(net.params.size), rng)
+        assert not np.array_equal(net.params, before)
+        self.assert_views(net)
+
+
+class TestInitialFileDigest:
+    """GHSM bytes of a freshly built model: pins the layer order, the
+    initial draws and the blob layout (no BLAS involved)."""
+
+    @pytest.mark.parametrize("name, digest, size", [
+        ("desk", "48e5a131ea8c7049b8bfe335b11c542b69d5eb32eded2fad60e06056f5188353",
+         153_027),
+        ("paper", "3af2ff0ff63bb744b626d5498d181a7b0d4d9dd16346e48dd45d4d84099a730a",
+         2_380_997),
+    ])
+    def test_sha256(self, tmp_path, name, digest, size):
+        path = tmp_path / "m.ghsm"
+        save_model(build_model(PRESETS[name], seed=0, zone_id="A"), path)
+        raw = path.read_bytes()
+        assert len(raw) == size
+        assert hashlib.sha256(raw).hexdigest() == digest
 
 
 class TestCountParams:
@@ -97,22 +151,22 @@ class TestForwardBatch:
     def test_wrong_shape(self):
         net = build_model(TINY, seed=0)
         with pytest.raises(ShapeError):
-            forward_batch(net, np.zeros((2, 4, 5, 2), dtype=np.float32))
+            net.forward(np.zeros((2, 4, 5, 2), dtype=np.float32))
 
     def test_duplicated_patch_identical_probability(self):
         rng = np.random.default_rng(4)
         net = build_model(TINY, seed=1)
         patch = random_patches(rng, 1, TINY)
         batch = np.concatenate([patch, random_patches(rng, 3, TINY), patch])
-        probs = forward_batch(net, batch)
+        probs = net.forward(batch)
         assert probs[0] == probs[-1]
 
     def test_batch_equals_one_by_one(self):
         rng = np.random.default_rng(5)
         net = build_model(PRESETS["desk"], seed=2)
         batch = random_patches(rng, 32, PRESETS["desk"])
-        together = forward_batch(net, batch)
-        single = np.array([forward_batch(net, batch[i:i + 1])[0]
+        together = net.forward(batch)
+        single = np.array([net.forward(batch[i:i + 1])[0]
                            for i in range(32)])
         assert np.max(np.abs(together - single)) <= 1e-6
 
@@ -134,7 +188,7 @@ class TestTrainStep:
         rng = np.random.default_rng(6)
         net = build_model(TINY, seed=3)
         x, y = self.separable_batch(rng)
-        state = AdamState.for_size(net.flat_trainable().size,
+        state = AdamState.for_size(net.params.size,
                                    learning_rate=0.01)
         before = self.eval_loss(net, x, y, mask_seed=77)
         train_step(net, x, y, state, np.random.default_rng(77))
@@ -146,7 +200,7 @@ class TestTrainStep:
         net = build_model(TINY, seed=4)
         x, y = self.separable_batch(rng)
         snapshot = [a.copy() for a in net.trainable_arrays()]
-        state = AdamState.for_size(net.flat_trainable().size,
+        state = AdamState.for_size(net.params.size,
                                    learning_rate=0.0)
         train_step(net, x, y, state, np.random.default_rng(0))
         for a, b in zip(net.trainable_arrays(), snapshot):
@@ -157,7 +211,7 @@ class TestTrainStep:
             rng = np.random.default_rng(8)
             net = build_model(TINY, seed=5)
             x, y = self.separable_batch(np.random.default_rng(100))
-            state = AdamState.for_size(net.flat_trainable().size,
+            state = AdamState.for_size(net.params.size,
                                        learning_rate=1e-3)
             return [train_step(net, x, y, state, rng) for _ in range(5)]
 
@@ -168,7 +222,7 @@ class TestTrainStep:
         net = build_model(TINY, seed=6)
         net.dense2.weights[:] = np.nan
         x, y = self.separable_batch(rng)
-        state = AdamState.for_size(net.flat_trainable().size)
+        state = AdamState.for_size(net.params.size)
         with pytest.raises(NumericError):
             train_step(net, x, y, state, np.random.default_rng(0))
 
@@ -179,7 +233,7 @@ class TestSerialization:
         net = build_model(TINY, seed=seed, zone_id="ZZ")
         x = rng.random((32, 5, 5, TINY.bands)).astype(np.float32)
         y = (rng.random(32) < 0.5).astype(np.float32)
-        state = AdamState.for_size(net.flat_trainable().size)
+        state = AdamState.for_size(net.params.size)
         for _ in range(3):
             train_step(net, x, y, state, rng)
         net.epochs_trained = 3
@@ -217,8 +271,8 @@ class TestSerialization:
         back = load_model(path)
         rng = np.random.default_rng(12)
         batch = rng.random((16, 5, 5, TINY.bands)).astype(np.float32)
-        assert np.array_equal(forward_batch(net, batch),
-                              forward_batch(back, batch))
+        assert np.array_equal(net.forward(batch),
+                              back.forward(batch))
         assert back.zone_id == "ZZ" and back.epochs_trained == 3
 
     def test_every_parameter_bit_preserved(self, tmp_path):

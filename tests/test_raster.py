@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from builtup import raster
-from builtup.errors import FormatError, NumericError, ParameterError, ShapeError
+from builtup.errors import FormatError, NumericError, ParameterError
 from builtup.raster import (
     HEADER_SIZE,
-    RasterGrid,
-    iter_patches,
+    PATCH_MARGIN,
+    gather_patches,
     make_grid,
-    pad_constant,
+    patch_view,
     quantize_probability,
     read_header,
     read_raster,
     rescale_reflectance,
     tile_grid,
-    tile_pixels_for,
     write_raster,
 )
 
@@ -131,64 +130,86 @@ class TestRescale:
             rescale_reflectance(self.grid([[[1]]]), 0.0)
 
 
+def pad(data, margin=PATCH_MARGIN):
+    """Zero border of margin pixels, as training and prediction pad a zone."""
+    return np.pad(data, ((0, 0), (margin, margin), (margin, margin)),
+                  mode="constant")
+
+
+def all_patches(data):
+    """Every pixel's patch, row-major, through the production patch path."""
+    h, w = data.shape[1:]
+    rows, cols = np.divmod(np.arange(h * w), w)
+    return gather_patches(patch_view(pad(data)), rows, cols)
+
+
 class TestPad:
     def test_margin_zero_identity(self):
-        grid = random_grid(np.random.default_rng(1), "f32")
-        assert pad_constant(grid, 0, 0.0) is grid
+        grid = random_grid(np.random.default_rng(1), "f32", h=7, w=8)
+        view = patch_view(pad(grid.data, margin=0))
+        assert view.shape == (3, 4, 5, 5, 3)
+        np.testing.assert_array_equal(
+            view[0, 0], grid.data[:, :5, :5].transpose(1, 2, 0)
+        )
 
     def test_dims_grow_by_two_margins(self):
         grid = random_grid(np.random.default_rng(2), "f32", h=10, w=10)
-        out = pad_constant(grid, 2, 0.0)
-        assert (out.height, out.width) == (14, 14)
-        assert np.all(out.data[:, :2, :] == 0.0)
-        np.testing.assert_array_equal(out.data[:, 2:-2, 2:-2], grid.data)
+        padded = pad(grid.data)
+        assert padded.shape == (3, 14, 14)
+        assert np.all(padded[:, :2, :] == 0.0)
+        np.testing.assert_array_equal(padded[:, 2:-2, 2:-2], grid.data)
+        assert patch_view(padded).shape == (10, 10, 5, 5, 3)
 
     def test_corner_patch_fully_defined_after_padding(self):
         grid = random_grid(np.random.default_rng(3), "f32", h=6, w=6)
-        padded = pad_constant(grid, 2, 0.0)
-        first = next(iter_patches(padded))
-        assert first.center == (0, 0)
-        assert first.values.shape == (5, 5, 3)
+        first = gather_patches(patch_view(pad(grid.data)),
+                               np.array([0]), np.array([0]))
+        assert first.shape == (1, 5, 5, 3)
+        assert first.dtype == np.float32 and first.flags.c_contiguous
 
 
 class TestPatches:
     def test_one_patch_per_pixel(self):
         grid = random_grid(np.random.default_rng(4), "f32", h=10, w=10)
-        padded = pad_constant(grid, 2, 0.0)
-        assert sum(1 for _ in iter_patches(padded)) == 100
+        assert all_patches(grid.data).shape == (100, 5, 5, 3)
 
     def test_centers_row_major(self):
         grid = random_grid(np.random.default_rng(5), "f32", h=3, w=4)
-        padded = pad_constant(grid, 2, 0.0)
-        centers = [p.center for p in iter_patches(padded)]
-        assert centers == [(r, c) for r in range(3) for c in range(4)]
+        patches = all_patches(grid.data)
+        centers = patches[:, PATCH_MARGIN, PATCH_MARGIN, :]
+        np.testing.assert_array_equal(
+            centers, grid.data.transpose(1, 2, 0).reshape(12, 3)
+        )
 
     def test_border_patch_contains_pad_values(self):
         grid = random_grid(np.random.default_rng(6), "f32", h=6, w=6)
-        padded = pad_constant(grid, 2, 0.0)
-        first = next(iter_patches(padded))
-        assert np.all(first.values[:2, :, :] == 0.0)
-        assert np.all(first.values[:, :2, :] == 0.0)
+        first = all_patches(grid.data)[0]
+        assert np.all(first[:2, :, :] == 0.0)
+        assert np.all(first[:, :2, :] == 0.0)
         np.testing.assert_array_equal(
-            first.values[2:, 2:, :], grid.data[:, :3, :3].transpose(1, 2, 0)
+            first[2:, 2:, :], grid.data[:, :3, :3].transpose(1, 2, 0)
         )
 
     def test_unpadded_too_small(self):
         grid = random_grid(np.random.default_rng(7), "f32", h=4, w=4)
-        with pytest.raises(ShapeError):
-            next(iter_patches(grid))
+        with pytest.raises(ValueError):
+            patch_view(grid.data)
+        # padded, even a one-pixel grid (a ragged last tile) has its patch
+        one = grid.data[:, :1, :1]
+        patch = all_patches(one)
+        assert patch.shape == (1, 5, 5, 3)
+        np.testing.assert_array_equal(patch[0, 2, 2], one[:, 0, 0])
 
     def test_interior_patches_match_after_crop_and_repad(self):
         rng = np.random.default_rng(8)
         grid = random_grid(rng, "f32", h=9, w=8)
-        padded = pad_constant(grid, 2, 0.0)
-        all_patches = {p.center: p.values for p in iter_patches(padded)}
+        patches = all_patches(grid.data).reshape(9, 8, 5, 5, 3)
         # interior pixels have fully in-bounds windows: compare directly
         for r in range(2, 7):
             for c in range(2, 6):
                 window = grid.data[:, r - 2:r + 3, c - 2:c + 3]
                 np.testing.assert_array_equal(
-                    all_patches[(r, c)], window.transpose(1, 2, 0)
+                    patches[r, c], window.transpose(1, 2, 0)
                 )
 
 
@@ -197,9 +218,6 @@ class TestTileGrid:
         tiles = tile_grid(20000, 20000, 10000)
         assert len(tiles) == 4
         assert all(t.rows == 10000 and t.cols == 10000 for t in tiles)
-
-    def test_hundred_km_at_ten_metres(self):
-        assert tile_pixels_for(100_000, 10.0) == 10_000
 
     def test_ragged_last_tile(self):
         tiles = tile_grid(25000, 10000, 10000)

@@ -1,17 +1,16 @@
-"""Label compositing, tile selection and the two-stage patch sampler."""
+"""Tile selection, the two-stage patch sampler and epoch minibatches."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from builtup import sampling
-from builtup.errors import ParameterError, ShapeError, StatsError
+from builtup.errors import ParameterError, StatsError
 from builtup.raster import TileIndex, make_grid, tile_grid
 from builtup.sampling import (
     LABEL_NODATA,
-    LabelSource,
     build_sample_set,
     class_stats,
-    composite_labels,
     patch_block_labels,
     select_training_tiles,
     shuffle_minibatches,
@@ -21,45 +20,6 @@ from builtup.sampling import (
 def label_grid(values, nodata=LABEL_NODATA, zone_id="Z"):
     return make_grid(np.asarray(values, dtype=np.uint8), "u8", nodata,
                      zone_id=zone_id)
-
-
-class TestCompositeLabels:
-    def test_single_source_identity(self):
-        src = LabelSource(label_grid([[0, 1], [1, 0]]), priority=1)
-        out = composite_labels([src])
-        np.testing.assert_array_equal(out.data[0], [[0, 1], [1, 0]])
-
-    def test_fallback_to_lower_priority(self):
-        a = LabelSource(label_grid([[LABEL_NODATA]]), priority=1, name="a")
-        b = LabelSource(label_grid([[1]]), priority=2, name="b")
-        assert composite_labels([a, b]).data[0, 0, 0] == 1
-
-    def test_high_priority_zero_wins(self):
-        a = LabelSource(label_grid([[0]]), priority=1)
-        b = LabelSource(label_grid([[1]]), priority=2)
-        assert composite_labels([a, b]).data[0, 0, 0] == 0
-
-    def test_nodata_only_where_all_nodata(self):
-        a = LabelSource(label_grid([[LABEL_NODATA, LABEL_NODATA]]), priority=1)
-        b = LabelSource(label_grid([[LABEL_NODATA, 0]]), priority=2)
-        out = composite_labels([a, b])
-        np.testing.assert_array_equal(out.data[0], [[LABEL_NODATA, 0]])
-
-    def test_order_independent_given_priorities(self):
-        rng = np.random.default_rng(0)
-        grids = [label_grid(rng.integers(0, 2, (6, 6)) *
-                            np.where(rng.random((6, 6)) < 0.3, LABEL_NODATA, 1))
-                 for _ in range(3)]
-        sources = [LabelSource(g, priority=i + 1) for i, g in enumerate(grids)]
-        a = composite_labels(sources)
-        b = composite_labels(sources[::-1])
-        np.testing.assert_array_equal(a.data, b.data)
-
-    def test_size_mismatch(self):
-        a = LabelSource(label_grid([[0]]), priority=1)
-        b = LabelSource(label_grid([[0, 1]]), priority=2)
-        with pytest.raises(ShapeError):
-            composite_labels([a, b])
 
 
 class TestSelectTiles:
@@ -243,3 +203,41 @@ class TestShuffleMinibatches:
     def test_chunk_smaller_than_batch(self):
         with pytest.raises(ParameterError):
             list(shuffle_minibatches(10, 4, 8, np.random.default_rng(0)))
+
+    def test_trailing_single_sample_joins_previous_batch(self):
+        batches = list(shuffle_minibatches(2049, 200_000, 1024,
+                                           np.random.default_rng(3)))
+        assert [b.size for b in batches] == [1024, 1025]
+
+    def test_final_single_sample_chunk_joins_previous_batch(self):
+        batches = list(shuffle_minibatches(2049, 1024, 512,
+                                           np.random.default_rng(4)))
+        assert [b.size for b in batches] == [512, 512, 512, 513]
+
+
+def reference_minibatches(n_samples, chunk_size, batch_size, rng):
+    """Chunked batching without the size-1 merge."""
+    order = rng.permutation(n_samples)
+    for c0 in range(0, n_samples, chunk_size):
+        chunk = order[c0:c0 + chunk_size]
+        for b0 in range(0, chunk.size, batch_size):
+            yield chunk[b0:b0 + batch_size]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 3000), batch=st.integers(2, 600),
+       extra=st.integers(0, 900), seed=st.integers(0, 2**32 - 1))
+def test_minibatch_properties(n, batch, extra, seed):
+    chunk = batch + extra
+    batches = list(shuffle_minibatches(n, chunk, batch,
+                                       np.random.default_rng(seed)))
+    joined = np.concatenate(batches) if batches else np.empty(0, int)
+    np.testing.assert_array_equal(np.sort(joined), np.arange(n))
+    if n >= 2:
+        assert min(b.size for b in batches) >= 2
+    reference = list(reference_minibatches(n, chunk, batch,
+                                           np.random.default_rng(seed)))
+    if all(b.size != 1 for b in reference):
+        assert len(batches) == len(reference)
+        for b, r in zip(batches, reference):
+            np.testing.assert_array_equal(b, r)
