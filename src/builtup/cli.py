@@ -183,13 +183,12 @@ def cmd_train(args, argv) -> int:
         manifest.data["outputs"] = _hash_paths([out, history_path])
         if args.registry:
             registry = pipeline.ZoneRegistry.load(args.registry)
-            registry.record(args.zone, str(out), pipeline.CLOSE_RANGE,
-                            args.zone)
+            registry.record(args.zone, str(out))
             registry.save(args.registry)
     return 0
 
 
-def _write_predictions(predictions, net, composite, out_dir: Path):
+def _write_predictions(predictions, composite, out_dir: Path):
     """Per-tile probability + quantized rasters; returns tile status list."""
     statuses = []
     for pred in predictions:
@@ -242,14 +241,12 @@ def _predict_common(args, argv, command: str) -> int:
                 args.tile_size, workers=args.workers
             )
             manifest.time("predict", t0)
-            registry.save(args.registry)
             manifest.data["transfer"] = {
                 "mode": mode,
                 "source_zone": args.source_zone,
                 "target_zone": args.zone,
             }
-            net = model_mod.load_model(registry.model_path(args.zone))
-            inputs.append(registry.model_path(args.zone))
+            inputs.append(registry.model_path(args.source_zone))
         else:
             model_path = _require(args.model, "model file")
             inputs.append(model_path)
@@ -263,7 +260,7 @@ def _predict_common(args, argv, command: str) -> int:
 
         manifest.data["inputs"] = _hash_paths(inputs)
         out_dir.mkdir(parents=True, exist_ok=True)
-        statuses = _write_predictions(predictions, net, composite, out_dir)
+        statuses = _write_predictions(predictions, composite, out_dir)
         manifest.data["tiles"] = statuses
         manifest.data["outputs"] = _hash_paths(
             [s["prob"] for s in statuses if s["status"] == "ok"]

@@ -5,10 +5,13 @@ central pixel:
 
     conv 2x2 (f_a, linear) -> conv 2x2 (f_a, tanh) -> BN -> dropout
     -> conv 2x2 (f_b, linear) -> conv 2x2 (f_b, tanh) -> BN -> dropout
-    -> flatten -> dense (hidden, tanh) -> dense (1, sigmoid)
+    -> per-pixel dense (hidden, tanh) -> per-pixel dense (1, sigmoid)
 
 Spatial extent shrinks 5 -> 4 -> 3 -> 2 -> 1 across the four convolutions,
-so the flatten width equals f_b.
+so the dense layers, applied per pixel, are 1x1 convolutions of width f_b.
+The network is therefore fully convolutional: an (h+4) x (w+4) window gives
+the h x w probabilities of its interior pixels in one pass, each equal to
+the probability of that pixel's 5x5 patch.
 
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
 JSON header, then float32 little-endian parameter blobs in the order of the
@@ -109,9 +112,9 @@ def preset(name: str, divisor: Optional[float] = None,
 
 # The network in forward order: (name, layer class, activation, input width,
 # output width), widths named as in _layer_shapes(). Each BatchNorm is
-# followed by dropout in training, and the first dense layer flattens its
-# input. GHSM parameter blobs follow this order, each layer's trainable
-# arrays (param_names) before its statistics (state_names).
+# followed by dropout in training. GHSM parameter blobs follow this order,
+# each layer's trainable arrays (param_names) before its statistics
+# (state_names).
 LAYERS = (
     ("conv1", ConvLayer, "linear", "bands", "f_a"),
     ("conv2", ConvLayer, "tanh", "f_a", "f_a"),
@@ -214,56 +217,55 @@ class Model:
 
     # -- passes -----------------------------------------------------------
 
-    def _check_patches(self, patches: np.ndarray) -> None:
-        p = self.arch.patch_size
-        if patches.ndim != 4 or patches.shape[1:] != (p, p, self.arch.bands):
+    def _check_input(self, x: np.ndarray) -> None:
+        m = self.arch.patch_size - 1
+        if x.ndim != 4 or min(x.shape[1:3]) <= m or x.shape[3] != self.arch.bands:
             raise ShapeError(
-                f"patches must be (N, {p}, {p}, {self.arch.bands}), "
-                f"got {patches.shape}"
+                f"input must be (N, h+{m}, w+{m}, {self.arch.bands}) with "
+                f"h, w >= 1, got {x.shape}"
             )
 
-    def forward(self, patches: np.ndarray) -> np.ndarray:
-        """Inference pass: moving BN statistics, no dropout. Returns (N,)."""
-        self._check_patches(patches)
-        h = patches
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference pass: moving BN statistics, no dropout.
+
+        x is (N, h+4, w+4, bands); returns (N, h, w) probabilities, so a
+        batch of 5x5 patches gives (N, 1, 1)."""
+        self._check_input(x)
+        h = x
         for layer in self.layers:
             if isinstance(layer, BatchNorm):
                 h = layer.forward_infer(h)
             else:
-                if isinstance(layer, DenseLayer):
-                    h = h.reshape(h.shape[0], -1)
                 h = layer.forward(h)
-        return h[:, 0]
+        return h[..., 0]
 
-    def forward_train(self, patches: np.ndarray, rng: np.random.Generator,
+    def forward_train(self, x: np.ndarray, rng: np.random.Generator,
                       update_running: bool = True):
         """Training pass: batch BN statistics and fresh dropout masks.
 
-        Returns (probabilities, caches); caches holds one (input shape,
-        layer cache, dropout mask) entry per layer for backward()."""
-        self._check_patches(patches)
-        h = patches
+        Returns (probabilities shaped as in forward(), caches); caches holds
+        one (layer cache, dropout mask) entry per layer for backward()."""
+        self._check_input(x)
+        h = x
         caches = []
         for layer in self.layers:
-            shape, mask = h.shape, None
+            mask = None
             if isinstance(layer, BatchNorm):
                 h, cache = layer.forward_train(h, update_running=update_running)
                 h, mask = dropout(h, self.arch.dropout_rate, rng, train=True)
             else:
-                if isinstance(layer, DenseLayer):
-                    h = h.reshape(h.shape[0], -1)
                 h, cache = layer.forward_train(h)
-            caches.append((shape, cache, mask))
-        return h[:, 0], caches
+            caches.append((cache, mask))
+        return h[..., 0], caches
 
     def backward(self, dprobs: np.ndarray, caches):
-        """Gradients for every trainable array, aligned with trainable_arrays()."""
-        d = dprobs[:, None]
+        """Gradients for every trainable array, aligned with
+        trainable_arrays(); dprobs is shaped like forward_train's output."""
+        d = dprobs[..., None]
         grads = []
-        for layer, (shape, cache, mask) in zip(self.layers[::-1], caches[::-1]):
+        for layer, (cache, mask) in zip(self.layers[::-1], caches[::-1]):
             d = dropout_backward(d, mask)
             d, *layer_grads = layer.backward(d, cache)
-            d = d.reshape(shape)
             grads = layer_grads + grads
         return grads
 
@@ -289,10 +291,10 @@ def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
     """Forward/backward/Adam over one optimizer batch; returns the batch
     loss measured before the update."""
     probs, caches = model.forward_train(patches, rng)
-    loss, dprobs = bce_loss(labels.astype(np.float32), probs)
+    loss, dprobs = bce_loss(labels.astype(np.float32), probs[:, 0, 0])
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss}")
-    grads = model.backward(dprobs, caches)
+    grads = model.backward(dprobs.reshape(probs.shape), caches)
     adam_step(model.params, np.concatenate([g.reshape(-1) for g in grads]),
               state)
     return loss

@@ -1,9 +1,10 @@
 """Deterministic tensor/layer/optimizer kernel with exact analytic gradients.
 
 Layers operate on channels-last numpy arrays: convolutional inputs are
-(N, H, W, C), dense inputs (N, F). Forward passes never mutate layer state
-(inference is safe to share across threads); train-mode passes return an
-explicit cache consumed by the matching backward.
+(N, H, W, C); dense layers act on the trailing axis of (N, F) or of
+(N, H, W, F), the latter as a 1x1 convolution. Forward passes never mutate
+layer state (inference is safe to share across threads); train-mode passes
+return an explicit cache consumed by the matching backward.
 
 Parameters and activations are float32 in production; every routine is
 dtype-generic so gradient checks can run the same code in float64.
@@ -144,7 +145,8 @@ class ConvLayer:
 
 
 class DenseLayer:
-    """Fully connected layer: out = act(x @ W.T + b), W is (out, in)."""
+    """Fully connected layer over the trailing axis: out = act(x @ W.T + b),
+    W is (out, in). On (N, H, W, in) it is a 1x1 convolution."""
 
     param_names = ("weights", "bias")
     state_names = ()
@@ -157,9 +159,9 @@ class DenseLayer:
         self.activation = activation
 
     def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.weights.shape[1]:
+        if x.ndim < 2 or x.shape[-1] != self.weights.shape[1]:
             raise ShapeError(
-                f"dense expects (N, {self.weights.shape[1]}), got {x.shape}"
+                f"dense expects (N, ..., {self.weights.shape[1]}), got {x.shape}"
             )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -168,17 +170,19 @@ class DenseLayer:
 
     def forward_train(self, x: np.ndarray):
         self._check_input(x)
-        z = x @ self.weights.T + self.bias
+        flat = x.reshape(-1, x.shape[-1])
+        z = flat @ self.weights.T + self.bias
         if self.activation == "tanh":
             a = np.tanh(z)
         elif self.activation == "sigmoid":
             a = sigmoid(z)
         else:
             a = z
-        return a, (x, a)
+        return a.reshape(*x.shape[:-1], a.shape[1]), (x.shape, flat, a)
 
     def backward(self, dout: np.ndarray, cache):
-        x, a = cache
+        x_shape, x, a = cache
+        dout = dout.reshape(a.shape)
         if self.activation == "tanh":
             dz = dout * (1.0 - a * a)
         elif self.activation == "sigmoid":
@@ -187,7 +191,7 @@ class DenseLayer:
             dz = dout
         dweights = dz.T @ x
         dbias = dz.sum(axis=0)
-        dx = dz @ self.weights
+        dx = (dz @ self.weights).reshape(x_shape)
         return dx, dweights, dbias
 
 

@@ -171,22 +171,23 @@ def read_raster(path) -> RasterGrid:
 
 
 def rescale_reflectance(grid: RasterGrid, divisor: float = 10000.0):
-    """Map integer reflectance to f32 in [0,1] by value/divisor, clamped.
+    """Map integer reflectance to f32 in [0,1] by value/divisor, clamped,
+    inside a zero border of PATCH_MARGIN pixels.
 
-    Nodata cells are zeroed in the output and reported in the returned
-    (H, W) validity mask.
+    Returns (padded, valid): padded is (bands, H+4, W+4) float32 with
+    nodata cells zeroed, valid the (H, W) validity mask.
     """
     if divisor <= 0:
         raise ParameterError(f"divisor must be positive, got {divisor}")
     valid = grid.valid_mask()
-    scaled = np.clip(grid.data.astype(np.float32) / np.float32(divisor), 0.0, 1.0)
-    scaled[:, ~valid] = 0.0
-    out = RasterGrid(width=grid.width, height=grid.height, bands=grid.bands,
-                     dtype="f32", nodata=-1.0, zone_id=grid.zone_id,
-                     origin_x=grid.origin_x, origin_y=grid.origin_y,
-                     pixel_size=grid.pixel_size,
-                     data=scaled.astype(np.float32))
-    return out, valid
+    m = PATCH_MARGIN
+    padded = np.zeros((grid.bands, grid.height + 2 * m, grid.width + 2 * m),
+                      dtype=np.float32)
+    interior = padded[:, m:m + grid.height, m:m + grid.width]
+    np.divide(grid.data, np.float32(divisor), out=interior, dtype=np.float32)
+    np.clip(interior, 0.0, 1.0, out=interior)
+    interior[:, ~valid] = 0.0
+    return padded, valid
 
 
 def patch_view(padded: np.ndarray, size: int = PATCH_SIZE) -> np.ndarray:

@@ -58,9 +58,23 @@ def test_commands_exit_zero_with_ok_manifests(trained, capsys):
     assert load(registry) == {
         "A": {"model_path": str(model), "mode": "close_range",
               "source_zone_id": "A"},
-        "B": {"model_path": str(model), "mode": "far_range",
-              "source_zone_id": "A"},
     }
+
+
+def test_transfer_does_not_register_the_target(trained, tmp_path):
+    """A transfer to B leaves B without a model: B <- B is a registry error,
+    not a run of A's model recorded as close range."""
+    root, data, model, registry = trained
+    assert run("transfer", "--zone", "B", "--source-zone", "A", "--data",
+               data, "--registry", registry, "--out", tmp_path / "BA") == 0
+    info = load(tmp_path / "BA" / "transfer_manifest.json")
+    assert set(info["inputs"]) == {str(data / "B" / "composite.ghsr"),
+                                   str(model)}
+    assert run("transfer", "--zone", "B", "--source-zone", "B", "--data",
+               data, "--registry", registry, "--out", tmp_path / "BB") == 9
+    info = load(tmp_path / "BB" / "transfer_manifest.json")
+    assert info["error"]["class"] == "registry"
+    assert set(load(registry)) == {"A"}
 
 
 def test_failures_exit_with_typed_codes(trained, tmp_path):

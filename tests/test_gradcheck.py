@@ -88,13 +88,18 @@ def test_conv_tanh_gradients(seed):
     assert check_conv(seed, "tanh") < 1e-4
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_dense_gradients(seed):
+# (N, F) inputs, and (N, 1, 1, F) inputs where the layer acts as a 1x1 conv
+DENSE_CASES = ([pytest.param(s, (4,), id=str(s)) for s in SEEDS]
+               + [pytest.param(s, (4, 1, 1), id=f"4d-{s}") for s in SEEDS])
+
+
+@pytest.mark.parametrize("seed, lead", DENSE_CASES)
+def test_dense_gradients(seed, lead):
     rng = np.random.default_rng(seed + 100)
     layer = DenseLayer(init_uniform(rng, (3, 8), np.float64),
                        init_uniform(rng, (3,), np.float64), "tanh")
-    x = rng.random((4, 8))
-    proj = rng.standard_normal((4, 3))
+    x = rng.random((*lead, 8))
+    proj = rng.standard_normal((*lead, 3))
     _, cache = layer.forward_train(x)
     dx, dw, db = layer.backward(proj, cache)
 
@@ -153,12 +158,12 @@ def full_stack_error(seed):
         return probs, caches
 
     probs, caches = run()
-    loss, dprobs = bce_loss(y, probs)
-    grads = net.backward(dprobs, caches)
+    loss, dprobs = bce_loss(y, probs[:, 0, 0])
+    grads = net.backward(dprobs[:, None, None], caches)
 
     def f():
         p, _ = run()
-        val, _ = bce_loss(y, p)
+        val, _ = bce_loss(y, p[:, 0, 0])
         return val
 
     params = net.trainable_arrays()
