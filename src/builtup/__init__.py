@@ -16,7 +16,6 @@ from .pipeline import (
     TrainingRun,
     ZoneRegistry,
     predict_zone,
-    run_transfer,
     train_zone,
 )
 from .raster import RasterGrid, read_raster, write_raster

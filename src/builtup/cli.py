@@ -150,6 +150,8 @@ def cmd_train(args, argv) -> int:
         label_path = _require(zone_dir / "labels.ghsr", "label raster")
         manifest.data["inputs"] = _hash_paths([comp_path, label_path])
 
+        registry = (pipeline.ZoneRegistry.load(args.registry)
+                    if args.registry else None)
         composite = raster.read_raster(comp_path)
         labels = raster.read_raster(label_path)
         arch = _arch_from_args(args)
@@ -181,8 +183,7 @@ def cmd_train(args, argv) -> int:
         manifest.data["final_train_loss"] = history.train_loss[-1]
         manifest.data["final_validation_loss"] = history.validation_loss[-1]
         manifest.data["outputs"] = _hash_paths([out, history_path])
-        if args.registry:
-            registry = pipeline.ZoneRegistry.load(args.registry)
+        if registry is not None:
             registry.record(args.zone, str(out))
             registry.save(args.registry)
     return 0
@@ -228,37 +229,29 @@ def _predict_common(args, argv, command: str) -> int:
                   out_dir / f"{command}_manifest.json") as manifest:
         zone_dir = _require(Path(args.data) / args.zone, "zone directory")
         comp_path = _require(zone_dir / "composite.ghsr", "composite raster")
-        inputs = [comp_path]
-
         if command == "transfer":
+            # a transfer is a predict with the source zone's registered model
             registry = pipeline.ZoneRegistry.load(
                 _require(args.registry, "registry")
             )
-            composite = raster.read_raster(comp_path)
-            t0 = time.perf_counter()
-            predictions, mode = pipeline.run_transfer(
-                registry, args.source_zone, args.zone, composite,
-                args.tile_size, workers=args.workers
-            )
-            manifest.time("predict", t0)
+            model_path = registry.model_path(args.source_zone)
             manifest.data["transfer"] = {
-                "mode": mode,
+                "mode": (pipeline.CLOSE_RANGE if args.source_zone == args.zone
+                         else pipeline.FAR_RANGE),
                 "source_zone": args.source_zone,
                 "target_zone": args.zone,
             }
-            inputs.append(registry.model_path(args.source_zone))
         else:
-            model_path = _require(args.model, "model file")
-            inputs.append(model_path)
-            net = model_mod.load_model(model_path)
-            composite = raster.read_raster(comp_path)
-            t0 = time.perf_counter()
-            predictions = pipeline.predict_zone(net, composite,
-                                                args.tile_size,
-                                                workers=args.workers)
-            manifest.time("predict", t0)
+            model_path = args.model
+        model_path = _require(model_path, "model file")
+        net = model_mod.load_model(model_path)
+        composite = raster.read_raster(comp_path)
+        t0 = time.perf_counter()
+        predictions = pipeline.predict_zone(net, composite, args.tile_size,
+                                            workers=args.workers)
+        manifest.time("predict", t0)
 
-        manifest.data["inputs"] = _hash_paths(inputs)
+        manifest.data["inputs"] = _hash_paths([comp_path, model_path])
         out_dir.mkdir(parents=True, exist_ok=True)
         statuses = _write_predictions(predictions, composite, out_dir)
         manifest.data["tiles"] = statuses
@@ -324,7 +317,6 @@ def cmd_evaluate(args, argv) -> int:
         fp_path = _require(Path(ref_dir) / "footprints.json", "footprints")
         prob, valid, pixel_size = _load_prediction_mosaic(Path(probs_dir))
         footprints = synth.load_footprints(fp_path)
-        thresholds = [float(t) for t in args.thresholds.split(",")]
         t0 = time.perf_counter()
         report = evaluation.evaluate_probabilities(
             prob, valid, footprints["rects"],
@@ -332,7 +324,7 @@ def cmd_evaluate(args, argv) -> int:
             pixel_size=pixel_size or footprints["pixel_size"],
             origin_x=footprints.get("origin_x", 0.0),
             origin_y=footprints.get("origin_y", 0.0),
-            thresholds=thresholds, aoi_id=footprints.get("aoi_id", ""),
+            thresholds=args.thresholds, aoi_id=footprints.get("aoi_id", ""),
         )
         manifest.time("evaluate", t0)
         report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -363,6 +355,19 @@ def cmd_inspect(args, argv) -> int:
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def _thresholds(text: str) -> list:
+    """argparse type: comma-separated probabilities, each in [0, 1]."""
+    try:
+        values = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of numbers") from None
+    if not all(0.0 <= t <= 1.0 for t in values):
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: thresholds must be in [0, 1]")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "footprints")
     p.add_argument("--probs", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--thresholds", default="0.2,0.5")
+    p.add_argument("--thresholds", type=_thresholds, default="0.2,0.5")
     p.add_argument("--report", required=True)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_evaluate)

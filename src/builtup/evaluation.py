@@ -66,14 +66,16 @@ def regress_density(prob: np.ndarray, density: np.ndarray,
     y = density[valid].astype(np.float64)
     if x.size < 2:
         raise UndefinedStatisticError(f"need >= 2 valid pixels, got {x.size}")
+    # test constancy exactly: the mean of equal values can round away from
+    # them, leaving a tiny nonzero sum of squares
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        raise UndefinedStatisticError(
+            "zero variance on the probability or density axis"
+        )
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(xc @ xc)
     syy = float(yc @ yc)
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedStatisticError(
-            "zero variance on the probability or density axis"
-        )
     sxy = float(xc @ yc)
     slope = sxy / sxx
     return {
@@ -135,9 +137,8 @@ def accuracy_metrics(counts: ConfusionCounts) -> dict:
     ba = 0.5 * (counts.tp / ref_pos + counts.tn / ref_neg)
     pred_pos = counts.tp + counts.fp
     pred_neg = counts.tn + counts.fn
+    # both reference classes are present, so chance agreement is below 1
     p_e = (ref_pos * pred_pos + ref_neg * pred_neg) / (total * total)
-    if p_e == 1.0:
-        raise MetricError("chance agreement is 1; kappa undefined")
     kappa = (oa - p_e) / (1.0 - p_e)
     return {"oa": oa, "balanced_accuracy": ba, "kappa": kappa}
 

@@ -5,18 +5,21 @@ central pixel:
 
     conv 2x2 (f_a, linear) -> conv 2x2 (f_a, tanh) -> BN -> dropout
     -> conv 2x2 (f_b, linear) -> conv 2x2 (f_b, tanh) -> BN -> dropout
-    -> per-pixel dense (hidden, tanh) -> per-pixel dense (1, sigmoid)
+    -> dense (hidden, tanh) -> dense (1, sigmoid)
 
-Spatial extent shrinks 5 -> 4 -> 3 -> 2 -> 1 across the four convolutions,
-so the dense layers, applied per pixel, are 1x1 convolutions of width f_b.
-The network is therefore fully convolutional: an (h+4) x (w+4) window gives
-the h x w probabilities of its interior pixels in one pass, each equal to
-the probability of that pixel's 5x5 patch.
+The layer table LAYERS spells this out, one row per layer, and is the only
+place it is spelled out: Model's passes are plain loops over its rows, each
+layer speaking nncore's one protocol. Spatial extent shrinks 5 -> 4 -> 3 ->
+2 -> 1 across the four convolutions, and the dense layers are 1x1
+convolutions applied per pixel. The network is therefore fully
+convolutional: an (h+4) x (w+4) window gives the h x w probabilities of its
+interior pixels in one pass, each equal to the probability of that pixel's
+5x5 patch.
 
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
-JSON header, then float32 little-endian parameter blobs in the order of the
-layer table LAYERS (conv kernels laid out [out][in][kh][kw], dense weights
-[out][in]).
+JSON header, then float32 little-endian parameter blobs in the order of
+LAYERS. Kernels are laid out [out][in][kh][kw], so a dense layer's 1x1
+kernel is stored as its [out][in] weight matrix.
 """
 
 from __future__ import annotations
@@ -32,14 +35,13 @@ import numpy as np
 from . import nncore
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .nncore import (
+    KERNEL_SIZE,
     AdamState,
     BatchNorm,
     ConvLayer,
-    DenseLayer,
+    Dropout,
     adam_step,
     bce_loss,
-    dropout,
-    dropout_backward,
 )
 
 GHSM_MAGIC = b"GHSM"
@@ -111,42 +113,44 @@ def preset(name: str, divisor: Optional[float] = None,
 
 
 # The network in forward order: (name, layer class, activation, input width,
-# output width), widths named as in _layer_shapes(). Each BatchNorm is
-# followed by dropout in training. GHSM parameter blobs follow this order,
-# each layer's trainable arrays (param_names) before its statistics
-# (state_names).
+# output width, kernel size), widths named as in _layer_shapes(). Dropout
+# rows take their rate from ArchitectureConfig.dropout_rate. GHSM parameter
+# blobs follow this order, each layer's trainable arrays (param_names)
+# before its statistics (state_names).
 LAYERS = (
-    ("conv1", ConvLayer, "linear", "bands", "f_a"),
-    ("conv2", ConvLayer, "tanh", "f_a", "f_a"),
-    ("bn1", BatchNorm, None, "f_a", "f_a"),
-    ("conv3", ConvLayer, "linear", "f_a", "f_b"),
-    ("conv4", ConvLayer, "tanh", "f_b", "f_b"),
-    ("bn2", BatchNorm, None, "f_b", "f_b"),
-    ("dense1", DenseLayer, "tanh", "f_b", "hidden"),
-    ("dense2", DenseLayer, "sigmoid", "hidden", "out"),
+    ("conv1", ConvLayer, "linear", "bands", "f_a", KERNEL_SIZE),
+    ("conv2", ConvLayer, "tanh", "f_a", "f_a", KERNEL_SIZE),
+    ("bn1", BatchNorm, None, "f_a", "f_a", None),
+    ("drop1", Dropout, None, "f_a", "f_a", None),
+    ("conv3", ConvLayer, "linear", "f_a", "f_b", KERNEL_SIZE),
+    ("conv4", ConvLayer, "tanh", "f_b", "f_b", KERNEL_SIZE),
+    ("bn2", BatchNorm, None, "f_b", "f_b", None),
+    ("drop2", Dropout, None, "f_b", "f_b", None),
+    ("dense1", ConvLayer, "tanh", "f_b", "hidden", 1),
+    ("dense2", ConvLayer, "sigmoid", "hidden", "out", 1),
 )
 
 
 def _layer_shapes(arch: ArchitectureConfig):
-    """(name, class, activation, trainable array shapes) per table row."""
+    """(name, class, activation, output width, trainable array shapes) per
+    table row."""
     f_a, f_b = arch.block_filters
     width = {"bands": arch.bands, "f_a": f_a, "f_b": f_b,
              "hidden": arch.hidden_units, "out": 1}
-    k = nncore.KERNEL_SIZE
-    for name, cls, activation, cin, cout in LAYERS:
+    for name, cls, activation, cin, cout, k in LAYERS:
         n_in, n_out = width[cin], width[cout]
-        main = {ConvLayer: (n_out, n_in, k, k), DenseLayer: (n_out, n_in),
-                BatchNorm: (n_out,)}[cls]
-        yield name, cls, activation, [main, (n_out,)]
+        shapes = {ConvLayer: [(n_out, n_in, k, k), (n_out,)],
+                  BatchNorm: [(n_out,), (n_out,)], Dropout: []}[cls]
+        yield name, cls, activation, n_out, shapes
 
 
 def count_params(arch: ArchitectureConfig):
     """(trainable, non_trainable) parameter counts."""
     arch.validate()
     trainable = non_trainable = 0
-    for _, cls, _, shapes in _layer_shapes(arch):
+    for _, cls, _, n_out, shapes in _layer_shapes(arch):
         trainable += sum(math.prod(s) for s in shapes)
-        non_trainable += len(cls.state_names) * shapes[-1][0]
+        non_trainable += len(cls.state_names) * n_out
     return trainable, non_trainable
 
 
@@ -155,7 +159,7 @@ class Model:
 
     Every trainable array is a view into the flat vector `params`, so the
     optimizer updates the whole network in place. A new Model has zero
-    conv/dense weights and identity BatchNorm (gamma 1, beta 0, moving mean
+    conv kernels and identity BatchNorm (gamma 1, beta 0, moving mean
     0, moving variance 1); build_model draws the initial weights.
     """
 
@@ -168,7 +172,7 @@ class Model:
         self.epochs_trained = epochs_trained
         self.params = np.zeros(count_params(arch)[0], dtype=dtype)
         pos = 0
-        for name, cls, activation, shapes in _layer_shapes(arch):
+        for name, cls, activation, _, shapes in _layer_shapes(arch):
             arrays = []
             for shape in shapes:
                 size = math.prod(shape)
@@ -179,6 +183,8 @@ class Model:
                 gamma[...] = 1.0
                 layer = BatchNorm(gamma, beta, np.zeros_like(beta),
                                   np.ones_like(beta))
+            elif cls is Dropout:
+                layer = Dropout(arch.dropout_rate)
             else:
                 layer = cls(*arrays, activation)
             setattr(self, name, layer)
@@ -231,40 +237,29 @@ class Model:
         x is (N, h+4, w+4, bands); returns (N, h, w) probabilities, so a
         batch of 5x5 patches gives (N, 1, 1)."""
         self._check_input(x)
-        h = x
         for layer in self.layers:
-            if isinstance(layer, BatchNorm):
-                h = layer.forward_infer(h)
-            else:
-                h = layer.forward(h)
-        return h[..., 0]
+            x = layer.forward(x)
+        return x[..., 0]
 
-    def forward_train(self, x: np.ndarray, rng: np.random.Generator,
-                      update_running: bool = True):
-        """Training pass: batch BN statistics and fresh dropout masks.
+    def forward_train(self, x: np.ndarray, rng: np.random.Generator):
+        """Training pass: batch BN statistics and fresh dropout masks drawn
+        from rng.
 
-        Returns (probabilities shaped as in forward(), caches); caches holds
-        one (layer cache, dropout mask) entry per layer for backward()."""
+        Returns (probabilities shaped as in forward(), one cache per layer
+        for backward())."""
         self._check_input(x)
-        h = x
         caches = []
         for layer in self.layers:
-            mask = None
-            if isinstance(layer, BatchNorm):
-                h, cache = layer.forward_train(h, update_running=update_running)
-                h, mask = dropout(h, self.arch.dropout_rate, rng, train=True)
-            else:
-                h, cache = layer.forward_train(h)
-            caches.append((cache, mask))
-        return h[..., 0], caches
+            x, cache = layer.forward_train(x, rng)
+            caches.append(cache)
+        return x[..., 0], caches
 
     def backward(self, dprobs: np.ndarray, caches):
         """Gradients for every trainable array, aligned with
         trainable_arrays(); dprobs is shaped like forward_train's output."""
         d = dprobs[..., None]
         grads = []
-        for layer, (cache, mask) in zip(self.layers[::-1], caches[::-1]):
-            d = dropout_backward(d, mask)
+        for layer, cache in zip(self.layers[::-1], caches[::-1]):
             d, *layer_grads = layer.backward(d, cache)
             grads = layer_grads + grads
         return grads
@@ -272,14 +267,14 @@ class Model:
 
 def build_model(arch: ArchitectureConfig, seed: int = 0, zone_id: str = "",
                 rng: Optional[np.random.Generator] = None) -> Model:
-    """Initialize all layers; conv/dense weights and biases uniform on
+    """Initialize all layers; conv kernels and biases uniform on
     [-0.1065, 0.1065], drawn in table order; BN at gamma=1, beta=0, moving
     mean 0 / var 1."""
     if rng is None:
         rng = np.random.default_rng(seed)
     model = Model(arch, zone_id=zone_id, seed=seed)
     for layer in model.layers:
-        if not isinstance(layer, BatchNorm):
+        if isinstance(layer, ConvLayer):
             for attr in layer.param_names:
                 arr = getattr(layer, attr)
                 arr[...] = nncore.init_uniform(rng, arr.shape)

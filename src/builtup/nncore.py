@@ -1,10 +1,18 @@
 """Deterministic tensor/layer/optimizer kernel with exact analytic gradients.
 
-Layers operate on channels-last numpy arrays: convolutional inputs are
-(N, H, W, C); dense layers act on the trailing axis of (N, F) or of
-(N, H, W, F), the latter as a 1x1 convolution. Forward passes never mutate
-layer state (inference is safe to share across threads); train-mode passes
-return an explicit cache consumed by the matching backward.
+Layers operate on channels-last (N, H, W, C) numpy arrays and share one
+protocol:
+
+    forward(x) -> y                        inference pass
+    forward_train(x, rng) -> (y, cache)    training pass
+    backward(dout, cache) -> (dx, *grads)  one grad per param_names entry
+
+param_names and state_names name each layer's trainable arrays and its
+non-trainable statistics. The layers are ConvLayer (a k x k convolution; a
+dense layer applied per pixel is its k = 1 case), BatchNorm and Dropout
+(no parameters; rng draws its mask). Inference passes never mutate layer
+state, so they are safe to share across threads; the train-mode pass of
+BatchNorm updates its moving statistics.
 
 Parameters and activations are float32 in production; every routine is
 dtype-generic so gradient checks can run the same code in float64.
@@ -13,7 +21,6 @@ dtype-generic so gradient checks can run the same code in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,7 +31,7 @@ from .errors import (
     ShapeError,
 )
 
-KERNEL_SIZE = 2
+KERNEL_SIZE = 2  # the network's convolutions; its dense layers are 1x1
 WEIGHT_INIT_BOUND = 0.1065
 PRED_CLIP = 1e-7
 
@@ -51,20 +58,21 @@ def init_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarra
 
 
 class ConvLayer:
-    """Valid 2x2 convolution, stride 1, linear or tanh activation.
+    """Valid k x k convolution, stride 1, linear, tanh or sigmoid activation.
 
-    kernel is (out_ch, in_ch, 2, 2); forward maps (N, H, W, in_ch) to
-    (N, H-1, W-1, out_ch).
+    kernel is (out_ch, in_ch, k, k), and k is read from its shape; forward
+    maps (N, H, W, in_ch) to (N, H-k+1, W-k+1, out_ch). With k = 1 this is
+    a dense layer applied per pixel.
     """
 
     param_names = ("kernel", "bias")
     state_names = ()
 
     def __init__(self, kernel: np.ndarray, bias: np.ndarray, activation: str):
-        if activation not in ("linear", "tanh"):
+        if activation not in ("linear", "tanh", "sigmoid"):
             raise ParameterError(f"conv activation {activation!r} not supported")
-        if kernel.ndim != 4 or kernel.shape[2:] != (KERNEL_SIZE, KERNEL_SIZE):
-            raise ShapeError(f"kernel shape {kernel.shape} must be (out, in, 2, 2)")
+        if kernel.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
+            raise ShapeError(f"kernel shape {kernel.shape} must be (out, in, k, k)")
         self.kernel = kernel
         self.bias = bias
         self.activation = activation
@@ -77,10 +85,14 @@ class ConvLayer:
     def in_channels(self) -> int:
         return self.kernel.shape[1]
 
+    @property
+    def kernel_size(self) -> int:
+        return self.kernel.shape[2]
+
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 4:
             raise ShapeError(f"conv input must be (N, H, W, C), got {x.shape}")
-        if x.shape[1] < KERNEL_SIZE or x.shape[2] < KERNEL_SIZE:
+        if min(x.shape[1:3]) < self.kernel_size:
             raise ShapeError(f"conv input spatial dims too small: {x.shape}")
         if x.shape[3] != self.in_channels:
             raise ShapeError(
@@ -91,108 +103,59 @@ class ConvLayer:
         # (out, in, kh, kw) -> (kh*kw*in, out), row order (kh, kw, in)
         return self.kernel.transpose(2, 3, 1, 0).reshape(-1, self.out_channels)
 
-    @staticmethod
-    def _im2col(x: np.ndarray) -> np.ndarray:
+    def _im2col(self, x: np.ndarray) -> np.ndarray:
+        k = self.kernel_size
         n, h, w, c = x.shape
-        ho, wo = h - 1, w - 1
-        cols = np.empty((n, ho, wo, KERNEL_SIZE * KERNEL_SIZE * c), dtype=x.dtype)
-        k = 0
-        for di in range(KERNEL_SIZE):
-            for dj in range(KERNEL_SIZE):
-                cols[..., k * c:(k + 1) * c] = x[:, di:di + ho, dj:dj + wo, :]
-                k += 1
+        if k == 1:
+            return x.reshape(n * h * w, c)
+        ho, wo = h - k + 1, w - k + 1
+        cols = np.empty((n, ho, wo, k * k * c), dtype=x.dtype)
+        for i, (di, dj) in enumerate(np.ndindex(k, k)):
+            cols[..., i * c:(i + 1) * c] = x[:, di:di + ho, dj:dj + wo, :]
         return cols.reshape(n * ho * wo, -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, _ = self.forward_train(x)
         return y
 
-    def forward_train(self, x: np.ndarray):
+    def forward_train(self, x: np.ndarray, rng=None):
         self._check_input(x)
         n, h, w, _ = x.shape
-        ho, wo = h - 1, w - 1
+        ho, wo = h - self.kernel_size + 1, w - self.kernel_size + 1
         cols = self._im2col(x)
         z = cols @ self._kernel_matrix() + self.bias
         z = z.reshape(n, ho, wo, self.out_channels)
         if self.activation == "tanh":
             a = np.tanh(z)
-            return a, (x.shape, cols, a)
-        return z, (x.shape, cols, None)
-
-    def backward(self, dout: np.ndarray, cache):
-        x_shape, cols, a = cache
-        n, h, w, c = x_shape
-        ho, wo = h - 1, w - 1
-        if self.activation == "tanh":
-            dz = dout * (1.0 - a * a)
-        else:
-            dz = dout
-        dz_mat = dz.reshape(n * ho * wo, self.out_channels)
-        dbias = dz_mat.sum(axis=0)
-        dw_mat = cols.T @ dz_mat
-        dkernel = dw_mat.reshape(KERNEL_SIZE, KERNEL_SIZE, c, self.out_channels)
-        dkernel = dkernel.transpose(3, 2, 0, 1)
-        dcols = (dz_mat @ self._kernel_matrix().T).reshape(
-            n, ho, wo, KERNEL_SIZE * KERNEL_SIZE * c
-        )
-        dx = np.zeros(x_shape, dtype=dout.dtype)
-        k = 0
-        for di in range(KERNEL_SIZE):
-            for dj in range(KERNEL_SIZE):
-                dx[:, di:di + ho, dj:dj + wo, :] += dcols[..., k * c:(k + 1) * c]
-                k += 1
-        return dx, dkernel, dbias
-
-
-class DenseLayer:
-    """Fully connected layer over the trailing axis: out = act(x @ W.T + b),
-    W is (out, in). On (N, H, W, in) it is a 1x1 convolution."""
-
-    param_names = ("weights", "bias")
-    state_names = ()
-
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str):
-        if activation not in ("tanh", "sigmoid", "linear"):
-            raise ParameterError(f"dense activation {activation!r} not supported")
-        self.weights = weights
-        self.bias = bias
-        self.activation = activation
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim < 2 or x.shape[-1] != self.weights.shape[1]:
-            raise ShapeError(
-                f"dense expects (N, ..., {self.weights.shape[1]}), got {x.shape}"
-            )
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.forward_train(x)
-        return y
-
-    def forward_train(self, x: np.ndarray):
-        self._check_input(x)
-        flat = x.reshape(-1, x.shape[-1])
-        z = flat @ self.weights.T + self.bias
-        if self.activation == "tanh":
-            a = np.tanh(z)
         elif self.activation == "sigmoid":
             a = sigmoid(z)
         else:
-            a = z
-        return a.reshape(*x.shape[:-1], a.shape[1]), (x.shape, flat, a)
+            return z, (x.shape, cols, None)
+        return a, (x.shape, cols, a)
 
     def backward(self, dout: np.ndarray, cache):
-        x_shape, x, a = cache
-        dout = dout.reshape(a.shape)
+        x_shape, cols, a = cache
+        k = self.kernel_size
+        n, h, w, c = x_shape
+        ho, wo = h - k + 1, w - k + 1
         if self.activation == "tanh":
             dz = dout * (1.0 - a * a)
         elif self.activation == "sigmoid":
             dz = dout * a * (1.0 - a)
         else:
             dz = dout
-        dweights = dz.T @ x
-        dbias = dz.sum(axis=0)
-        dx = (dz @ self.weights).reshape(x_shape)
-        return dx, dweights, dbias
+        dz_mat = dz.reshape(n * ho * wo, self.out_channels)
+        dbias = dz_mat.sum(axis=0)
+        dw_mat = cols.T @ dz_mat
+        dkernel = dw_mat.reshape(k, k, c, self.out_channels).transpose(3, 2, 0, 1)
+        dcols = dz_mat @ self._kernel_matrix().T
+        if k == 1:
+            return dcols.reshape(x_shape), dkernel, dbias
+        dcols = dcols.reshape(n, ho, wo, k * k * c)
+        dx = np.zeros(x_shape, dtype=dout.dtype)
+        for i, (di, dj) in enumerate(np.ndindex(k, k)):
+            dx[:, di:di + ho, dj:dj + wo, :] += dcols[..., i * c:(i + 1) * c]
+        return dx, dkernel, dbias
 
 
 class BatchNorm:
@@ -226,14 +189,14 @@ class BatchNorm:
                 f"batch norm expects {self.channels} channels, got {x.shape[-1]}"
             )
 
-    def forward_infer(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
         dt = x.dtype
         scale = (self.gamma / np.sqrt(self.moving_var + self.epsilon)).astype(dt)
         shift = (self.beta - self.moving_mean * scale).astype(dt)
         return x * scale + shift
 
-    def forward_train(self, x: np.ndarray, update_running: bool = True):
+    def forward_train(self, x: np.ndarray, rng=None):
         self._check_input(x)
         if x.shape[0] < 2:
             raise DegenerateBatchError(
@@ -245,11 +208,10 @@ class BatchNorm:
         inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=x.dtype))
         xhat = (flat - mean) * inv_std
         y = (xhat * self.gamma + self.beta).reshape(x.shape)
-        if update_running:
-            m = self.momentum
-            dt = self.moving_mean.dtype
-            self.moving_mean = (m * self.moving_mean + (1.0 - m) * mean).astype(dt)
-            self.moving_var = (m * self.moving_var + (1.0 - m) * var).astype(dt)
+        m = self.momentum
+        dt = self.moving_mean.dtype
+        self.moving_mean = (m * self.moving_mean + (1.0 - m) * mean).astype(dt)
+        self.moving_var = (m * self.moving_var + (1.0 - m) * var).astype(dt)
         return y, (xhat, inv_std, x.shape)
 
     def backward(self, dout: np.ndarray, cache):
@@ -265,25 +227,31 @@ class BatchNorm:
         return dx.reshape(shape), dgamma, dbeta
 
 
-def dropout(x: np.ndarray, rate: float, rng: Optional[np.random.Generator],
-            train: bool):
-    """Inverted dropout: kept units scaled by 1/(1-rate). Returns (y, mask).
+class Dropout:
+    """Inverted dropout: train mode zeroes each unit with probability rate
+    and scales the kept ones by 1/(1-rate); inference is the identity."""
 
-    Inference mode (and rate 0) is the identity with mask None.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
-    mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)
-    return x * mask, mask
+    param_names = ()
+    state_names = ()
 
+    def __init__(self, rate: float):
+        if not 0.0 <= rate < 1.0:
+            raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+        self.rate = rate
 
-def dropout_backward(dout: np.ndarray, mask) -> np.ndarray:
-    if mask is None:
-        return dout
-    return dout * mask
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def forward_train(self, x: np.ndarray, rng: np.random.Generator):
+        """(y, mask); rate 0 is the identity with mask None."""
+        if self.rate == 0.0:
+            return x, None
+        keep = (rng.random(x.shape) >= self.rate).astype(x.dtype)
+        mask = keep / np.asarray(1.0 - self.rate, dtype=x.dtype)
+        return x * mask, mask
+
+    def backward(self, dout: np.ndarray, mask):
+        return (dout if mask is None else dout * mask,)
 
 
 def bce_loss(y_true: np.ndarray, y_pred: np.ndarray):

@@ -1,4 +1,4 @@
-"""Per-zone training, tiled prediction and close/far-range transfer.
+"""Per-zone training, tiled prediction and the zone model registry.
 
 The zone is rescaled once into a float32 array with a zero border of
 PATCH_MARGIN pixels: training gathers 5x5 patches from it, and each tile's
@@ -58,6 +58,10 @@ class TrainingRun:
             )
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ConfigError(
+                f"learning_rate must be > 0, got {self.learning_rate}"
+            )
 
 
 @dataclass
@@ -68,6 +72,18 @@ class SamplingConfig:
     chunk_size: int = 200_000
     batch_size: int = 1024
     water_zone: bool = False
+
+    def validate(self) -> None:
+        # train-mode batch norm needs two samples per batch
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.chunk_size < self.batch_size:
+            raise ConfigError(f"chunk_size {self.chunk_size} must be >= "
+                              f"batch_size {self.batch_size}")
+        if not 0.0 <= self.non_bu_rate <= 1.0:
+            raise ConfigError(
+                f"non_bu_rate must be in [0, 1], got {self.non_bu_rate}"
+            )
 
 
 @dataclass
@@ -125,6 +141,7 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     and the selected tile windows.
     """
     run.validate()
+    cfg.validate()
     padded, valid = raster.rescale_reflectance(
         composite, arch.normalization_divisor
     )
@@ -260,7 +277,7 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
         return list(pool.map(run_tile, tiles))
 
 
-# -- transfer ---------------------------------------------------------------
+# -- registry ---------------------------------------------------------------
 
 CLOSE_RANGE = "close_range"
 FAR_RANGE = "far_range"
@@ -279,8 +296,13 @@ class ZoneRegistry:
         p = Path(path)
         if not p.exists():
             return cls()
-        with open(p, "r", encoding="utf-8") as f:
-            return cls(json.load(f))
+        try:
+            entries = json.loads(p.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise RegistryError(f"unreadable registry {p}: {exc}") from exc
+        if not isinstance(entries, dict):
+            raise RegistryError(f"registry {p} is not a JSON object")
+        return cls(entries)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -295,15 +317,3 @@ class ZoneRegistry:
         if zone_id not in self.entries:
             raise RegistryError(f"no trained model registered for {zone_id!r}")
         return self.entries[zone_id]["model_path"]
-
-
-def run_transfer(registry: ZoneRegistry, source_zone: str, target_zone: str,
-                 target_composite: RasterGrid, tile_pixels: int,
-                 workers: int = 1):
-    """Predict a target zone with a source zone's trained model; returns
-    (predictions, mode), mode close range when source == target."""
-    net = model_mod.load_model(registry.model_path(source_zone))
-    predictions = predict_zone(net, target_composite, tile_pixels,
-                               workers=workers)
-    mode = CLOSE_RANGE if source_zone == target_zone else FAR_RANGE
-    return predictions, mode

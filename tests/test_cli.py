@@ -100,6 +100,77 @@ def test_failures_exit_with_typed_codes(trained, tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_transfer_with_a_deleted_registered_model_is_missing_input(trained,
+                                                                   tmp_path):
+    """transfer resolves the registered model and then runs predict's path,
+    so a deleted model file exits 3 as it does for predict."""
+    _, data, _, _ = trained
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"A": {
+        "model_path": str(tmp_path / "deleted.ghsm"), "mode": "close_range",
+        "source_zone_id": "A"}}), encoding="utf-8")
+    assert run("transfer", "--zone", "B", "--source-zone", "A", "--data",
+               data, "--registry", registry, "--out", tmp_path / "BA") == 3
+    info = load(tmp_path / "BA" / "transfer_manifest.json")
+    assert info["error"]["class"] == "missing_input"
+    assert info["transfer"]["mode"] == "far_range"
+
+
+def test_corrupt_registry_is_a_registry_error(trained, tmp_path):
+    _, data, _, _ = trained
+    registry = tmp_path / "registry.json"
+    registry.write_text('{"A": {"model_path": ', encoding="utf-8")
+    assert run("transfer", "--zone", "B", "--source-zone", "A", "--data",
+               data, "--registry", registry, "--out", tmp_path / "BA") == 9
+    assert load(tmp_path / "BA" / "transfer_manifest.json")["error"][
+        "class"] == "registry"
+    # train reads the registry before it trains, so no model is written
+    out = tmp_path / "A.ghsm"
+    assert run("train", "--zone", "A", "--data", data, "--out", out,
+               "--epochs", 1, "--registry", registry) == 9
+    assert load(tmp_path / "A.train_manifest.json")["error"]["class"] == \
+        "registry"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--batch-size", 0),
+    ("--batch-size", 1),
+    ("--non-bu-rate", 5),
+    ("--learning-rate", -1),
+    ("--chunk-size", 512),
+])
+def test_bad_training_arguments_are_config_errors(trained, tmp_path, flag,
+                                                  value):
+    _, data, _, _ = trained
+    out = tmp_path / "A.ghsm"
+    assert run("train", "--zone", "A", "--data", data, "--out", out,
+               "--epochs", 1, flag, value) == 5
+    assert load(tmp_path / "A.train_manifest.json")["error"]["class"] == \
+        "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("thresholds", ["x", "", "0.2,", "1.5", "-0.1",
+                                        "0.2,nan"])
+def test_bad_thresholds_are_usage_errors(thresholds, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("evaluate", "--probs", tmp_path, "--reference", tmp_path,
+            "--report", tmp_path / "r.json", "--thresholds", thresholds)
+    assert exc.value.code == 2
+    assert "--thresholds" in capsys.readouterr().err
+
+
+def test_thresholds_parse_to_probabilities():
+    args = cli.build_parser().parse_args(
+        ["evaluate", "--probs", "p", "--reference", "r", "--report", "o",
+         "--thresholds", "0,0.25,1"])
+    assert args.thresholds == [0.0, 0.25, 1.0]
+    default = cli.build_parser().parse_args(
+        ["evaluate", "--probs", "p", "--reference", "r", "--report", "o"])
+    assert default.thresholds == [0.2, 0.5]
+
+
 @pytest.mark.parametrize("error_class, code", [
     (errors.ToolkitError, 1),
     (errors.MissingInputError, 3),

@@ -1,0 +1,182 @@
+"""Density rasterization, regression and confusion metrics on known answers."""
+
+import csv
+import warnings
+
+import numpy as np
+import pytest
+
+from builtup.errors import MetricError, ShapeError, UndefinedStatisticError
+from builtup.evaluation import (
+    ConfusionCounts,
+    accuracy_metrics,
+    binarize,
+    confusion,
+    evaluate_probabilities,
+    regress_density,
+    rasterize_density,
+    report_to_csv,
+)
+
+
+def density(rects, width=1, height=1, **kwargs):
+    """rasterize_density with warnings turned into errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return rasterize_density(rects, width=width, height=height, **kwargs)
+
+
+class TestRasterizeDensity:
+    """A 10 m cell holds 10x10 fine cells of 1 m; a fine cell is built when
+    its centre lies in a rectangle [x0, x1) x [y0, y1)."""
+
+    def test_half_cell_rectangle(self):
+        assert density([(0.0, 0.0, 5.0, 10.0)]) == [[0.5]]
+
+    def test_only_fine_cell_centres_count(self):
+        # covers the centre 0.5 of fine column 0
+        assert density([(0.4, 0.0, 0.6, 10.0)]) == [[0.1]]
+        # lies between the centres 0.5 and 1.5: no fine cell is built
+        assert density([(0.6, 0.0, 1.4, 10.0)]) == [[0.0]]
+
+    def test_edges_are_half_open(self):
+        # x0 = 0.5 takes the centre 0.5; x1 = 1.5 leaves the centre 1.5 out
+        assert density([(0.5, 0.0, 1.5, 10.0)]) == [[0.1]]
+        assert density([(0.0, 0.5, 10.0, 1.5)]) == [[0.1]]
+
+    def test_x_runs_along_columns_and_y_along_rows(self):
+        np.testing.assert_array_equal(
+            density([(10.0, 0.0, 20.0, 10.0)], width=2, height=3),
+            [[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(
+            density([(0.0, 20.0, 10.0, 30.0)], width=2, height=3),
+            [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+
+    def test_overlaps_count_once_and_origin_shifts(self):
+        rects = [(100.0, 50.0, 110.0, 60.0), (100.0, 50.0, 105.0, 60.0)]
+        assert density(rects, origin_x=100.0, origin_y=50.0) == [[1.0]]
+
+    def test_outside_footprint_is_clipped_with_a_warning(self):
+        with pytest.warns(UserWarning, match="clipped"):
+            out = rasterize_density([(-5.0, 0.0, 5.0, 10.0)], 1, 1)
+        assert out == [[0.5]]
+        with pytest.warns(UserWarning, match="clipped"):
+            out = rasterize_density([(0.0, 0.0, 10.0, 15.0)], 1, 1)
+        assert out == [[1.0]]
+
+
+class TestRegressDensity:
+    def test_exact_line(self):
+        prob = np.array([[0.0, 0.25], [0.5, 1.0]])
+        dens = 2.0 * prob + 0.1
+        dens[0, 1] = 9.0  # off the line, but masked out
+        valid = np.array([[True, False], [True, True]])
+        out = regress_density(prob, dens, valid)
+        assert out["r"] == pytest.approx(1.0)
+        assert out["slope"] == pytest.approx(2.0)
+        assert out["intercept"] == pytest.approx(0.1)
+        assert out["n"] == 3
+
+    def test_anticorrelated_line(self):
+        prob = np.array([0.1, 0.2, 0.3])
+        out = regress_density(prob, 1.0 - prob, np.ones(3, dtype=bool))
+        assert out["r"] == pytest.approx(-1.0)
+        assert out["slope"] == pytest.approx(-1.0)
+        assert out["intercept"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("prob, dens", [
+        ([0.3, 0.3, 0.3], [0.0, 0.5, 1.0]),
+        ([0.0, 0.5, 1.0], [0.2, 0.2, 0.2]),
+    ])
+    def test_zero_variance_is_undefined(self, prob, dens):
+        with pytest.raises(UndefinedStatisticError):
+            regress_density(np.array(prob), np.array(dens),
+                            np.ones(3, dtype=bool))
+
+    def test_fewer_than_two_pixels_is_undefined(self):
+        with pytest.raises(UndefinedStatisticError):
+            regress_density(np.array([0.1, 0.9]), np.array([0.0, 1.0]),
+                            np.array([True, False]))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            regress_density(np.zeros(3), np.zeros(4), np.ones(3, dtype=bool))
+
+
+class TestAccuracyMetrics:
+    def test_hand_computed(self):
+        out = accuracy_metrics(ConfusionCounts(tp=40, fp=10, fn=20, tn=30))
+        # OA = 70/100; BA = (40/60 + 30/40) / 2; chance agreement
+        # p_e = (60*50 + 40*50) / 100^2 = 0.5, kappa = (0.7 - 0.5) / 0.5
+        assert out["oa"] == pytest.approx(0.7)
+        assert out["balanced_accuracy"] == pytest.approx(17.0 / 24.0)
+        assert out["kappa"] == pytest.approx(0.4)
+
+    def test_perfect_agreement(self):
+        out = accuracy_metrics(ConfusionCounts(tp=3, fp=0, fn=0, tn=5))
+        assert out == {"oa": 1.0, "balanced_accuracy": 1.0, "kappa": 1.0}
+
+    @pytest.mark.parametrize("counts, message", [
+        (ConfusionCounts(tp=0, fp=0, fn=0, tn=0), "no valid pixels"),
+        (ConfusionCounts(tp=0, fp=2, fn=0, tn=3), "no built-up"),
+        (ConfusionCounts(tp=2, fp=0, fn=3, tn=0), "no non-built-up"),
+    ])
+    def test_undefined_metrics(self, counts, message):
+        with pytest.raises(MetricError, match=message):
+            accuracy_metrics(counts)
+
+    def test_confusion_counts_valid_pixels_only(self):
+        predicted = np.array([True, True, False, False, True])
+        reference = np.array([True, False, True, False, False])
+        valid = np.array([True, True, True, True, False])
+        counts = confusion(predicted, reference, valid, threshold=0.5)
+        assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
+        assert counts.total == 4 and counts.threshold == 0.5
+
+
+def test_binarize_threshold_is_inclusive():
+    np.testing.assert_array_equal(
+        binarize(np.array([0.19, 0.2, 0.21]), 0.2), [False, True, True])
+    np.testing.assert_array_equal(binarize(np.array([1.0]), 1.0), [True])
+
+
+def test_evaluate_probabilities_report():
+    # left column fully built, right column empty; probabilities agree
+    prob = np.array([[0.9, 0.1], [0.6, 0.3]], dtype=np.float32)
+    report = evaluate_probabilities(
+        prob, np.ones((2, 2), dtype=bool), [(0.0, 0.0, 10.0, 20.0)],
+        width=2, height=2, thresholds=(0.2, 0.5), aoi_id="Z")
+    assert report["aoi_id"] == "Z"
+    assert report["regression"]["n"] == 4
+    assert report["thresholds"]["0.5"]["counts"] == \
+        {"tp": 2, "fp": 0, "fn": 0, "tn": 2}
+    assert report["thresholds"]["0.2"]["counts"] == \
+        {"tp": 2, "fp": 1, "fn": 0, "tn": 1}
+    assert report["thresholds"]["0.5"]["kappa"] == 1.0
+
+
+def test_report_to_csv_header_and_rows(tmp_path):
+    def entry(oa, ba, kappa):
+        return {"oa": oa, "balanced_accuracy": ba, "kappa": kappa}
+
+    reports = [
+        {"aoi_id": "A", "regression": {"r": 0.9, "slope": 1.5,
+                                       "intercept": -0.25},
+         "thresholds": {"0.5": entry(0.75, 0.5, 0.25),
+                        "0.2": entry(0.5, 0.625, 0.125)}},
+        {"aoi_id": "B", "regression": {"r": 0.5, "slope": 2.0,
+                                       "intercept": 0.0},
+         "thresholds": {"0.2": entry(1.0, 1.0, 1.0)}},
+    ]
+    path = tmp_path / "report.csv"
+    report_to_csv(reports, path)
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["aoi_id", "r", "slope", "intercept",
+                       "oa_0.2", "ba_0.2", "kappa_0.2",
+                       "oa_0.5", "ba_0.5", "kappa_0.5"]
+    assert rows[1] == ["A", "0.9", "1.5", "-0.25",
+                       "0.5", "0.625", "0.125", "0.75", "0.5", "0.25"]
+    assert rows[2] == ["B", "0.5", "2.0", "0.0", "1.0", "1.0", "1.0",
+                       "", "", ""]
+    assert len(rows) == 3

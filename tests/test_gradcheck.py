@@ -5,7 +5,7 @@ import pytest
 
 from builtup.errors import ParameterError
 from builtup.model import ArchitectureConfig, build_model
-from builtup.nncore import BatchNorm, ConvLayer, DenseLayer, bce_loss, init_uniform
+from builtup.nncore import BatchNorm, ConvLayer, bce_loss, init_uniform
 
 SEEDS = list(range(20))
 
@@ -88,41 +88,35 @@ def test_conv_tanh_gradients(seed):
     assert check_conv(seed, "tanh") < 1e-4
 
 
-# (N, F) inputs, and (N, 1, 1, F) inputs where the layer acts as a 1x1 conv
-DENSE_CASES = ([pytest.param(s, (4,), id=str(s)) for s in SEEDS]
+# Dense layers are 1x1 convs: over (N, H, W, F) windows, and over the
+# (N, 1, 1, F) patch features of the network
+DENSE_CASES = ([pytest.param(s, (2, 2, 3), id=str(s)) for s in SEEDS]
                + [pytest.param(s, (4, 1, 1), id=f"4d-{s}") for s in SEEDS])
+
+
+def check_dense(seed, lead, n_in, n_out, activation):
+    rng = np.random.default_rng(seed)
+    layer = ConvLayer(init_uniform(rng, (n_out, n_in, 1, 1), np.float64),
+                      init_uniform(rng, (n_out,), np.float64), activation)
+    x = rng.random((*lead, n_in))
+    proj = rng.standard_normal((*lead, n_out))
+    _, cache = layer.forward_train(x)
+    dx, dk, db = layer.backward(proj, cache)
+
+    def f():
+        return projection_loss(layer.forward(x), proj)
+
+    return grad_check(f, [layer.kernel, layer.bias, x], [dk, db, dx])
 
 
 @pytest.mark.parametrize("seed, lead", DENSE_CASES)
 def test_dense_gradients(seed, lead):
-    rng = np.random.default_rng(seed + 100)
-    layer = DenseLayer(init_uniform(rng, (3, 8), np.float64),
-                       init_uniform(rng, (3,), np.float64), "tanh")
-    x = rng.random((*lead, 8))
-    proj = rng.standard_normal((*lead, 3))
-    _, cache = layer.forward_train(x)
-    dx, dw, db = layer.backward(proj, cache)
-
-    def f():
-        return projection_loss(layer.forward(x), proj)
-
-    assert grad_check(f, [layer.weights, layer.bias, x], [dw, db, dx]) < 1e-4
+    assert check_dense(seed + 100, lead, 8, 3, "tanh") < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sigmoid_dense_gradients(seed):
-    rng = np.random.default_rng(seed + 200)
-    layer = DenseLayer(init_uniform(rng, (1, 6), np.float64),
-                       init_uniform(rng, (1,), np.float64), "sigmoid")
-    x = rng.random((5, 6))
-    proj = rng.standard_normal((5, 1))
-    _, cache = layer.forward_train(x)
-    dx, dw, db = layer.backward(proj, cache)
-
-    def f():
-        return projection_loss(layer.forward(x), proj)
-
-    assert grad_check(f, [layer.weights, layer.bias, x], [dw, db, dx]) < 1e-4
+    assert check_dense(seed + 200, (5, 1, 1), 6, 1, "sigmoid") < 1e-4
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -133,11 +127,11 @@ def test_batchnorm_train_gradients(seed):
                    np.zeros(ch), np.ones(ch))
     x = rng.standard_normal((6, 2, 2, ch))
     proj = rng.standard_normal(x.shape)
-    _, cache = bn.forward_train(x, update_running=False)
+    _, cache = bn.forward_train(x)
     dx, dgamma, dbeta = bn.backward(proj, cache)
 
     def f():
-        y, _ = bn.forward_train(x, update_running=False)
+        y, _ = bn.forward_train(x)
         return projection_loss(y, proj)
 
     assert grad_check(f, [bn.gamma, bn.beta, x], [dgamma, dbeta, dx]) < 1e-4
@@ -152,10 +146,7 @@ def full_stack_error(seed):
     mask_seed = seed + 1
 
     def run():
-        probs, caches = net.forward_train(
-            x, np.random.default_rng(mask_seed), update_running=False
-        )
-        return probs, caches
+        return net.forward_train(x, np.random.default_rng(mask_seed))
 
     probs, caches = run()
     loss, dprobs = bce_loss(y, probs[:, 0, 0])

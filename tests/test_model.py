@@ -33,14 +33,14 @@ class TestBuild:
         assert h.shape == (3, 4, 4, 32)
         h = net.conv2.forward(h)
         assert h.shape == (3, 3, 3, 32)
-        h = net.conv3.forward(net.bn1.forward_infer(h))
+        h = net.conv3.forward(net.bn1.forward(h))
         assert h.shape == (3, 2, 2, 64)
         h = net.conv4.forward(h)
         assert h.shape == (3, 1, 1, 64)  # flatten width 64
 
     def test_paper_preset_flatten_width(self):
         net = build_model(PRESETS["paper"], seed=1)
-        assert net.dense1.weights.shape == (512, 256)
+        assert net.dense1.kernel.shape == (512, 256, 1, 1)
 
     def test_output_in_open_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -57,7 +57,7 @@ class TestBuild:
 
     def test_init_weights_within_bounds(self):
         net = build_model(PRESETS["desk"], seed=5)
-        for arr in (net.conv1.kernel, net.conv4.bias, net.dense1.weights):
+        for arr in (net.conv1.kernel, net.conv4.bias, net.dense1.kernel):
             assert np.abs(arr).max() <= 0.1065
         assert np.all(net.bn1.gamma == 1.0) and np.all(net.bn1.beta == 0.0)
         assert np.all(net.bn2.moving_mean == 0.0)
@@ -206,8 +206,7 @@ class TestTrainStep:
         return x, y
 
     def eval_loss(self, net, x, y, mask_seed):
-        probs, _ = net.forward_train(x, np.random.default_rng(mask_seed),
-                                     update_running=False)
+        probs, _ = net.forward_train(x, np.random.default_rng(mask_seed))
         loss, _ = bce_loss(y, probs[:, 0, 0])
         return loss
 
@@ -247,7 +246,7 @@ class TestTrainStep:
     def test_nonfinite_loss_raises(self):
         rng = np.random.default_rng(9)
         net = build_model(TINY, seed=6)
-        net.dense2.weights[:] = np.nan
+        net.dense2.kernel[:] = np.nan
         x, y = self.separable_batch(rng)
         state = AdamState.for_size(net.params.size)
         with pytest.raises(NumericError):

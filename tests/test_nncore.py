@@ -14,10 +14,9 @@ from builtup.nncore import (
     AdamState,
     BatchNorm,
     ConvLayer,
-    DenseLayer,
+    Dropout,
     adam_step,
     bce_loss,
-    dropout,
     init_uniform,
 )
 
@@ -81,20 +80,38 @@ class TestConv:
 
 
 class TestDense:
+    """A dense layer is a ConvLayer with a (out, in, 1, 1) kernel."""
+
+    @staticmethod
+    def make(weights, activation):
+        return ConvLayer(weights[:, :, None, None], np.zeros(len(weights)),
+                         activation)
+
     def test_tanh_zero_input(self):
-        layer = DenseLayer(np.eye(4), np.zeros(4), "tanh")
-        out = layer.forward(np.zeros((1, 4)))
+        layer = self.make(np.eye(4), "tanh")
+        out = layer.forward(np.zeros((1, 1, 1, 4)))
+        assert out.shape == (1, 1, 1, 4)
         assert np.all(out == 0.0)
 
     def test_sigmoid_zero_everything(self):
-        layer = DenseLayer(np.zeros((3, 5)), np.zeros(3), "sigmoid")
-        out = layer.forward(np.ones((2, 5)))
+        layer = self.make(np.zeros((3, 5)), "sigmoid")
+        out = layer.forward(np.ones((2, 3, 4, 5)))
+        assert out.shape == (2, 3, 4, 3)
         np.testing.assert_allclose(out, 0.5)
 
     def test_length_mismatch(self):
-        layer = DenseLayer(np.zeros((3, 5)), np.zeros(3), "sigmoid")
+        layer = self.make(np.zeros((3, 5)), "sigmoid")
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((2, 4)))
+            layer.forward(np.zeros((2, 1, 1, 4)))
+
+    def test_acts_per_pixel_without_copying_its_input(self):
+        rng = np.random.default_rng(8)
+        weights = rng.standard_normal((3, 5))
+        layer = self.make(weights, "linear")
+        x = rng.random((2, 3, 4, 5))
+        y, (_, cols, _) = layer.forward_train(x)
+        np.testing.assert_allclose(y, x @ weights.T, rtol=1e-12)
+        assert np.shares_memory(cols, x)
 
 
 class TestBatchNorm:
@@ -146,7 +163,7 @@ class TestBatchNorm:
         bn.moving_mean[:] = (1.0, -1.0)
         bn.moving_var[:] = (4.0, 9.0)
         x = np.array([[3.0, 5.0]])
-        y = bn.forward_infer(x)
+        y = bn.forward(x)
         expected = (x - bn.moving_mean) / np.sqrt(bn.moving_var + bn.epsilon)
         np.testing.assert_allclose(y, expected, rtol=1e-9)
 
@@ -159,35 +176,40 @@ class TestBatchNorm:
 class TestDropout:
     def test_rate_zero_identity_both_modes(self):
         x = np.random.default_rng(0).random((4, 4))
-        for train in (True, False):
-            y, mask = dropout(x, 0.0, np.random.default_rng(1), train)
-            assert y is x
-            assert mask is None
+        layer = Dropout(0.0)
+        y, mask = layer.forward_train(x, np.random.default_rng(1))
+        assert y is x and mask is None
+        assert layer.forward(x) is x
+        (dx,) = layer.backward(x, mask)
+        assert dx is x
 
     def test_infer_identity(self):
         x = np.random.default_rng(2).random((5, 3))
-        y, mask = dropout(x, 0.1, np.random.default_rng(3), train=False)
-        assert y is x and mask is None
+        assert Dropout(0.1).forward(x) is x
 
     def test_drop_fraction(self):
         x = np.ones(10 ** 6, dtype=np.float32)
-        y, _ = dropout(x, 0.1, np.random.default_rng(9), train=True)
+        y, mask = Dropout(0.1).forward_train(x, np.random.default_rng(9))
         dropped = np.count_nonzero(y == 0.0) / x.size
         assert abs(dropped - 0.1) < 0.001
+        (dx,) = Dropout(0.1).backward(x, mask)
+        np.testing.assert_array_equal(dx, y)
 
     def test_mask_reproducible_from_seed(self):
         x = np.ones((100, 7), dtype=np.float32)
-        y1, _ = dropout(x, 0.3, np.random.default_rng(42), train=True)
-        y2, _ = dropout(x, 0.3, np.random.default_rng(42), train=True)
+        layer = Dropout(0.3)
+        y1, _ = layer.forward_train(x, np.random.default_rng(42))
+        y2, _ = layer.forward_train(x, np.random.default_rng(42))
         assert np.array_equal(y1, y2)
 
     def test_expectation_preserved(self):
         rng = np.random.default_rng(11)
         x = rng.random(2000).astype(np.float64)
+        layer = Dropout(0.1)
         trials = 800
         acc = np.zeros_like(x)
         for _ in range(trials):
-            y, _ = dropout(x, 0.1, rng, train=True)
+            y, _ = layer.forward_train(x, rng)
             acc += y
         mean = acc / trials
         # per-unit MC sigma of the mean of inverted-dropout draws
@@ -196,7 +218,7 @@ class TestDropout:
 
     def test_bad_rate(self):
         with pytest.raises(ParameterError):
-            dropout(np.ones(3), 1.0, np.random.default_rng(0), train=True)
+            Dropout(1.0)
 
 
 class TestBceLoss:
