@@ -2,9 +2,9 @@
 | inspect.
 
 Every executed command writes a JSON run manifest next to its primary
-output (flags echoed, seeds, input/output hashes, timings, per-tile
-statuses, metric summaries), on success and on error. Exit codes, each the
-``exit_code`` of an error class in errors.py:
+output (flags echoed, seeds, input/output hashes, timings, peak RSS,
+prediction px/s, per-tile statuses, metric summaries), on success and on
+error. Exit codes, each the ``exit_code`` of an error class in errors.py:
 
     0  success                  6  shape error
     1  unexpected error         7  numeric error
@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -54,8 +55,8 @@ class Manifest:
     """Accumulates the reproducibility record for one command.
 
     Used as a context manager: on leaving the block, successfully or by an
-    exception, the manifest is finished and written to path, and the
-    exception propagates."""
+    exception, the manifest is finished (total time and the process's peak
+    RSS) and written to path, and the exception propagates."""
 
     def __init__(self, command: str, argv, args, path):
         self.path = Path(path)
@@ -71,15 +72,19 @@ class Manifest:
         }
         self._t0 = time.perf_counter()
 
-    def time(self, stage: str, start: float) -> None:
-        self.data["timings_s"][stage] = round(time.perf_counter() - start, 4)
+    def time(self, stage: str, start: float) -> float:
+        """Record the seconds since start under stage and return them."""
+        seconds = time.perf_counter() - start
+        self.data["timings_s"][stage] = round(seconds, 4)
+        return seconds
 
     def __enter__(self) -> "Manifest":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.data["timings_s"]["total"] = round(
-            time.perf_counter() - self._t0, 4
+        self.time("total", self._t0)
+        self.data["peak_rss_mb"] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
         )
         if exc is None:
             self.data["status"] = "ok"
@@ -249,7 +254,10 @@ def _predict_common(args, argv, command: str) -> int:
         t0 = time.perf_counter()
         predictions = pipeline.predict_zone(net, composite, args.tile_size,
                                             workers=args.workers)
-        manifest.time("predict", t0)
+        seconds = manifest.time("predict", t0)
+        manifest.data["predict_px_per_s"] = round(
+            composite.width * composite.height / seconds
+        )
 
         manifest.data["inputs"] = _hash_paths([comp_path, model_path])
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import MetricError, ShapeError, UndefinedStatisticError
 
 DEFAULT_THRESHOLDS = (0.2, 0.5)
+RASTER_STRIP_CELLS = 1 << 24  # fine cells per rasterize_density band (16 MB)
 
 
 def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
@@ -29,12 +30,15 @@ def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
     Rectangles are (x0, y0, x1, y1) in metres; x runs along columns and y
     along rows. A fine cell counts as built when its center point lies in
     any rectangle (half-open [x0, x1) x [y0, y1)); the density of a coarse
-    cell is the mean of its fine cells. Footprints outside the extent are
-    clipped with a warning.
+    cell is the count of its built fine cells over sub^2. Footprints outside
+    the extent are clipped with a warning.
+
+    The fine grid is built one band of coarse rows at a time, of at most
+    RASTER_STRIP_CELLS fine cells, so memory does not grow with the zone.
     """
     sub = int(round(pixel_size / fine_res))
     fw, fh = width * sub, height * sub
-    fine = np.zeros((fh, fw), dtype=bool)
+    boxes = []
     clipped = False
     for x0, y0, x1, y1 in rects:
         # fine cell i has center (i + 0.5) * fine_res; center in [a, b)
@@ -48,11 +52,24 @@ def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
         c0, c1 = max(c0, 0), min(c1, fw)
         r0, r1 = max(r0, 0), min(r1, fh)
         if r1 > r0 and c1 > c0:
-            fine[r0:r1, c0:c1] = True
+            boxes.append((r0, r1, c0, c1))
     if clipped:
         warnings.warn("footprint extends outside the extent; clipped",
                       stacklevel=2)
-    return fine.reshape(height, sub, width, sub).mean(axis=(1, 3))
+    boxes = np.array(boxes, dtype=np.int64).reshape(-1, 4)
+    density = np.empty((height, width), dtype=np.float64)
+    band = max(1, RASTER_STRIP_CELLS // max(1, fw * sub))  # coarse rows
+    for g0 in range(0, height, band):
+        g1 = min(g0 + band, height)
+        f0, f1 = g0 * sub, g1 * sub
+        fine = np.zeros((f1 - f0, fw), dtype=bool)
+        hits = (boxes[:, 0] < f1) & (boxes[:, 1] > f0)
+        for r0, r1, c0, c1 in boxes[hits].tolist():
+            fine[max(r0, f0) - f0:min(r1, f1) - f0, c0:c1] = True
+        counts = fine.reshape(g1 - g0, sub, width, sub).sum(axis=(1, 3),
+                                                           dtype=np.int64)
+        density[g0:g1] = counts / (sub * sub)
+    return density
 
 
 def regress_density(prob: np.ndarray, density: np.ndarray,

@@ -14,6 +14,12 @@ dense layer applied per pixel is its k = 1 case), BatchNorm and Dropout
 state, so they are safe to share across threads; the train-mode pass of
 BatchNorm updates its moving statistics.
 
+No pass writes its input. Epilogues run in place on arrays the pass
+allocated itself: a ConvLayer adds its bias to and takes tanh of its fresh
+GEMM output, which is also the activation its cache keeps, and BatchNorm's
+inference pass shifts its own scaled copy. This saves one full-size
+temporary per layer and gives the same bits as the out-of-place forms.
+
 Parameters and activations are float32 in production; every routine is
 dtype-generic so gradient checks can run the same code in float64.
 """
@@ -104,14 +110,22 @@ class ConvLayer:
         return self.kernel.transpose(2, 3, 1, 0).reshape(-1, self.out_channels)
 
     def _im2col(self, x: np.ndarray) -> np.ndarray:
+        """(N*Ho*Wo, k*k*C) patch rows, column order (kh, kw, in).
+
+        Row di of every k x k window is k*C contiguous values of the
+        flattened input row, so the matrix is built from k row-run copies
+        rather than k*k per-offset slices.
+        """
         k = self.kernel_size
         n, h, w, c = x.shape
         if k == 1:
             return x.reshape(n * h * w, c)
         ho, wo = h - k + 1, w - k + 1
-        cols = np.empty((n, ho, wo, k * k * c), dtype=x.dtype)
-        for i, (di, dj) in enumerate(np.ndindex(k, k)):
-            cols[..., i * c:(i + 1) * c] = x[:, di:di + ho, dj:dj + wo, :]
+        runs = np.lib.stride_tricks.sliding_window_view(
+            x.reshape(n, h, w * c), k * c, axis=2)[:, :, ::c]  # (n, h, wo, kc)
+        cols = np.empty((n, ho, wo, k, k * c), dtype=x.dtype)
+        for di in range(k):
+            cols[:, :, :, di] = runs[:, di:di + ho]
         return cols.reshape(n * ho * wo, -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -123,10 +137,11 @@ class ConvLayer:
         n, h, w, _ = x.shape
         ho, wo = h - self.kernel_size + 1, w - self.kernel_size + 1
         cols = self._im2col(x)
-        z = cols @ self._kernel_matrix() + self.bias
+        z = cols @ self._kernel_matrix()
+        z += self.bias
         z = z.reshape(n, ho, wo, self.out_channels)
         if self.activation == "tanh":
-            a = np.tanh(z)
+            a = np.tanh(z, out=z)
         elif self.activation == "sigmoid":
             a = sigmoid(z)
         else:
@@ -194,7 +209,9 @@ class BatchNorm:
         dt = x.dtype
         scale = (self.gamma / np.sqrt(self.moving_var + self.epsilon)).astype(dt)
         shift = (self.beta - self.moving_mean * scale).astype(dt)
-        return x * scale + shift
+        y = x * scale
+        y += shift
+        return y
 
     def forward_train(self, x: np.ndarray, rng=None):
         self._check_input(x)

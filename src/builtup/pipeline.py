@@ -3,14 +3,42 @@
 The zone is rescaled once into a float32 array with a zero border of
 PATCH_MARGIN pixels: training gathers 5x5 patches from it, and each tile's
 prediction reads one window of it (the tile plus its true neighbor pixels).
-The fully-convolutional Model.forward runs over the window in row strips of
-at most PREDICT_BATCH_CELLS output pixels, each with a 4-pixel halo, so the
-working set does not grow with the tile size. Tiles are processed by a
-thread pool; worker count never changes any output.
+The fully-convolutional Model.forward runs over the window in square blocks
+of at most PREDICT_BLOCK x PREDICT_BLOCK output pixels, each with a 4-pixel
+halo, so the working set does not grow with the tile size. Tiles are
+processed by a thread pool; worker count never changes any output.
 
-Tiling invariance holds only to 1 ulp: dense2 of a strip is one
+Prediction runs OpenBLAS on one thread; tiles run in parallel on the
+workers instead. A block's GEMMs are small (4096 rows), and between them
+the im2col copies, bias adds and tanh run on one thread while an idle BLAS
+thread spins; a 2-thread GEMM then waits for its slower half, so it gains
+little and loses much when another process holds a core. Predicting a
+512x512 desk zone (256x256 paper zone) at tile 256 on 2 vCPUs, in one
+process, without and with a busy-looping process on one core: 2-thread
+BLAS 474k -> 319k px/s (paper 74k -> 47k), 1-thread 412k -> 370k (paper
+50k -> 43k). At tile 128, 2 workers on 1-thread BLAS reach 666k (paper
+93k). One thread also makes mosaics independent of the machine's thread
+setting: a threaded gemv splits dense2's rows between threads, which moves
+the rows that round differently (the 1-ulp defect below).
+
+Why blocks of 64. Each pass allocates an im2col matrix and an output per
+layer; for a 64x64 block the largest is conv4's im2col, 4 MB (desk preset)
+or 17 MB (paper preset). That is under glibc's 32 MB ceiling for its mmap
+threshold, so freed arrays return to the heap and the next block reuses
+them while they are still in cache. Row strips of 32768 pixels made conv4
+im2col matrices of 33 MB (desk) and 134 MB (paper), mapped and faulted in
+afresh for every strip: 7-8k (desk) and 14k (paper) minor page faults per
+256x256 tile, against 0-2k for blocks. Square blocks keep the halo
+overhead at (68/64)^2 - 1 = 13% of the input whatever the tile width,
+where 4096-pixel row strips of a 512-wide tile are 8 rows high and read
+50% more rows than they output. Smaller blocks (32) round differently in
+the paper preset's small-M GEMMs and change its mosaics.
+
+Tiling invariance holds only to 1 ulp: dense2 of a block is one
 (rows*cols, hidden) @ (hidden, 1) product, whose BLAS result for a row
-depends on the row count. Every layer up to dense1 matches exactly; on a
+depends on the row count and on the row's place in it (the last few rows
+of a call take the kernel's tail path, a 1-row call takes a dot product).
+Every layer up to dense1 matches exactly; on a
 512x512 desk zone (2 epochs, seed 0), 7 pixels differ by up to 1.2e-7
 between tile 37 and tile 256. The fix changes trained outputs and is left
 open.
@@ -18,8 +46,13 @@ open.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -32,7 +65,8 @@ from .model import Model, build_model, train_step
 from .nncore import AdamState, bce_loss
 from .raster import PATCH_MARGIN, RasterGrid, TileIndex
 
-PREDICT_BATCH_CELLS = 32768  # output pixels per inference strip (fixed scheme)
+PREDICT_BLOCK = 64  # output pixels per side of one inference block
+INFER_LOSS_BATCH = 32768  # patches per validation-loss forward pass
 
 
 @dataclass
@@ -120,7 +154,7 @@ def _stratified_split(labels: np.ndarray, fraction: float,
 
 def _infer_loss(model: Model, view: np.ndarray, rows: np.ndarray,
                 cols: np.ndarray, labels: np.ndarray,
-                batch: int = PREDICT_BATCH_CELLS) -> float:
+                batch: int = INFER_LOSS_BATCH) -> float:
     """Mean BCE over a sample subset in inference mode."""
     total = 0.0
     for b0 in range(0, rows.size, batch):
@@ -214,15 +248,18 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
 
 def _predict_padded(net: Model, padded_window: np.ndarray) -> np.ndarray:
     """Probabilities for every center of a margin-2 padded (bands, H+4, W+4)
-    window, in row strips of at most PREDICT_BATCH_CELLS output pixels."""
+    window, in blocks of at most PREDICT_BLOCK x PREDICT_BLOCK output
+    pixels."""
     window = padded_window.transpose(1, 2, 0)
-    hp, wp, _ = window.shape
-    h, w = hp - 2 * PATCH_MARGIN, wp - 2 * PATCH_MARGIN
+    halo = 2 * PATCH_MARGIN
+    h, w = window.shape[0] - halo, window.shape[1] - halo
     out = np.empty((h, w), dtype=np.float32)
-    rows_per = max(1, PREDICT_BATCH_CELLS // w)
-    for r0 in range(0, h, rows_per):
-        r1 = min(r0 + rows_per, h)
-        out[r0:r1] = net.forward(window[None, r0:r1 + 2 * PATCH_MARGIN])[0]
+    for r0 in range(0, h, PREDICT_BLOCK):
+        r1 = min(r0 + PREDICT_BLOCK, h)
+        for c0 in range(0, w, PREDICT_BLOCK):
+            c1 = min(c0 + PREDICT_BLOCK, w)
+            out[r0:r1, c0:c1] = net.forward(
+                window[None, r0:r1 + halo, c0:c1 + halo])[0]
     return out
 
 
@@ -238,6 +275,57 @@ class TilePrediction:
         return self.error is None
 
 
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    or None when numpy uses another BLAS or the library cannot be loaded."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype = ctypes.c_int
+                    put.argtypes = [ctypes.c_int]
+                    return get, put
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_thread_calls()
+_blas_lock = threading.Lock()
+_blas_users = 0  # predict_zone calls running with one BLAS thread
+_blas_threads_before = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with one OpenBLAS thread; the count in force when the
+    first of any concurrent callers entered is restored when the last one
+    leaves."""
+    global _blas_users, _blas_threads_before
+    if _OPENBLAS_THREADS is None:
+        yield
+        return
+    get, put = _OPENBLAS_THREADS
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_threads_before = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_threads_before)
+
+
 def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
                  workers: int = 1):
     """Per-tile probabilities for a whole zone composite (raw i16 input).
@@ -245,7 +333,8 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
     Padding windows come from the zone mosaic, so outputs do not depend on
     tile_pixels (to 1 ulp, see the module docstring). Tile failures are
     isolated: each failed tile reports its error while the others still
-    produce output.
+    produce output. OpenBLAS runs one thread for the call's duration; the
+    workers run tiles in parallel.
     """
     if composite.bands != net.arch.bands:
         raise ConfigError(
@@ -271,10 +360,11 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
             return TilePrediction(tile=tile, prob=None, valid=None,
                                   error=f"{type(exc).__name__}: {exc}")
 
-    if workers <= 1:
-        return [run_tile(t) for t in tiles]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_tile, tiles))
+    with _one_blas_thread():
+        if workers <= 1:
+            return [run_tile(t) for t in tiles]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_tile, tiles))
 
 
 # -- registry ---------------------------------------------------------------

@@ -51,6 +51,10 @@ def test_commands_exit_zero_with_ok_manifests(trained, capsys):
         assert info["command"] == command
         assert info["status"] == "ok" and info["error"] is None
         assert "func" not in info["config"]
+    for info in map(load, manifests.values()):
+        assert info["peak_rss_mb"] > 0
+    for command in ("predict", "transfer"):
+        assert load(manifests[command])["predict_px_per_s"] > 0
     assert load(manifests["predict"])["tiles_failed"] == 0
     assert load(manifests["transfer"])["transfer"]["mode"] == "far_range"
     assert "thresholds" in load(root / "reports" / "A.json")
@@ -85,6 +89,7 @@ def test_failures_exit_with_typed_codes(trained, tmp_path):
     info = load(failed / "predict_manifest.json")
     assert info["status"] == "error"
     assert info["error"]["class"] == "missing_input"
+    assert info["peak_rss_mb"] > 0
 
     # evaluating a failed prediction is a format error, not a crash
     assert run("evaluate", "--probs", failed, "--reference", data / "A",

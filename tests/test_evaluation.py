@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from builtup import evaluation
 from builtup.errors import MetricError, ShapeError, UndefinedStatisticError
 from builtup.evaluation import (
     ConfusionCounts,
@@ -63,6 +64,48 @@ class TestRasterizeDensity:
         with pytest.warns(UserWarning, match="clipped"):
             out = rasterize_density([(0.0, 0.0, 10.0, 15.0)], 1, 1)
         assert out == [[1.0]]
+
+
+def full_grid_density(rects, width, height, sub=10):
+    """Brute-force reference: the whole fine grid at once, fine cell (r, c)
+    built when its centre (c + 0.5, r + 0.5) lies in a rectangle."""
+    centres = np.arange(max(width, height) * sub) + 0.5
+    fine = np.zeros((height * sub, width * sub), dtype=bool)
+    for x0, y0, x1, y1 in rects:
+        inside_y = (centres[:height * sub] >= y0) & (centres[:height * sub] < y1)
+        inside_x = (centres[:width * sub] >= x0) & (centres[:width * sub] < x1)
+        fine |= inside_y[:, None] & inside_x[None, :]
+    return fine.reshape(height, sub, width, sub).mean(axis=(1, 3))
+
+
+class TestRasterizeDensityStrips:
+    """The fine grid is built in bands of coarse rows; rectangles crossing
+    band edges are split between bands without changing any density."""
+
+    @pytest.mark.parametrize("strip_cells", [1, 1400, 2100, 1 << 24])
+    def test_bands_equal_the_full_grid(self, monkeypatch, strip_cells):
+        # a coarse row of the 7x9 extent is 700 fine cells: bands of 1, 2
+        # and 3 coarse rows, and (the default) one band for the whole
+        monkeypatch.setattr(evaluation, "RASTER_STRIP_CELLS", strip_cells)
+        rng = np.random.default_rng(5)
+        width, height = 7, 9
+        rects = []
+        for _ in range(40):
+            x0, y0 = rng.uniform(0, 70), rng.uniform(0, 90)
+            rects.append((x0, y0, x0 + rng.uniform(0, 30),
+                          y0 + rng.uniform(0, 45)))
+        rects = [r for r in rects if r[2] <= 70 and r[3] <= 90]
+        assert any(int(y0 // 10) != int(y1 // 10) for _, y0, _, y1 in rects)
+        np.testing.assert_array_equal(
+            density(rects, width=width, height=height),
+            full_grid_density(rects, width, height))
+
+    def test_clip_warning_with_several_bands(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "RASTER_STRIP_CELLS", 1)
+        rects = [(0.0, 5.0, 10.0, 45.0), (15.0, 25.0, 20.0, 35.0)]
+        with pytest.warns(UserWarning, match="clipped"):
+            out = rasterize_density(rects, 2, 3)
+        np.testing.assert_array_equal(out, full_grid_density(rects, 2, 3))
 
 
 class TestRegressDensity:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from builtup import nncore
 from builtup.errors import (
@@ -77,6 +78,81 @@ class TestConv:
                                         layer.kernel[o, c, di, dj]
                         naive[n, i, j, o] = np.tanh(acc)
         np.testing.assert_allclose(out, naive, rtol=1e-12)
+
+
+def im2col_by_offsets(x, k):
+    """Reference im2col: one slice copy per kernel offset (di, dj)."""
+    n, h, w, c = x.shape
+    ho, wo = h - k + 1, w - k + 1
+    cols = np.empty((n, ho, wo, k * k * c), dtype=x.dtype)
+    for i, (di, dj) in enumerate(np.ndindex(k, k)):
+        cols[..., i * c:(i + 1) * c] = x[:, di:di + ho, dj:dj + wo, :]
+    return cols.reshape(n * ho * wo, -1)
+
+
+class TestIm2col:
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 3), n=st.integers(1, 2), dh=st.integers(0, 5),
+           dw=st.integers(0, 5), c=st.integers(1, 5),
+           layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+           seed=st.integers(0, 99))
+    def test_row_runs_equal_offset_slices(self, k, n, dh, dw, c, layout,
+                                          seed):
+        """The k row-run copies give the bytes of the k*k offset slices,
+        also for non-contiguous inputs such as a tile window, which is a
+        (bands, H, W) zone slice seen as (H, W, bands)."""
+        h, w = k + dh, k + dw
+        rng = np.random.default_rng(seed)
+        if layout == "transposed":
+            x = rng.random((n, c, h, w)).astype(np.float32)
+            x = x.transpose(0, 2, 3, 1)
+        elif layout == "strided":
+            x = rng.random((n, 2 * h, w + 3, c)).astype(np.float32)
+            x = x[:, ::2, 1:w + 1]
+        else:
+            x = rng.random((n, h, w, c)).astype(np.float32)
+        layer = ConvLayer(np.zeros((2, c, k, k), np.float32),
+                          np.zeros(2, np.float32), "linear")
+        np.testing.assert_array_equal(layer._im2col(x),
+                                      im2col_by_offsets(x, k))
+
+
+def float32_conv(k, activation):
+    rng = np.random.default_rng(k)
+    return ConvLayer(init_uniform(rng, (4, 3, k, k)), init_uniform(rng, (4,)),
+                     activation)
+
+
+class TestPassesKeepTheirInput:
+    """Epilogues run in place on arrays a pass allocated itself; no pass
+    writes the array it was given."""
+
+    LAYERS = {
+        "conv2x2_linear": lambda: float32_conv(2, "linear"),
+        "conv2x2_tanh": lambda: float32_conv(2, "tanh"),
+        "dense_linear": lambda: float32_conv(1, "linear"),
+        "dense_tanh": lambda: float32_conv(1, "tanh"),
+        "dense_sigmoid": lambda: float32_conv(1, "sigmoid"),
+        "batchnorm": lambda: BatchNorm(
+            np.full(3, 1.5, np.float32), np.full(3, 0.25, np.float32),
+            np.full(3, 0.5, np.float32), np.full(3, 2.0, np.float32)),
+        "dropout": lambda: Dropout(0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_forward_and_forward_train(self, name):
+        layer = self.LAYERS[name]()
+        x = np.random.default_rng(9).random((4, 5, 5, 3)).astype(np.float32)
+        before = x.copy()
+        layer.forward(x)
+        assert x.tobytes() == before.tobytes()
+        layer.forward_train(x, np.random.default_rng(10))
+        assert x.tobytes() == before.tobytes()
+
+    def test_tanh_output_is_the_cached_activation(self):
+        x = np.random.default_rng(11).random((2, 5, 5, 3)).astype(np.float32)
+        y, (_, _, a) = float32_conv(2, "tanh").forward_train(x)
+        assert y is a
 
 
 class TestDense:
