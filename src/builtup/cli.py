@@ -3,8 +3,9 @@
 
 Every executed command writes a JSON run manifest next to its primary
 output (flags echoed, seeds, input/output hashes, timings, peak RSS,
-prediction px/s, per-tile statuses, metric summaries), on success and on
-error. Exit codes, each the ``exit_code`` of an error class in errors.py:
+prediction px/s and workers, per-tile statuses, metric summaries), on
+success and on error. Exit codes, each the ``exit_code`` of an error class
+in errors.py:
 
     0  success                  6  shape error
     1  unexpected error         7  numeric error
@@ -251,9 +252,13 @@ def _predict_common(args, argv, command: str) -> int:
         model_path = _require(model_path, "model file")
         net = model_mod.load_model(model_path)
         composite = raster.read_raster(comp_path)
+        # one band worker per usable CPU; outputs do not depend on the count
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        manifest.data["workers"] = workers
         t0 = time.perf_counter()
         predictions = pipeline.predict_zone(net, composite, args.tile_size,
-                                            workers=args.workers)
+                                            workers=workers)
         seconds = manifest.time("predict", t0)
         manifest.data["predict_px_per_s"] = round(
             composite.width * composite.height / seconds
@@ -281,7 +286,9 @@ def cmd_transfer(args, argv) -> int:
 
 
 def _load_prediction_mosaic(probs_dir: Path):
-    """Rebuild the zone probability grid from a prediction manifest."""
+    """Rebuild the zone probability grid from a prediction manifest. The
+    tile rasters are read from probs_dir, next to the manifest, whatever
+    directory the prediction ran from."""
     manifest_path = None
     for name in ("predict_manifest.json", "transfer_manifest.json"):
         if (probs_dir / name).exists():
@@ -293,7 +300,7 @@ def _load_prediction_mosaic(probs_dir: Path):
         )
     with open(manifest_path, "r", encoding="utf-8") as f:
         info = json.load(f)
-    if "tiles" not in info:
+    if not info.get("tiles"):
         raise FormatError(
             f"{manifest_path} lists no tiles (run status {info.get('status')!r})"
         )
@@ -306,7 +313,8 @@ def _load_prediction_mosaic(probs_dir: Path):
     for t in tiles:
         if t["status"] != "ok":
             continue
-        grid = raster.read_raster(t["prob"])
+        grid = raster.read_raster(_require(probs_dir / Path(t["prob"]).name,
+                                           "tile raster"))
         pixel_size = grid.pixel_size
         window = grid.data[0]
         sl = (slice(t["row0"], t["row0"] + t["rows"]),
@@ -349,6 +357,8 @@ def cmd_evaluate(args, argv) -> int:
 
 def cmd_inspect(args, argv) -> int:
     path = _require(args.path, "file")
+    if path.is_dir():
+        raise FormatError(f"{path} is a directory, not a GHSR or GHSM file")
     with open(path, "rb") as f:
         magic = f.read(4)
     if magic == raster.MAGIC:
@@ -425,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tile-size", type=int, default=256)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("transfer", help="predict a zone with another zone's "
@@ -436,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tile-size", type=int, default=256)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("evaluate", help="score predictions against reference "

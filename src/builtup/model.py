@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -318,6 +319,36 @@ def save_model(model: Model, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+# The JSON type of each GHSM header field ("float" fields accept integers).
+HEADER_TYPES = {"version": int, "arch": dict, "zone_id": str, "seed": int,
+                "epochs_trained": int}
+ARCH_TYPES = {"patch_size": int, "bands": int, "block_filters": list,
+              "hidden_units": int, "dropout_rate": float,
+              "normalization_divisor": float}
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance for JSON values: true/false are not numbers, and an
+    integer is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_header(parsed) -> None:
+    """FormatError unless the header has every field with its JSON type."""
+    for where, obj, types in (("", parsed, HEADER_TYPES),
+                              ("arch.", parsed.get("arch"), ARCH_TYPES)):
+        for key, kind in types.items():
+            if not _has_type(obj.get(key), kind):
+                raise FormatError(f"model header field {where}{key} must be "
+                                  f"a JSON {kind.__name__}, got "
+                                  f"{obj.get(key)!r}")
+    if not all(_has_type(f, int) for f in parsed["arch"]["block_filters"]):
+        raise FormatError("model header field arch.block_filters must hold "
+                          "integers")
+
+
 def read_model_header(path) -> dict:
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -327,15 +358,20 @@ def read_model_header(path) -> dict:
         if len(raw_len) < 4:
             raise FormatError("truncated header length at offset 4")
         (hlen,) = struct.unpack("<I", raw_len)
+        size = os.fstat(f.fileno()).st_size
+        if 8 + hlen > size:  # checked before reading: hlen can be 4 GB
+            raise FormatError(f"truncated header at offset {size}: length "
+                              f"{hlen} at offset 4 runs past the end")
         header = f.read(hlen)
-        if len(header) < hlen:
-            raise FormatError(f"truncated header at offset {8 + len(header)}")
     try:
         parsed = json.loads(header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"undecodable header at offset 8: {exc}") from exc
+    if not isinstance(parsed, dict):
+        raise FormatError("model header at offset 8 is not a JSON object")
     if parsed.get("version") != GHSM_VERSION:
         raise FormatError(f"unsupported model version {parsed.get('version')}")
+    _check_header(parsed)
     return parsed
 
 

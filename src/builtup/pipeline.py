@@ -1,14 +1,17 @@
 """Per-zone training, tiled prediction and the zone model registry.
 
 The zone is rescaled once into a float32 array with a zero border of
-PATCH_MARGIN pixels: training gathers 5x5 patches from it, and each tile's
-prediction reads one window of it (the tile plus its true neighbor pixels).
-The fully-convolutional Model.forward runs over the window in square blocks
-of at most PREDICT_BLOCK x PREDICT_BLOCK output pixels, each with a 4-pixel
-halo, so the working set does not grow with the tile size. Tiles are
-processed by a thread pool; worker count never changes any output.
+PATCH_MARGIN pixels: training gathers 5x5 patches from it, and prediction
+runs the fully-convolutional Model.forward over it once, in bands of
+PREDICT_BLOCK rows cut into square blocks of at most PREDICT_BLOCK x
+PREDICT_BLOCK output pixels with a 4-pixel halo, so the working set does
+not grow with the zone. Every block starts at a multiple of PREDICT_BLOCK
+from the zone origin and tiles only slice the finished mosaic, so a pixel
+comes from the same block and BLAS calls at every tile size and worker
+count: tilings are byte-identical by construction (dense2's gemv rounds a
+row by its place in its block, so tile-aligned blocks differed by 1 ulp).
 
-Prediction runs OpenBLAS on one thread; tiles run in parallel on the
+Prediction runs OpenBLAS on one thread; bands run in parallel on the
 workers instead. A block's GEMMs are small (4096 rows), and between them
 the im2col copies, bias adds and tanh run on one thread while an idle BLAS
 thread spins; a 2-thread GEMM then waits for its slower half, so it gains
@@ -19,7 +22,7 @@ BLAS 474k -> 319k px/s (paper 74k -> 47k), 1-thread 412k -> 370k (paper
 50k -> 43k). At tile 128, 2 workers on 1-thread BLAS reach 666k (paper
 93k). One thread also makes mosaics independent of the machine's thread
 setting: a threaded gemv splits dense2's rows between threads, which moves
-the rows that round differently (the 1-ulp defect below).
+the rows that round differently.
 
 Why blocks of 64. Each pass allocates an im2col matrix and an output per
 layer; for a 64x64 block the largest is conv4's im2col, 4 MB (desk preset)
@@ -29,19 +32,10 @@ them while they are still in cache. Row strips of 32768 pixels made conv4
 im2col matrices of 33 MB (desk) and 134 MB (paper), mapped and faulted in
 afresh for every strip: 7-8k (desk) and 14k (paper) minor page faults per
 256x256 tile, against 0-2k for blocks. Square blocks keep the halo
-overhead at (68/64)^2 - 1 = 13% of the input whatever the tile width,
-where 4096-pixel row strips of a 512-wide tile are 8 rows high and read
+overhead at (68/64)^2 - 1 = 13% of the input whatever the zone width,
+where 4096-pixel row strips of a 512-wide zone are 8 rows high and read
 50% more rows than they output. Smaller blocks (32) round differently in
 the paper preset's small-M GEMMs and change its mosaics.
-
-Tiling invariance holds only to 1 ulp: dense2 of a block is one
-(rows*cols, hidden) @ (hidden, 1) product, whose BLAS result for a row
-depends on the row count and on the row's place in it (the last few rows
-of a call take the kernel's tail path, a 1-row call takes a dot product).
-Every layer up to dense1 matches exactly; on a
-512x512 desk zone (2 epochs, seed 0), 7 pixels differ by up to 1.2e-7
-between tile 37 and tile 256. The fix changes trained outputs and is left
-open.
 """
 
 from __future__ import annotations
@@ -266,8 +260,8 @@ def _predict_padded(net: Model, padded_window: np.ndarray) -> np.ndarray:
 @dataclass
 class TilePrediction:
     tile: TileIndex
-    prob: Optional[np.ndarray]  # (rows, cols) f32, -1 where invalid
-    valid: Optional[np.ndarray]
+    prob: Optional[np.ndarray]  # (rows, cols) f32 view, -1 where invalid
+    valid: Optional[np.ndarray]  # (rows, cols) bool view
     error: Optional[str] = None
 
     @property
@@ -330,41 +324,47 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
                  workers: int = 1):
     """Per-tile probabilities for a whole zone composite (raw i16 input).
 
-    Padding windows come from the zone mosaic, so outputs do not depend on
-    tile_pixels (to 1 ulp, see the module docstring). Tile failures are
-    isolated: each failed tile reports its error while the others still
-    produce output. OpenBLAS runs one thread for the call's duration; the
-    workers run tiles in parallel.
+    The zone is computed once, in zone-aligned bands of PREDICT_BLOCK rows
+    run in parallel on the workers with one OpenBLAS thread; each tile's
+    prob and valid are views of the zone arrays, so outputs do not depend
+    on tile_pixels or workers. A failed band fails the tiles its rows
+    overlap, each reporting the band's error; every other tile is produced.
     """
     if composite.bands != net.arch.bands:
-        raise ConfigError(
-            f"composite has {composite.bands} bands, model expects "
-            f"{net.arch.bands}"
-        )
+        raise ConfigError(f"composite has {composite.bands} bands, model "
+                          f"expects {net.arch.bands}")
+    tiles = raster.tile_grid(composite.height, composite.width, tile_pixels)
     padded, valid = raster.rescale_reflectance(
         composite, net.arch.normalization_divisor
     )
-    tiles = raster.tile_grid(composite.height, composite.width, tile_pixels,
-                             valid_mask=valid)
+    prob = np.empty(valid.shape, dtype=np.float32)
 
-    def run_tile(tile: TileIndex) -> TilePrediction:
-        try:
-            window = padded[:, tile.row0:tile.row0 + tile.rows + 2 * PATCH_MARGIN,
-                            tile.col0:tile.col0 + tile.cols + 2 * PATCH_MARGIN]
-            prob = _predict_padded(net, window)
-            tile_valid = valid[tile.row0:tile.row0 + tile.rows,
-                               tile.col0:tile.col0 + tile.cols]
-            prob[~tile_valid] = -1.0
-            return TilePrediction(tile=tile, prob=prob, valid=tile_valid)
+    def run_band(r0: int) -> Optional[str]:
+        try:  # the last band's slices end at the zone's edge
+            prob[r0:r0 + PREDICT_BLOCK] = _predict_padded(
+                net, padded[:, r0:r0 + PREDICT_BLOCK + 2 * PATCH_MARGIN])
         except Exception as exc:  # noqa: BLE001 - per-tile isolation
-            return TilePrediction(tile=tile, prob=None, valid=None,
-                                  error=f"{type(exc).__name__}: {exc}")
+            return f"{type(exc).__name__}: {exc}"
+        return None
 
-    with _one_blas_thread():
-        if workers <= 1:
-            return [run_tile(t) for t in tiles]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_tile, tiles))
+    band_starts = range(0, composite.height, PREDICT_BLOCK)
+    with _one_blas_thread(), ThreadPoolExecutor(max(workers, 1)) as pool:
+        # one worker runs here: on a pool thread paper benched ~7% slower
+        run = pool.map if workers > 1 else map
+        band_errors = list(run(run_band, band_starts))
+    prob[~valid] = -1.0
+
+    predictions = []
+    for t in tiles:
+        bands = slice(t.row0 // PREDICT_BLOCK,
+                      (t.row0 + t.rows - 1) // PREDICT_BLOCK + 1)
+        failed = [e for e in band_errors[bands] if e is not None]
+        window = np.s_[t.row0:t.row0 + t.rows, t.col0:t.col0 + t.cols]
+        predictions.append(
+            TilePrediction(tile=t, prob=None, valid=None, error=failed[0])
+            if failed else
+            TilePrediction(tile=t, prob=prob[window], valid=valid[window]))
+    return predictions
 
 
 # -- registry ---------------------------------------------------------------

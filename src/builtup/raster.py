@@ -132,7 +132,10 @@ def read_header(path) -> dict:
         raise FormatError(f"unsupported version {version} at offset 4")
     if dcode not in CODE_DTYPES:
         raise FormatError(f"unknown dtype code {dcode} at offset 6")
-    zone_id = raw[48:80].rstrip(b"\x00").decode("utf-8")
+    try:
+        zone_id = raw[48:80].rstrip(b"\x00").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"zone_id is not UTF-8 at offset 48: {exc}") from exc
     return {
         "version": version,
         "dtype": {v: k for k, v in DTYPE_CODES.items()}[dcode],

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError
+from .errors import FormatError, GenerationError
 from .raster import RasterGrid, make_grid, write_raster
 
 COMPOSITE_NODATA = -32768
@@ -158,5 +158,13 @@ def save_zone(zone: Zone, out_dir) -> dict:
 
 
 def load_footprints(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    """The footprints.json written by save_zone; FormatError when it is not
+    a JSON object with "rects"."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            footprints = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unreadable footprints {path}: {exc}") from exc
+    if not isinstance(footprints, dict) or "rects" not in footprints:
+        raise FormatError(f"footprints {path} is not an object with rects")
+    return footprints

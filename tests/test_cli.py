@@ -1,10 +1,11 @@
 """The command-line pipeline end to end on a small synthetic zone pair."""
 
 import json
+import struct
 
 import pytest
 
-from builtup import cli, errors
+from builtup import cli, errors, pipeline
 
 
 def run(*argv):
@@ -56,6 +57,8 @@ def test_commands_exit_zero_with_ok_manifests(trained, capsys):
     for command in ("predict", "transfer"):
         assert load(manifests[command])["predict_px_per_s"] > 0
     assert load(manifests["predict"])["tiles_failed"] == 0
+    for command in ("predict", "transfer"):
+        assert load(manifests[command])["workers"] >= 1
     assert load(manifests["transfer"])["transfer"]["mode"] == "far_range"
     assert "thresholds" in load(root / "reports" / "A.json")
 
@@ -63,6 +66,115 @@ def test_commands_exit_zero_with_ok_manifests(trained, capsys):
         "A": {"model_path": str(model), "mode": "close_range",
               "source_zone_id": "A"},
     }
+
+
+def test_failed_tiles_are_recorded_in_the_manifest(trained, tmp_path,
+                                                  monkeypatch):
+    """A band that raises fails its tiles: predict still exits 0, and the
+    manifest records each such tile with its error and no raster."""
+    _, data, model, _ = trained
+
+    def fail(net, window):
+        raise RuntimeError("band failed")
+
+    monkeypatch.setattr(pipeline, "_predict_padded", fail)
+    out = tmp_path / "pred"
+    assert run("predict", "--zone", "A", "--data", data, "--model", model,
+               "--out", out, "--tile-size", 32) == 0
+    info = load(out / "predict_manifest.json")
+    assert info["tiles_failed"] == len(info["tiles"]) == 4
+    for tile in info["tiles"]:
+        assert tile["status"] == "error"
+        assert tile["error"] == "RuntimeError: band failed"
+    assert not list(out.glob("*.ghsr"))
+
+
+def test_evaluate_reads_tiles_next_to_the_manifest(trained, tmp_path,
+                                                   monkeypatch):
+    """The manifest names tiles as given to predict (here relative to its
+    working directory); evaluate run from elsewhere still finds them."""
+    _, data, model, _ = trained
+    monkeypatch.chdir(tmp_path)
+    assert run("predict", "--zone", "A", "--data", data, "--model", model,
+               "--out", "pred") == 0
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert run("evaluate", "--probs", tmp_path / "pred", "--reference",
+               data / "A", "--report", "r.json") == 0
+    assert "thresholds" in load(tmp_path / "elsewhere" / "r.json")
+
+
+def drop_a_tile(pred, ref):
+    next(pred.glob("*_prob.ghsr")).unlink()
+
+
+def list_no_tiles(pred, ref):
+    info = load(pred / "predict_manifest.json")
+    info["tiles"] = []
+    (pred / "predict_manifest.json").write_text(json.dumps(info),
+                                                encoding="utf-8")
+
+
+def corrupt_footprints(pred, ref):
+    (ref / "footprints.json").write_text('{"rects": [', encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage, code, error_class", [
+    (drop_a_tile, 3, "missing_input"),
+    (list_no_tiles, 4, "format"),
+    (corrupt_footprints, 4, "format"),
+], ids=["missing_tile", "no_tiles", "corrupt_footprints"])
+def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
+                                            error_class):
+    _, data, model, _ = trained
+    pred, ref = tmp_path / "pred", tmp_path / "ref"
+    assert run("predict", "--zone", "A", "--data", data, "--model", model,
+               "--out", pred, "--tile-size", 32) == 0
+    ref.mkdir()
+    (ref / "footprints.json").write_bytes(
+        (data / "A" / "footprints.json").read_bytes())
+    damage(pred, ref)
+    assert run("evaluate", "--probs", pred, "--reference", ref,
+               "--report", tmp_path / "r.json") == code
+    assert load(tmp_path / "r.evaluate_manifest.json")["error"]["class"] == \
+        error_class
+
+
+def ghsm_with_header(model, path, edit):
+    """Copy of the GHSM file model, with edit applied to its JSON header."""
+    raw = model.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text
+                     + raw[8 + hlen:])
+    return path
+
+
+def ghsr_with_bad_zone_id(data, path):
+    raw = bytearray((data / "A" / "labels.ghsr").read_bytes())
+    raw[48] = 0xFF
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("case", ["zone_id_0xff", "no_arch",
+                                  "fractional_hidden_units", "directory"])
+def test_corrupt_headers_are_format_errors(trained, tmp_path, case):
+    _, data, model, _ = trained
+    if case == "zone_id_0xff":
+        argv = ["inspect", ghsr_with_bad_zone_id(data, tmp_path / "l.ghsr")]
+    elif case == "directory":
+        argv = ["inspect", tmp_path]
+    else:
+        edit = {"no_arch": lambda h: h.pop("arch"),
+                "fractional_hidden_units":
+                    lambda h: h["arch"].update(hidden_units=1.8)}[case]
+        bad = ghsm_with_header(model, tmp_path / "m.ghsm", edit)
+        argv = ["predict", "--zone", "A", "--data", data, "--model", bad,
+                "--out", tmp_path / "pred"]
+    assert run(*argv) == 4
 
 
 def test_transfer_does_not_register_the_target(trained, tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builtup.errors import ConfigError, FormatError, NumericError, ShapeError
+from builtup.errors import (ConfigError, FormatError, NumericError,
+                            ShapeError, ToolkitError)
 from builtup.model import (
     ArchitectureConfig,
     PRESETS,
@@ -309,3 +310,28 @@ class TestSerialization:
         for a, b in zip(net.serialization_arrays(),
                         back.serialization_arrays()):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def desk_ghsm(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ghsm") / "desk.ghsm"
+    save_model(build_model(PRESETS["desk"], seed=0, zone_id="A"), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=st.integers(0, 255))
+def test_header_byte_mutations_load_or_raise_toolkit_errors(desk_ghsm, data,
+                                                            value):
+    """Any single-byte change to a desk GHSM file's magic, header length or
+    JSON header either still loads or raises a ToolkitError, never another
+    exception."""
+    path, raw = desk_ghsm
+    header_end = 8 + int.from_bytes(raw[4:8], "little")
+    mutated = bytearray(raw)
+    mutated[data.draw(st.integers(0, header_end - 1), label="offset")] = value
+    path.with_suffix(".mutated").write_bytes(bytes(mutated))
+    try:
+        load_model(path.with_suffix(".mutated"))
+    except ToolkitError:
+        pass

@@ -1,22 +1,20 @@
 """Tiled prediction over a whole zone, and its 64x64 inference blocks.
 
-Blocks are exact up to dense2: every layer before it gives the same bytes
-for a block as for the whole window. dense2's per-pixel dot product over
-the hidden units is one BLAS gemv per block, whose rounding of a row
-depends on the row count and the row's position (ROADMAP item 1, "tiling
-invariance is exact only to 1 ulp"). Row strips, the scheme the blocks
-replaced, show the same defect: on 160x160 desk zones, tiles 37, 65 or 129
-differ from the whole-zone tile in one pixel by 6e-8 for some zone seeds.
-The seam tests therefore read dense2 from one hidden unit
-(`one_term_dense2`), whose dot product has one non-zero term and rounds
-alike at every size, and bound the defect separately with all of dense2's
-weights. The paper preset is left out, as in the model's window test: its
-conv2 GEMM also rounds differently at small row counts, and with row
-strips tiles 37/65 already differed from the whole 160x160 zone in 7-18
-pixels by 6e-8.
+predict_zone computes the zone once, in blocks aligned to the zone origin,
+and tiles only slice the result, so every tiling and worker count gives
+the bytes of the whole-zone tile, with all of the network's weights and
+for every preset. The block test compares blocks against one forward pass
+over the whole window instead, where dense2's rounding really depends on
+the row count: a (rows, hidden) @ (hidden, 1) gemv rounds a row by the
+call's size and the row's place in it. That test therefore reads dense2
+from one hidden unit (`one_term_dense2`), whose dot product has one
+non-zero term and rounds alike at every size, and leaves the paper preset
+out, as the model's window test does: its conv2 GEMM also rounds
+differently at small row counts.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ import pytest
 from builtup import pipeline
 from builtup.model import PRESETS, ArchitectureConfig, build_model
 from builtup.pipeline import PREDICT_BLOCK, _predict_padded, predict_zone
+from builtup.raster import PATCH_MARGIN, rescale_reflectance
 from builtup.synth import SceneParams, synth_zone
 
 SIZE = 64
@@ -74,26 +73,53 @@ def zone160():
     return synth_zone(SceneParams(size=160, seed=1), zone_id="A").composite
 
 
-def test_mosaic_across_block_seams(zone160, net):
-    """On a 160x160 zone, tiles larger than one block run several blocks;
-    every tiling gives the bytes of the whole-zone tile."""
-    exact = one_term_dense2(net)
-    reference = mosaic(predict_zone(exact, zone160, 160), 160)
-    assert not np.isnan(reference).any()
-    for tile in (37, 64, 65, 100):
-        got = mosaic(predict_zone(exact, zone160, tile), 160)
-        assert got.tobytes() == reference.tobytes(), tile
+def test_mosaic_across_block_seams():
+    """On zones of several blocks each way, tiles that cut through blocks
+    give the bytes of the whole-zone tile, with all of dense2's weights,
+    on one worker or two, for every preset. (The paper zone is smaller to
+    keep the test quick; 130 rows still make three bands.)"""
+    for arch, size in ((TINY, 160), (PRESETS["desk"], 160),
+                       (PRESETS["paper"], 130)):
+        comp = synth_zone(SceneParams(size=size, seed=1), zone_id="A").composite
+        net = build_model(replace(arch, bands=comp.bands), seed=0)
+        reference = mosaic(predict_zone(net, comp, size), size)
+        assert not np.isnan(reference).any()
+        for tile, workers in itertools.product((37, 64, 65, 100), (1, 2)):
+            got = mosaic(predict_zone(net, comp, tile, workers=workers), size)
+            assert got.tobytes() == reference.tobytes(), (arch, tile, workers)
 
 
-def test_dense2_rounding_is_bounded_across_block_seams(zone160, net):
-    """With all of dense2's weights, tilings differ from the whole-zone
-    tile only by dense2's gemv rounding: a few pixels, each by at most
-    1.2e-7 (the largest difference ROADMAP item 1 records)."""
-    reference = mosaic(predict_zone(net, zone160, 160), 160)
-    for tile in (37, 64, 65, 100):
-        got = mosaic(predict_zone(net, zone160, tile), 160)
-        assert np.count_nonzero(got != reference) <= 8, tile
-        np.testing.assert_allclose(got, reference, rtol=0, atol=1.2e-7)
+def failing_second_band(zone):
+    """A _predict_padded that raises for the band of zone rows 64-127."""
+    padded, _ = rescale_reflectance(zone)
+    second = padded[:, 64:128 + 2 * PATCH_MARGIN]
+
+    def predict(net, window):
+        if np.array_equal(window, second):
+            raise RuntimeError("band 64 failed")
+        return _predict_padded(net, window)
+
+    return predict
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_band_fails_only_the_tiles_it_covers(zone160, net,
+                                                      monkeypatch, workers):
+    clean = predict_zone(net, zone160, 37, workers=workers)
+    monkeypatch.setattr(pipeline, "_predict_padded",
+                        failing_second_band(zone160))
+    got = predict_zone(net, zone160, 37, workers=workers)
+    assert [p.tile for p in got] == [p.tile for p in clean]
+    for pred, ref in zip(got, clean):
+        t = pred.tile
+        if t.row0 < 128 and t.row0 + t.rows > 64:  # tile rows 1-3 of 0-4
+            assert pred.error == "RuntimeError: band 64 failed"
+            assert pred.prob is None and pred.valid is None
+        else:
+            assert pred.ok, pred.error
+            assert pred.prob.tobytes() == ref.prob.tobytes()
+            assert np.array_equal(pred.valid, ref.valid)
+    assert sum(not p.ok for p in got) == 3 * 5
 
 
 @pytest.mark.parametrize("arch", [TINY, PRESETS["desk"]],
@@ -119,9 +145,10 @@ needs_openblas = pytest.mark.skipif(pipeline._OPENBLAS_THREADS is None,
 @needs_openblas
 @pytest.mark.parametrize("preset, workers",
                          [("desk", 1), ("desk", 2), ("paper", 1)])
-def test_tiles_run_on_one_blas_thread(zone, monkeypatch, preset, workers):
-    """Every tile's pass sees one OpenBLAS thread, whatever the preset and
-    worker count, and predict_zone gives back the count it found."""
+def test_tiles_run_on_one_blas_thread(zone160, monkeypatch, preset, workers):
+    """Every band's pass sees one OpenBLAS thread, whatever the preset and
+    worker count (the 160-row zone has three bands, so two workers run
+    concurrently), and predict_zone gives back the count it found."""
     net = build_model(PRESETS[preset], seed=0)
     get, put = pipeline._OPENBLAS_THREADS
     seen = []
@@ -134,11 +161,11 @@ def test_tiles_run_on_one_blas_thread(zone, monkeypatch, preset, workers):
     before = get()
     put(2)
     try:
-        predict_zone(net, zone.composite, 37, workers=workers)
+        predict_zone(net, zone160, 37, workers=workers)
         assert get() == 2
     finally:
         put(before)
-    assert len(seen) == 4 and set(seen) == {1}
+    assert len(seen) == 3 and set(seen) == {1}
 
 
 @needs_openblas

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from builtup import raster
-from builtup.errors import FormatError, NumericError, ParameterError
+from builtup.errors import (FormatError, NumericError, ParameterError,
+                            ToolkitError)
 from builtup.raster import (
     HEADER_SIZE,
     PATCH_MARGIN,
@@ -103,6 +105,30 @@ class TestFormatErrors:
     def test_nodata_not_representable(self):
         with pytest.raises(FormatError, match="nodata"):
             make_grid(np.zeros((1, 2, 2), dtype=np.uint8), "u8", -5)
+
+
+@pytest.fixture(scope="module")
+def ghsr_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ghsr") / "g.ghsr"
+    write_raster(random_grid(np.random.default_rng(6), "i16"), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset=st.integers(0, HEADER_SIZE - 1), value=st.integers(0, 255))
+def test_header_byte_mutations_load_or_raise_toolkit_errors(ghsr_file, offset,
+                                                            value):
+    """Any single-byte change to the 80-byte header either still loads or
+    raises a ToolkitError (the CLI's typed exit codes), never another
+    exception."""
+    path, raw = ghsr_file
+    mutated = bytearray(raw)
+    mutated[offset] = value
+    path.with_suffix(".mutated").write_bytes(bytes(mutated))
+    try:
+        read_raster(path.with_suffix(".mutated"))
+    except ToolkitError:
+        pass
 
 
 class TestRescale:
