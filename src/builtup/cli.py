@@ -52,6 +52,15 @@ def _require(path, what: str) -> Path:
     return p
 
 
+def _require_file(path, what: str) -> Path:
+    """_require for an input read as a file: a directory is a format
+    error."""
+    p = _require(path, what)
+    if p.is_dir():
+        raise FormatError(f"{what} {p} is a directory, not a file")
+    return p
+
+
 class Manifest:
     """Accumulates the reproducibility record for one command.
 
@@ -152,8 +161,9 @@ def cmd_train(args, argv) -> int:
     with Manifest("train", argv, args,
                   out.parent / f"{out.stem}.train_manifest.json") as manifest:
         zone_dir = _require(Path(args.data) / args.zone, "zone directory")
-        comp_path = _require(zone_dir / "composite.ghsr", "composite raster")
-        label_path = _require(zone_dir / "labels.ghsr", "label raster")
+        comp_path = _require_file(zone_dir / "composite.ghsr",
+                                  "composite raster")
+        label_path = _require_file(zone_dir / "labels.ghsr", "label raster")
         manifest.data["inputs"] = _hash_paths([comp_path, label_path])
 
         registry = (pipeline.ZoneRegistry.load(args.registry)
@@ -234,7 +244,8 @@ def _predict_common(args, argv, command: str) -> int:
     with Manifest(command, argv, args,
                   out_dir / f"{command}_manifest.json") as manifest:
         zone_dir = _require(Path(args.data) / args.zone, "zone directory")
-        comp_path = _require(zone_dir / "composite.ghsr", "composite raster")
+        comp_path = _require_file(zone_dir / "composite.ghsr",
+                                  "composite raster")
         if command == "transfer":
             # a transfer is a predict with the source zone's registered model
             registry = pipeline.ZoneRegistry.load(
@@ -249,7 +260,7 @@ def _predict_common(args, argv, command: str) -> int:
             }
         else:
             model_path = args.model
-        model_path = _require(model_path, "model file")
+        model_path = _require_file(model_path, "model file")
         net = model_mod.load_model(model_path)
         composite = raster.read_raster(comp_path)
         # one band worker per usable CPU; outputs do not depend on the count
@@ -285,6 +296,9 @@ def cmd_transfer(args, argv) -> int:
     return _predict_common(args, argv, "transfer")
 
 
+TILE_EXTENT = ("row0", "col0", "rows", "cols")  # ints of a manifest tile
+
+
 def _load_prediction_mosaic(probs_dir: Path):
     """Rebuild the zone probability grid from a prediction manifest. The
     tile rasters are read from probs_dir, next to the manifest, whatever
@@ -298,13 +312,24 @@ def _load_prediction_mosaic(probs_dir: Path):
         raise MissingInputError(
             f"no prediction manifest found under {probs_dir}"
         )
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        info = json.load(f)
+    try:
+        info = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unreadable manifest {manifest_path}: {exc}") \
+            from exc
+    if not isinstance(info, dict):
+        raise FormatError(f"{manifest_path} is not a JSON object")
     if not info.get("tiles"):
         raise FormatError(
             f"{manifest_path} lists no tiles (run status {info.get('status')!r})"
         )
     tiles = info["tiles"]
+    for t in tiles:
+        if not (isinstance(t, dict)
+                and all(isinstance(t.get(k), int) for k in TILE_EXTENT)
+                and t.get("status") in ("ok", "error")
+                and (t["status"] != "ok" or isinstance(t.get("prob"), str))):
+            raise FormatError(f"{manifest_path}: bad tile entry {t!r}")
     height = max(t["row0"] + t["rows"] for t in tiles)
     width = max(t["col0"] + t["cols"] for t in tiles)
     prob = np.full((height, width), -1.0, dtype=np.float32)
@@ -313,8 +338,8 @@ def _load_prediction_mosaic(probs_dir: Path):
     for t in tiles:
         if t["status"] != "ok":
             continue
-        grid = raster.read_raster(_require(probs_dir / Path(t["prob"]).name,
-                                           "tile raster"))
+        grid = raster.read_raster(_require_file(
+            probs_dir / Path(t["prob"]).name, "tile raster"))
         pixel_size = grid.pixel_size
         window = grid.data[0]
         sl = (slice(t["row0"], t["row0"] + t["rows"]),
@@ -330,7 +355,8 @@ def cmd_evaluate(args, argv) -> int:
                   / f"{report_path.stem}.evaluate_manifest.json") as manifest:
         probs_dir = _require(args.probs, "prediction directory")
         ref_dir = _require(args.reference, "reference directory")
-        fp_path = _require(Path(ref_dir) / "footprints.json", "footprints")
+        fp_path = _require_file(Path(ref_dir) / "footprints.json",
+                                "footprints")
         prob, valid, pixel_size = _load_prediction_mosaic(Path(probs_dir))
         footprints = synth.load_footprints(fp_path)
         t0 = time.perf_counter()
@@ -356,9 +382,7 @@ def cmd_evaluate(args, argv) -> int:
 
 
 def cmd_inspect(args, argv) -> int:
-    path = _require(args.path, "file")
-    if path.is_dir():
-        raise FormatError(f"{path} is a directory, not a GHSR or GHSM file")
+    path = _require_file(args.path, "GHSR or GHSM file")
     with open(path, "rb") as f:
         magic = f.read(4)
     if magic == raster.MAGIC:

@@ -16,6 +16,18 @@ convolutional: an (h+4) x (w+4) window gives the h x w probabilities of its
 interior pixels in one pass, each equal to the probability of that pixel's
 5x5 patch.
 
+Prediction runs inference_stack(model) instead of Model.forward, which
+stays the reference. In inference mode dropout is the identity and
+BatchNorm an affine map, i.e. a linear 1x1 conv, and a linear valid conv
+followed by another valid conv is one valid conv of side k1 + k2 - 1, so
+the eight layers compose to four: conv1.conv2 (3x3, tanh),
+bn1.conv3.conv4 (3x3, tanh), bn2.dense1 (1x1, tanh) and dense2. This is
+exact in real arithmetic because no conv pads: every intermediate pixel
+comes from real inputs, and the only zero border is the one around the
+input, which the composed conv reads alike. Kernels are composed in
+float64 and cast once; the stack differs from Model.forward by float32
+rounding only.
+
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
 JSON header, then float32 little-endian parameter blobs in the order of
 LAYERS. Kernels are laid out [out][in][kh][kw], so a dense layer's 1x1
@@ -238,9 +250,7 @@ class Model:
         x is (N, h+4, w+4, bands); returns (N, h, w) probabilities, so a
         batch of 5x5 patches gives (N, 1, 1)."""
         self._check_input(x)
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x[..., 0]
+        return run_layers(self.layers, x)
 
     def forward_train(self, x: np.ndarray, rng: np.random.Generator):
         """Training pass: batch BN statistics and fresh dropout masks drawn
@@ -260,10 +270,69 @@ class Model:
         trainable_arrays(); dprobs is shaped like forward_train's output."""
         d = dprobs[..., None]
         grads = []
+        first = self.layers[0]
         for layer, cache in zip(self.layers[::-1], caches[::-1]):
-            d, *layer_grads = layer.backward(d, cache)
+            # nothing reads the gradient of the input patches
+            d, *layer_grads = layer.backward(d, cache,
+                                             input_grad=layer is not first)
             grads = layer_grads + grads
         return grads
+
+
+def run_layers(layers, x: np.ndarray) -> np.ndarray:
+    """Inference passes of layers in order; (N, h, w) from the last
+    layer's single output channel."""
+    for layer in layers:
+        x = layer.forward(x)
+    return x[..., 0]
+
+
+def _inference_conv(layer):
+    """(kernel, bias, activation) of a layer's inference map in float64;
+    a BatchNorm is the linear 1x1 conv of its moving-statistics affine."""
+    if isinstance(layer, BatchNorm):
+        scale = layer.gamma / np.sqrt(
+            layer.moving_var.astype(np.float64) + layer.epsilon)
+        shift = layer.beta - layer.moving_mean * scale
+        return np.diag(scale)[:, :, None, None], shift, "linear"
+    return (layer.kernel.astype(np.float64), layer.bias.astype(np.float64),
+            layer.activation)
+
+
+def compose_convs(first, second):
+    """(kernel, bias) of the valid conv `second` applied to the output of
+    the linear valid conv `first`, both given as (kernel, bias): one valid
+    conv of side k1 + k2 - 1, exact in real arithmetic."""
+    (k1, b1), (k2, b2) = first, second
+    s1, s2 = k1.shape[2], k2.shape[2]
+    side = s1 + s2 - 1
+    kernel = np.zeros((k2.shape[0], k1.shape[1], side, side),
+                      dtype=np.result_type(k1, k2))
+    for i2, j2 in np.ndindex(s2, s2):
+        for i1, j1 in np.ndindex(s1, s1):
+            kernel[:, :, i1 + i2, j1 + j2] += k2[:, :, i2, j2] @ k1[:, :, i1, j1]
+    return kernel, b2 + k2.sum(axis=(2, 3)) @ b1
+
+
+def inference_stack(net: Model) -> list:
+    """The network's inference pass as few ConvLayers: dropout is the
+    identity, a BatchNorm is a linear 1x1 conv, and every linear conv is
+    composed into the conv after it. For the LAYERS table that gives
+    [conv1.conv2] 3x3 tanh, [bn1.conv3.conv4] 3x3 tanh, [bn2.dense1] 1x1
+    tanh and dense2. Kernels are composed in float64 and cast once to the
+    model's dtype; net is not modified, and the layers are read-only, so
+    threads may share them."""
+    convs = []  # (kernel, bias, activation) in float64
+    for layer in net.layers:
+        if isinstance(layer, Dropout):
+            continue
+        kernel, bias, activation = _inference_conv(layer)
+        if convs and convs[-1][2] == "linear":
+            kernel, bias = compose_convs(convs.pop()[:2], (kernel, bias))
+        convs.append((kernel, bias, activation))
+    dtype = net.params.dtype
+    return [ConvLayer(kernel.astype(dtype), bias.astype(dtype), activation)
+            for kernel, bias, activation in convs]
 
 
 def build_model(arch: ArchitectureConfig, seed: int = 0, zone_id: str = "",

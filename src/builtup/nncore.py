@@ -5,7 +5,9 @@ protocol:
 
     forward(x) -> y                        inference pass
     forward_train(x, rng) -> (y, cache)    training pass
-    backward(dout, cache) -> (dx, *grads)  one grad per param_names entry
+    backward(dout, cache, input_grad=True) -> (dx, *grads)
+        one grad per param_names entry; with input_grad false dx is None
+        and is not computed (the first layer, whose input is data)
 
 param_names and state_names name each layer's trainable arrays and its
 non-trainable statistics. The layers are ConvLayer (a k x k convolution; a
@@ -148,7 +150,7 @@ class ConvLayer:
             return z, (x.shape, cols, None)
         return a, (x.shape, cols, a)
 
-    def backward(self, dout: np.ndarray, cache):
+    def backward(self, dout: np.ndarray, cache, input_grad: bool = True):
         x_shape, cols, a = cache
         k = self.kernel_size
         n, h, w, c = x_shape
@@ -163,6 +165,8 @@ class ConvLayer:
         dbias = dz_mat.sum(axis=0)
         dw_mat = cols.T @ dz_mat
         dkernel = dw_mat.reshape(k, k, c, self.out_channels).transpose(3, 2, 0, 1)
+        if not input_grad:
+            return None, dkernel, dbias
         dcols = dz_mat @ self._kernel_matrix().T
         if k == 1:
             return dcols.reshape(x_shape), dkernel, dbias
@@ -231,12 +235,14 @@ class BatchNorm:
         self.moving_var = (m * self.moving_var + (1.0 - m) * var).astype(dt)
         return y, (xhat, inv_std, x.shape)
 
-    def backward(self, dout: np.ndarray, cache):
+    def backward(self, dout: np.ndarray, cache, input_grad: bool = True):
         xhat, inv_std, shape = cache
         dflat = dout.reshape(-1, self.channels)
         m = dflat.shape[0]
         dgamma = (dflat * xhat).sum(axis=0)
         dbeta = dflat.sum(axis=0)
+        if not input_grad:
+            return None, dgamma, dbeta
         dxhat = dflat * self.gamma
         dx = (inv_std / m) * (
             m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
@@ -267,7 +273,9 @@ class Dropout:
         mask = keep / np.asarray(1.0 - self.rate, dtype=x.dtype)
         return x * mask, mask
 
-    def backward(self, dout: np.ndarray, mask):
+    def backward(self, dout: np.ndarray, mask, input_grad: bool = True):
+        if not input_grad:
+            return (None,)
         return (dout if mask is None else dout * mask,)
 
 

@@ -2,14 +2,27 @@
 
 The zone is rescaled once into a float32 array with a zero border of
 PATCH_MARGIN pixels: training gathers 5x5 patches from it, and prediction
-runs the fully-convolutional Model.forward over it once, in bands of
+runs the fully-convolutional network over it once, in bands of
 PREDICT_BLOCK rows cut into square blocks of at most PREDICT_BLOCK x
 PREDICT_BLOCK output pixels with a 4-pixel halo, so the working set does
-not grow with the zone. Every block starts at a multiple of PREDICT_BLOCK
-from the zone origin and tiles only slice the finished mosaic, so a pixel
-comes from the same block and BLAS calls at every tile size and worker
-count: tilings are byte-identical by construction (dense2's gemv rounds a
-row by its place in its block, so tile-aligned blocks differed by 1 ulp).
+not grow with the zone.
+
+Prediction does not run the model's eight layers. Each predict_zone call
+first builds model.inference_stack, four layers: conv1.conv2 (3x3, tanh),
+bn1.conv3.conv4 (3x3, tanh), bn2.dense1 (1x1, tanh) and dense2. The
+merge is exact in real arithmetic because every conv is valid: each
+intermediate pixel is computed from real inputs, and the only zero border
+is the one at the input, which the merged conv reads alike. That is 4
+passes and 2 im2col copies per block instead of 8 and 4, and 27,904 in
+place of 37,504 multiply-adds per pixel (desk; paper 431,104 in place of
+592,384). Probabilities differ from Model.forward, still the reference,
+by float32 rounding (at most 3e-7 on trained desk and paper models).
+
+Every block starts at a multiple of PREDICT_BLOCK from the zone origin
+and tiles only slice the finished mosaic, so a pixel comes from the same
+block and BLAS calls at every tile size and worker count: tilings are
+byte-identical by construction (dense2's gemv rounds a row by its place
+in its block, so tile-aligned blocks differed by 1 ulp).
 
 Prediction runs OpenBLAS on one thread; bands run in parallel on the
 workers instead. A block's GEMMs are small (4096 rows), and between them
@@ -25,17 +38,18 @@ setting: a threaded gemv splits dense2's rows between threads, which moves
 the rows that round differently.
 
 Why blocks of 64. Each pass allocates an im2col matrix and an output per
-layer; for a 64x64 block the largest is conv4's im2col, 4 MB (desk preset)
-or 17 MB (paper preset). That is under glibc's 32 MB ceiling for its mmap
-threshold, so freed arrays return to the heap and the next block reuses
-them while they are still in cache. Row strips of 32768 pixels made conv4
-im2col matrices of 33 MB (desk) and 134 MB (paper), mapped and faulted in
-afresh for every strip: 7-8k (desk) and 14k (paper) minor page faults per
-256x256 tile, against 0-2k for blocks. Square blocks keep the halo
-overhead at (68/64)^2 - 1 = 13% of the input whatever the zone width,
-where 4096-pixel row strips of a 512-wide zone are 8 rows high and read
-50% more rows than they output. Smaller blocks (32) round differently in
-the paper preset's small-M GEMMs and change its mosaics.
+layer; for a 64x64 block the largest is the second 3x3 layer's im2col,
+4096 x 9 f_a floats: 4.7 MB (desk preset) or 18.9 MB (paper preset). That
+is under glibc's 32 MB ceiling for its mmap threshold, so freed arrays
+return to the heap and the next block reuses them while they are still in
+cache. Row strips of 32768 pixels made conv4 im2col matrices of 33 MB
+(desk) and 134 MB (paper), mapped and faulted in afresh for every strip:
+7-8k (desk) and 14k (paper) minor page faults per 256x256 tile, against
+0-2k for blocks. Square blocks keep the halo overhead at (68/64)^2 - 1 =
+13% of the input whatever the zone width, where 4096-pixel row strips of
+a 512-wide zone are 8 rows high and read 50% more rows than they output.
+Smaller blocks (32) round differently in the paper preset's small-M GEMMs
+and change its mosaics.
 """
 
 from __future__ import annotations
@@ -55,7 +69,8 @@ import numpy as np
 
 from . import model as model_mod, raster, sampling
 from .errors import ConfigError, DegenerateClassError, RegistryError
-from .model import Model, build_model, train_step
+from .model import (Model, build_model, inference_stack, run_layers,
+                    train_step)
 from .nncore import AdamState, bce_loss
 from .raster import PATCH_MARGIN, RasterGrid, TileIndex
 
@@ -240,10 +255,10 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
 # -- prediction -------------------------------------------------------------
 
 
-def _predict_padded(net: Model, padded_window: np.ndarray) -> np.ndarray:
+def _predict_padded(stack, padded_window: np.ndarray) -> np.ndarray:
     """Probabilities for every center of a margin-2 padded (bands, H+4, W+4)
     window, in blocks of at most PREDICT_BLOCK x PREDICT_BLOCK output
-    pixels."""
+    pixels, from the layers of model.inference_stack."""
     window = padded_window.transpose(1, 2, 0)
     halo = 2 * PATCH_MARGIN
     h, w = window.shape[0] - halo, window.shape[1] - halo
@@ -252,8 +267,8 @@ def _predict_padded(net: Model, padded_window: np.ndarray) -> np.ndarray:
         r1 = min(r0 + PREDICT_BLOCK, h)
         for c0 in range(0, w, PREDICT_BLOCK):
             c1 = min(c0 + PREDICT_BLOCK, w)
-            out[r0:r1, c0:c1] = net.forward(
-                window[None, r0:r1 + halo, c0:c1 + halo])[0]
+            out[r0:r1, c0:c1] = run_layers(
+                stack, window[None, r0:r1 + halo, c0:c1 + halo])[0]
     return out
 
 
@@ -324,10 +339,11 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
                  workers: int = 1):
     """Per-tile probabilities for a whole zone composite (raw i16 input).
 
-    The zone is computed once, in zone-aligned bands of PREDICT_BLOCK rows
-    run in parallel on the workers with one OpenBLAS thread; each tile's
-    prob and valid are views of the zone arrays, so outputs do not depend
-    on tile_pixels or workers. A failed band fails the tiles its rows
+    The zone is computed once by net's inference stack, built at the start
+    of the call without modifying net and shared read-only by the workers,
+    in zone-aligned bands of PREDICT_BLOCK rows run in parallel on the
+    workers with one OpenBLAS thread; each tile's prob and valid are views
+    of the zone arrays, so outputs do not depend on tile_pixels or workers. A failed band fails the tiles its rows
     overlap, each reporting the band's error; every other tile is produced.
     """
     if composite.bands != net.arch.bands:
@@ -338,11 +354,12 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
         composite, net.arch.normalization_divisor
     )
     prob = np.empty(valid.shape, dtype=np.float32)
+    stack = inference_stack(net)
 
     def run_band(r0: int) -> Optional[str]:
         try:  # the last band's slices end at the zone's edge
             prob[r0:r0 + PREDICT_BLOCK] = _predict_padded(
-                net, padded[:, r0:r0 + PREDICT_BLOCK + 2 * PATCH_MARGIN])
+                stack, padded[:, r0:r0 + PREDICT_BLOCK + 2 * PATCH_MARGIN])
         except Exception as exc:  # noqa: BLE001 - per-tile isolation
             return f"{type(exc).__name__}: {exc}"
         return None

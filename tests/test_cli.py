@@ -119,11 +119,26 @@ def corrupt_footprints(pred, ref):
     (ref / "footprints.json").write_text('{"rects": [', encoding="utf-8")
 
 
+def manifest_not_json(pred, ref):
+    (pred / "predict_manifest.json").write_text('{"tiles": [',
+                                                encoding="utf-8")
+
+
+def tile_without_row0(pred, ref):
+    info = load(pred / "predict_manifest.json")
+    del info["tiles"][1]["row0"]
+    (pred / "predict_manifest.json").write_text(json.dumps(info),
+                                                encoding="utf-8")
+
+
 @pytest.mark.parametrize("damage, code, error_class", [
     (drop_a_tile, 3, "missing_input"),
     (list_no_tiles, 4, "format"),
     (corrupt_footprints, 4, "format"),
-], ids=["missing_tile", "no_tiles", "corrupt_footprints"])
+    (manifest_not_json, 4, "format"),
+    (tile_without_row0, 4, "format"),
+], ids=["missing_tile", "no_tiles", "corrupt_footprints", "manifest_not_json",
+        "tile_without_row0"])
 def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                                             error_class):
     _, data, model, _ = trained
@@ -160,13 +175,17 @@ def ghsr_with_bad_zone_id(data, path):
 
 
 @pytest.mark.parametrize("case", ["zone_id_0xff", "no_arch",
-                                  "fractional_hidden_units", "directory"])
+                                  "fractional_hidden_units", "directory",
+                                  "model_directory"])
 def test_corrupt_headers_are_format_errors(trained, tmp_path, case):
     _, data, model, _ = trained
     if case == "zone_id_0xff":
         argv = ["inspect", ghsr_with_bad_zone_id(data, tmp_path / "l.ghsr")]
     elif case == "directory":
         argv = ["inspect", tmp_path]
+    elif case == "model_directory":
+        argv = ["predict", "--zone", "A", "--data", data, "--model", tmp_path,
+                "--out", tmp_path / "pred"]
     else:
         edit = {"no_arch": lambda h: h.pop("arch"),
                 "fractional_hidden_units":

@@ -12,12 +12,16 @@ from builtup.model import (
     ArchitectureConfig,
     PRESETS,
     build_model,
+    compose_convs,
     count_params,
+    inference_stack,
     load_model,
+    run_layers,
     save_model,
     train_step,
 )
-from builtup.nncore import AdamState, bce_loss
+from builtup.nncore import (AdamState, BatchNorm, ConvLayer, bce_loss,
+                            init_uniform)
 
 TINY = ArchitectureConfig(bands=2, block_filters=(3, 4), hidden_units=6)
 
@@ -197,6 +201,55 @@ class TestFullyConvolutional:
         np.testing.assert_array_equal(
             net.forward(window),
             net.forward(patches).reshape(n, h, w))
+
+
+def with_batchnorm_statistics(net, seed):
+    """net with random BatchNorm gamma, beta and moving mean, and moving
+    variances in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            n = layer.channels
+            layer.gamma[...] = rng.uniform(0.5, 1.5, n)
+            layer.beta[...] = rng.uniform(-0.5, 0.5, n)
+            layer.moving_mean[...] = rng.uniform(-0.5, 0.5, n)
+            layer.moving_var[...] = rng.uniform(0.5, 2.0, n)
+    return net
+
+
+class TestInferenceStack:
+    """The folded stack: dropout dropped, BatchNorm folded into the next
+    conv and each linear conv composed into the next one."""
+
+    @pytest.mark.parametrize("arch", [TINY, PRESETS["desk"], PRESETS["paper"]],
+                             ids=["tiny", "desk", "paper"])
+    def test_matches_forward_on_windows(self, arch):
+        net = with_batchnorm_statistics(build_model(arch, seed=5), seed=6)
+        stack = inference_stack(net)
+        assert [(layer.kernel_size, layer.activation) for layer in stack] == [
+            (3, "tanh"), (3, "tanh"), (1, "tanh"), (1, "sigmoid")]
+        assert all(layer.kernel.dtype == np.float32 for layer in stack)
+        rng = np.random.default_rng(7)
+        for h, w in ((1, 1), (3, 7), (20, 13)):
+            window = rng.random((2, h + 4, w + 4, arch.bands)).astype(
+                np.float32)
+            folded = run_layers(stack, window)
+            assert folded.shape == (2, h, w)
+            assert np.max(np.abs(folded - net.forward(window))) <= 1e-6
+
+    def test_linear_2x2_composition_equals_float64_reference(self):
+        rng = np.random.default_rng(10)
+        first = ConvLayer(init_uniform(rng, (5, 3, 2, 2), np.float64),
+                          init_uniform(rng, (5,), np.float64), "linear")
+        second = ConvLayer(init_uniform(rng, (4, 5, 2, 2), np.float64),
+                           init_uniform(rng, (4,), np.float64), "linear")
+        kernel, bias = compose_convs((first.kernel, first.bias),
+                                     (second.kernel, second.bias))
+        assert kernel.shape == (4, 3, 3, 3) and bias.shape == (4,)
+        x = rng.standard_normal((2, 6, 7, 3))
+        reference = second.forward(first.forward(x))
+        composed = ConvLayer(kernel, bias, "linear").forward(x)
+        np.testing.assert_allclose(composed, reference, rtol=0, atol=1e-13)
 
 
 class TestTrainStep:

@@ -155,6 +155,25 @@ class TestPassesKeepTheirInput:
         assert y is a
 
 
+class TestInputGradient:
+    """backward(..., input_grad=False) skips dx and gives the same
+    parameter gradients, bit for bit."""
+
+    LAYERS = TestPassesKeepTheirInput.LAYERS
+
+    @pytest.mark.parametrize("name", sorted(LAYERS))
+    def test_same_grads_without_dx(self, name):
+        layer = self.LAYERS[name]()
+        rng = np.random.default_rng(12)
+        x = rng.random((4, 5, 5, 3)).astype(np.float32)
+        y, cache = layer.forward_train(x, rng)
+        dout = rng.standard_normal(y.shape).astype(np.float32)
+        dx, *grads = layer.backward(dout, cache)
+        skipped, *same = layer.backward(dout, cache, input_grad=False)
+        assert dx.shape == x.shape and skipped is None
+        assert [g.tobytes() for g in same] == [g.tobytes() for g in grads]
+
+
 class TestDense:
     """A dense layer is a ConvLayer with a (out, in, 1, 1) kernel."""
 

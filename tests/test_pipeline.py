@@ -3,14 +3,14 @@
 predict_zone computes the zone once, in blocks aligned to the zone origin,
 and tiles only slice the result, so every tiling and worker count gives
 the bytes of the whole-zone tile, with all of the network's weights and
-for every preset. The block test compares blocks against one forward pass
-over the whole window instead, where dense2's rounding really depends on
-the row count: a (rows, hidden) @ (hidden, 1) gemv rounds a row by the
-call's size and the row's place in it. That test therefore reads dense2
-from one hidden unit (`one_term_dense2`), whose dot product has one
-non-zero term and rounds alike at every size, and leaves the paper preset
-out, as the model's window test does: its conv2 GEMM also rounds
-differently at small row counts.
+for every preset. The block test compares blocks against one pass of the
+inference stack over the whole window instead, where dense2's rounding
+really depends on the row count: a (rows, hidden) @ (hidden, 1) gemv
+rounds a row by the call's size and the row's place in it. That test
+therefore reads dense2 from one hidden unit (`one_term_dense2`), whose dot
+product has one non-zero term and rounds alike at every size, and leaves
+the paper preset out, as the model's window test does: its wide GEMMs
+also round differently at small row counts.
 """
 
 import itertools
@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from builtup import pipeline
-from builtup.model import PRESETS, ArchitectureConfig, build_model
+from builtup.model import (PRESETS, ArchitectureConfig, build_model,
+                           inference_stack, run_layers, save_model)
 from builtup.pipeline import PREDICT_BLOCK, _predict_padded, predict_zone
 from builtup.raster import PATCH_MARGIN, rescale_reflectance
 from builtup.synth import SceneParams, synth_zone
@@ -59,6 +60,19 @@ def test_mosaic_independent_of_tiling_and_workers(zone, net):
             got = mosaic(predict_zone(net, zone.composite, tile,
                                       workers=workers))
             assert got.tobytes() == reference.tobytes(), (tile, workers)
+
+
+def test_prediction_leaves_the_model_file_unchanged(zone, tmp_path):
+    """predict_zone folds and composes the layers into a separate stack;
+    the model's GHSM bytes, with non-trivial BatchNorm rows, are kept."""
+    net = build_model(PRESETS["desk"], seed=2)
+    net.bn1.moving_var[...] = 1.5
+    net.bn2.moving_mean[...] = 0.25
+    before, after = tmp_path / "before.ghsm", tmp_path / "after.ghsm"
+    save_model(net, before)
+    predict_zone(net, zone.composite, 37, workers=2)
+    save_model(net, after)
+    assert after.read_bytes() == before.read_bytes()
 
 
 def one_term_dense2(net):
@@ -126,15 +140,15 @@ def test_a_failed_band_fails_only_the_tiles_it_covers(zone160, net,
                          ids=["tiny", "desk"])
 def test_blocks_equal_one_pass_over_the_window(arch):
     """_predict_padded cuts a window into PREDICT_BLOCK-sided blocks with a
-    4-pixel halo; the result is one net.forward over the whole window,
-    bit for bit, at sides around and across the block size."""
+    4-pixel halo; the result is one pass of the inference stack over the
+    whole window, bit for bit, at sides around and across the block size."""
     assert PREDICT_BLOCK == 64
-    net = one_term_dense2(build_model(arch, seed=3))
+    stack = inference_stack(one_term_dense2(build_model(arch, seed=3)))
     rng = np.random.default_rng(4)
     for h, w in itertools.product((1, 63, 64, 65, 130), repeat=2):
         window = rng.random((arch.bands, h + 4, w + 4)).astype(np.float32)
-        whole = net.forward(window.transpose(1, 2, 0)[None])[0]
-        np.testing.assert_array_equal(_predict_padded(net, window), whole,
+        whole = run_layers(stack, window.transpose(1, 2, 0)[None])[0]
+        np.testing.assert_array_equal(_predict_padded(stack, window), whole,
                                       err_msg=f"{h}x{w}")
 
 
