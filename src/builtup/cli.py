@@ -3,9 +3,9 @@
 
 Every executed command writes a JSON run manifest next to its primary
 output (flags echoed, seeds, input/output hashes, timings, peak RSS,
-prediction px/s and workers, per-tile statuses, metric summaries), on
-success and on error. Exit codes, each the ``exit_code`` of an error class
-in errors.py:
+training samples/s and prediction px/s with their worker counts, per-tile
+statuses, metric summaries), on success and on error. Exit codes, each the
+``exit_code`` of an error class in errors.py:
 
     0  success                  6  shape error
     1  unexpected error         7  numeric error
@@ -186,10 +186,14 @@ def cmd_train(args, argv) -> int:
                                       chunk_size=args.chunk_size,
                                       batch_size=args.batch_size,
                                       water_zone=args.water_zone)
+        manifest.data["workers"] = pipeline.train_workers()
         t0 = time.perf_counter()
         net, history, info = pipeline.train_zone(composite, labels, arch,
                                                  run, cfg)
-        manifest.time("train", t0)
+        seconds = manifest.time("train", t0)
+        manifest.data["train_samples_per_s"] = round(
+            info["train_samples"] * len(history.train_loss) / seconds
+        )
         out.parent.mkdir(parents=True, exist_ok=True)
         model_mod.save_model(net, out)
         history_path = out.with_suffix(".history.json")
@@ -264,8 +268,7 @@ def _predict_common(args, argv, command: str) -> int:
         net = model_mod.load_model(model_path)
         composite = raster.read_raster(comp_path)
         # one band worker per usable CPU; outputs do not depend on the count
-        workers = (len(os.sched_getaffinity(0))
-                   if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        workers = pipeline.usable_cpus()
         manifest.data["workers"] = workers
         t0 = time.perf_counter()
         predictions = pipeline.predict_zone(net, composite, args.tile_size,

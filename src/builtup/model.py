@@ -28,6 +28,17 @@ input, which the composed conv reads alike. Kernels are composed in
 float64 and cast once; the stack differs from Model.forward by float32
 rounding only.
 
+train_step runs each optimizer batch as TRAIN_SLICES contiguous row
+slices, which a caller may map onto threads. The layers from one BatchNorm
+to the next are one task per slice; each BatchNorm syncs the slices, its
+statistics and gradient sums being per-slice column sums added in slice
+order (synchronized BatchNorm); dropout masks are drawn at the whole
+batch's shape and sliced, so the RNG stream does not change; and each
+weight gradient is the sum of the slices' in slice order, before one Adam
+step. The slice count is fixed, so results do not depend on the thread
+count. One slice is the unsliced step bit for bit; two differ from it by
+the order of those sums only (within 1e-12 in float64 over several steps).
+
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
 JSON header, then float32 little-endian parameter blobs in the order of
 LAYERS. Kernels are laid out [out][in][kh][kw], so a dense layer's 1x1
@@ -40,6 +51,7 @@ import json
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -55,6 +67,7 @@ from .nncore import (
     Dropout,
     adam_step,
     bce_loss,
+    ordered_sum,
 )
 
 GHSM_MAGIC = b"GHSM"
@@ -171,7 +184,8 @@ class Model:
     """Built network plus identity metadata; immutable once training ends.
 
     Every trainable array is a view into the flat vector `params`, so the
-    optimizer updates the whole network in place. A new Model has zero
+    optimizer updates the whole network in place, and backward() returns
+    the gradient in the same layout. A new Model has zero
     conv kernels and identity BatchNorm (gamma 1, beta 0, moving mean
     0, moving variance 1); build_model draws the initial weights.
     """
@@ -184,13 +198,8 @@ class Model:
         self.seed = seed
         self.epochs_trained = epochs_trained
         self.params = np.zeros(count_params(arch)[0], dtype=dtype)
-        pos = 0
-        for name, cls, activation, _, shapes in _layer_shapes(arch):
-            arrays = []
-            for shape in shapes:
-                size = math.prod(shape)
-                arrays.append(self.params[pos:pos + size].reshape(shape))
-                pos += size
+        for (name, cls, activation, _, _), arrays in zip(
+                _layer_shapes(arch), self._layer_views(self.params)):
             if cls is BatchNorm:
                 gamma, beta = arrays
                 gamma[...] = 1.0
@@ -206,6 +215,19 @@ class Model:
     def layers(self) -> list:
         """Layer objects in table order."""
         return [getattr(self, name) for name, *_ in LAYERS]
+
+    def _layer_views(self, flat: np.ndarray) -> list:
+        """Views of a params-sized flat vector shaped as each layer's
+        trainable arrays, one list per layer in table order."""
+        views, pos = [], 0
+        for *_, shapes in _layer_shapes(self.arch):
+            arrays = []
+            for shape in shapes:
+                size = math.prod(shape)
+                arrays.append(flat[pos:pos + size].reshape(shape))
+                pos += size
+            views.append(arrays)
+        return views
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -252,31 +274,137 @@ class Model:
         self._check_input(x)
         return run_layers(self.layers, x)
 
-    def forward_train(self, x: np.ndarray, rng: np.random.Generator):
+    def _runs(self) -> list:
+        """(lo, hi) of each run of layers a train-mode pass gives one task
+        per slice. Every BatchNorm opens a run, since its statistics span
+        the whole batch: the slices sync there and nowhere else."""
+        cuts = [0] + [i for i, layer in enumerate(self.layers)
+                      if i and isinstance(layer, BatchNorm)]
+        return list(zip(cuts, cuts[1:] + [len(self.layers)]))
+
+    def forward_train(self, x: np.ndarray, rng: np.random.Generator,
+                      slices: int = 1, run=map):
         """Training pass: batch BN statistics and fresh dropout masks drawn
         from rng.
 
-        Returns (probabilities shaped as in forward(), one cache per layer
-        for backward())."""
-        self._check_input(x)
-        caches = []
-        for layer in self.layers:
-            x, cache = layer.forward_train(x, rng)
-            caches.append(cache)
-        return x[..., 0], caches
+        The batch runs as `slices` contiguous row slices (slice_bounds).
+        Each run of layers from one BatchNorm to the next is one task per
+        slice, mapped by run (map, or a thread pool's map); each BatchNorm
+        takes its statistics over the whole batch first. Dropout masks
+        are drawn at the whole batch's shape in layer order and sliced, so
+        rng's stream does not depend on slices, and one slice is the
+        unsliced pass bit for bit.
 
-    def backward(self, dprobs: np.ndarray, caches):
-        """Gradients for every trainable array, aligned with
-        trainable_arrays(); dprobs is shaped like forward_train's output."""
-        d = dprobs[..., None]
-        grads = []
-        first = self.layers[0]
-        for layer, cache in zip(self.layers[::-1], caches[::-1]):
-            # nothing reads the gradient of the input patches
-            d, *layer_grads = layer.backward(d, cache,
-                                             input_grad=layer is not first)
-            grads = layer_grads + grads
-        return grads
+        Returns (probabilities shaped as in forward(), one list of layer
+        caches per slice for backward())."""
+        self._check_input(x)
+        bounds = slice_bounds(x.shape[0], slices)
+        xs = [x[a:b] for a, b in bounds]
+        rngs = _BatchDraws(rng, x.shape[0]).slices(bounds)
+        caches = [[] for _ in bounds]
+        layers = self.layers
+        for lo, hi in self._runs():
+            head = layers[lo]
+            stats = (head.batch_statistics(xs, run)
+                     if isinstance(head, BatchNorm) else None)
+
+            def run_slice(s, lo=lo, hi=hi, stats=stats):
+                y = xs[s]
+                for layer in layers[lo:hi]:
+                    y, cache = (layer.normalize(y, *stats)
+                                if isinstance(layer, BatchNorm)
+                                else layer.forward_train(y, rngs[s]))
+                    caches[s].append(cache)
+                return y
+
+            xs = list(run(run_slice, range(len(bounds))))
+        return np.concatenate(xs)[..., 0], caches
+
+    def backward(self, dprobs: np.ndarray, caches, run=map) -> np.ndarray:
+        """Gradient of the loss over params, one flat vector laid out like
+        params; dprobs is shaped like forward_train's output, and caches
+        are its per-slice caches.
+
+        The runs of layers go in reverse, one task per slice each, and
+        each slice writes its parameter gradients into a flat vector of
+        its own. A task ends at its run's BatchNorm with that slice's
+        column sums, which added over the slices in slice order give each
+        slice's BatchNorm input gradient in the next task. The result is
+        the slices' vectors added in slice order."""
+        layers = self.layers
+        bounds = slice_bounds(dprobs.shape[0], len(caches))
+        ds = [dprobs[a:b, ..., None] for a, b in bounds]
+        flats = [np.empty_like(self.params) for _ in bounds]
+        views = [self._layer_views(flat) for flat in flats]
+        bn_sums = None
+        for lo, hi in reversed(self._runs()):
+
+            def run_slice(s, lo=lo, hi=hi, bn_sums=bn_sums):
+                d, sums = ds[s], None
+                if bn_sums is not None:  # d is the dxhat of layers[hi]
+                    d = layers[hi].input_gradient(d, caches[s][hi], *bn_sums)
+                for i in range(hi - 1, lo - 1, -1):
+                    if isinstance(layers[i], BatchNorm):
+                        d, grads, sums = layers[i].gradient_sums(
+                            d, caches[s][i])
+                    else:
+                        # nothing reads the gradient of the input patches
+                        d, *grads = layers[i].backward(d, caches[s][i],
+                                                       input_grad=i > 0)
+                    for view, grad in zip(views[s][i], grads):
+                        view[...] = grad
+                return d, sums
+
+            done = list(run(run_slice, range(len(bounds))))
+            ds = [d for d, _ in done]
+            if isinstance(layers[lo], BatchNorm):
+                bn_sums = [ordered_sum(c) for c in zip(*(c for _, c in done))]
+        return ordered_sum(flats)
+
+
+TRAIN_SLICES = 2  # row slices of every optimizer batch (train_step)
+
+
+def slice_bounds(n: int, slices: int) -> list:
+    """(start, stop) of `slices` contiguous row ranges covering n rows in
+    order; sizes differ by at most one, and ranges are empty when
+    slices > n."""
+    edges = [n * i // slices for i in range(slices + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+class _BatchDraws:
+    """The uniform draws of an n-row batch's train-mode pass, shared by its
+    row slices. The k-th random(shape) call of a slice returns its rows of
+    the batch's k-th draw, made once from rng at the whole batch's shape
+    by whichever slice asks first, so rng's stream and every row's values
+    are those of an unsliced pass."""
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng, self.n = rng, n
+        self.draws = []
+        self.lock = threading.Lock()
+
+    def slices(self, bounds) -> list:
+        """One stand-in for rng per (start, stop) row slice."""
+        return [_SliceDraws(self, a, b) for a, b in bounds]
+
+    def draw(self, k: int, shape) -> np.ndarray:
+        with self.lock:
+            if k == len(self.draws):
+                self.draws.append(self.rng.random((self.n,) + shape[1:]))
+            return self.draws[k]
+
+
+class _SliceDraws:
+    def __init__(self, batch: _BatchDraws, start: int, stop: int):
+        self.batch, self.start, self.stop = batch, start, stop
+        self.calls = 0
+
+    def random(self, shape) -> np.ndarray:
+        draw = self.batch.draw(self.calls, tuple(shape))
+        self.calls += 1
+        return draw[self.start:self.stop]
 
 
 def run_layers(layers, x: np.ndarray) -> np.ndarray:
@@ -352,16 +480,20 @@ def build_model(arch: ArchitectureConfig, seed: int = 0, zone_id: str = "",
 
 
 def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
-               state: AdamState, rng: np.random.Generator) -> float:
+               state: AdamState, rng: np.random.Generator, run=map) -> float:
     """Forward/backward/Adam over one optimizer batch; returns the batch
-    loss measured before the update."""
-    probs, caches = model.forward_train(patches, rng)
+    loss measured before the update.
+
+    The batch runs as TRAIN_SLICES row slices whose tasks run maps (map, or
+    a thread pool's map): the number of slices is fixed, so the result
+    does not depend on how many threads run them. Adam runs once, on the
+    gradient summed over the slices, its chunks mapped by run too."""
+    probs, caches = model.forward_train(patches, rng, TRAIN_SLICES, run)
     loss, dprobs = bce_loss(labels.astype(np.float32), probs[:, 0, 0])
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss}")
-    grads = model.backward(dprobs.reshape(probs.shape), caches)
-    adam_step(model.params, np.concatenate([g.reshape(-1) for g in grads]),
-              state)
+    grad = model.backward(dprobs.reshape(probs.shape), caches, run)
+    adam_step(model.params, grad, state, run)
     return loss
 
 

@@ -16,6 +16,15 @@ dense layer applied per pixel is its k = 1 case), BatchNorm and Dropout
 state, so they are safe to share across threads; the train-mode pass of
 BatchNorm updates its moving statistics.
 
+A training batch may run as contiguous row slices on several threads
+(synchronized BatchNorm). ConvLayer and Dropout passes are per row, and
+only BatchNorm couples rows: its train-mode pass splits into
+batch_statistics, one call for the whole batch, and normalize per slice,
+and its backward into gradient_sums per slice and input_gradient per
+slice. Every batch-wide quantity is a sum of per-slice column sums taken
+in slice order (ordered_sum), so a result does not depend on which thread
+ran a slice, and one slice gives the bits of the unsliced pass.
+
 No pass writes its input. Epilogues run in place on arrays the pass
 allocated itself: a ConvLayer adds its bias to and takes tanh of its fresh
 GEMM output, which is also the activation its cache keeps, and BatchNorm's
@@ -28,6 +37,8 @@ dtype-generic so gradient checks can run the same code in float64.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +139,7 @@ class ConvLayer:
         cols = np.empty((n, ho, wo, k, k * c), dtype=x.dtype)
         for di in range(k):
             cols[:, :, :, di] = runs[:, di:di + ho]
-        return cols.reshape(n * ho * wo, -1)
+        return cols.reshape(n * ho * wo, k * k * c)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, _ = self.forward_train(x)
@@ -217,37 +228,73 @@ class BatchNorm:
         y += shift
         return y
 
-    def forward_train(self, x: np.ndarray, rng=None):
-        self._check_input(x)
-        if x.shape[0] < 2:
-            raise DegenerateBatchError(
-                f"train-mode batch norm needs batch size >= 2, got {x.shape[0]}"
-            )
+    def _column_sum(self, x: np.ndarray, center=None) -> np.ndarray:
+        """Per-channel sum of x, or of its squared deviations from center."""
         flat = x.reshape(-1, self.channels)
-        mean = flat.mean(axis=0)
-        var = flat.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=x.dtype))
-        xhat = (flat - mean) * inv_std
-        y = (xhat * self.gamma + self.beta).reshape(x.shape)
+        if center is not None:
+            flat = flat - center
+            np.square(flat, out=flat)
+        return flat.sum(axis=0)
+
+    def batch_statistics(self, xs, run=map):
+        """(mean, inv_std, count) of the batch whose row slices are xs, and
+        one update of the moving statistics.
+
+        Two passes, as np.mean and np.var make them: the mean, then the
+        mean of squared deviations from it. Each pass sums per-slice column
+        sums in slice order (run maps the per-slice sums, possibly on
+        threads), so one slice gives the bits of flat.mean()/flat.var().
+        """
+        for x in xs:
+            self._check_input(x)
+        rows = sum(x.shape[0] for x in xs)
+        if rows < 2:
+            raise DegenerateBatchError(
+                f"train-mode batch norm needs batch size >= 2, got {rows}"
+            )
+        count = sum(x.size for x in xs) // self.channels
+        mean = ordered_sum(run(self._column_sum, xs)) / count
+        var = ordered_sum(
+            run(lambda x: self._column_sum(x, center=mean), xs)) / count
         m = self.momentum
         dt = self.moving_mean.dtype
         self.moving_mean = (m * self.moving_mean + (1.0 - m) * mean).astype(dt)
         self.moving_var = (m * self.moving_var + (1.0 - m) * var).astype(dt)
-        return y, (xhat, inv_std, x.shape)
+        inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=var.dtype))
+        return mean, inv_std, count
+
+    def normalize(self, x: np.ndarray, mean, inv_std, count: int):
+        """(y, cache) of one slice, normalized with its batch's statistics."""
+        xhat = (x.reshape(-1, self.channels) - mean) * inv_std
+        y = (xhat * self.gamma + self.beta).reshape(x.shape)
+        return y, (xhat, inv_std, x.shape, count)
+
+    def forward_train(self, x: np.ndarray, rng=None):
+        return self.normalize(x, *self.batch_statistics([x]))
+
+    def gradient_sums(self, dout: np.ndarray, cache):
+        """(dxhat, (dgamma, dbeta), (sum of dxhat, sum of dxhat * xhat)) of
+        one slice: backward's per-channel column sums, which a batch adds
+        up over its slices in slice order, the last two before
+        input_gradient."""
+        xhat = cache[0]
+        dflat = dout.reshape(-1, self.channels)
+        dxhat = dflat * self.gamma
+        return (dxhat, ((dflat * xhat).sum(axis=0), dflat.sum(axis=0)),
+                (dxhat.sum(axis=0), (dxhat * xhat).sum(axis=0)))
+
+    def input_gradient(self, dxhat: np.ndarray, cache, dxhat_sum,
+                       dxhat_xhat_sum) -> np.ndarray:
+        """One slice's dx from its dxhat and its batch's column sums."""
+        xhat, inv_std, shape, m = cache
+        dx = (inv_std / m) * (m * dxhat - dxhat_sum - xhat * dxhat_xhat_sum)
+        return dx.reshape(shape)
 
     def backward(self, dout: np.ndarray, cache, input_grad: bool = True):
-        xhat, inv_std, shape = cache
-        dflat = dout.reshape(-1, self.channels)
-        m = dflat.shape[0]
-        dgamma = (dflat * xhat).sum(axis=0)
-        dbeta = dflat.sum(axis=0)
+        dxhat, (dgamma, dbeta), sums = self.gradient_sums(dout, cache)
         if not input_grad:
             return None, dgamma, dbeta
-        dxhat = dflat * self.gamma
-        dx = (inv_std / m) * (
-            m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
-        return dx.reshape(shape), dgamma, dbeta
+        return self.input_gradient(dxhat, cache, *sums), dgamma, dbeta
 
 
 class Dropout:
@@ -277,6 +324,12 @@ class Dropout:
         if not input_grad:
             return (None,)
         return (dout if mask is None else dout * mask,)
+
+
+def ordered_sum(arrays):
+    """Left-to-right sum of arrays, in the order given (a float sum depends
+    on it); one array is returned as it is."""
+    return functools.reduce(operator.add, arrays)
 
 
 def bce_loss(y_true: np.ndarray, y_pred: np.ndarray):
@@ -321,8 +374,16 @@ class AdamState:
                    learning_rate=learning_rate)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update; params and state updated in place."""
+ADAM_CHUNK = 1 << 16  # parameters per Adam task (256 KB of float32)
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              run=map) -> np.ndarray:
+    """One bias-corrected Adam update; params and state updated in place.
+
+    The update is elementwise, so it runs in chunks of ADAM_CHUNK
+    parameters, mapped by run (map, or a thread pool's map), with the bits
+    of one whole-vector update."""
     if params.shape != grads.shape:
         raise ShapeError(f"param/grad shape mismatch: {params.shape} vs {grads.shape}")
     finite = np.isfinite(grads)
@@ -331,11 +392,17 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
         raise NumericError(f"non-finite gradient at parameter index {idx}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
-    state.m += (1.0 - b1) * (grads - state.m)
-    state.v += (1.0 - b2) * (grads * grads - state.v)
-    mhat = state.m / (1.0 - b1 ** state.step)
-    vhat = state.v / (1.0 - b2 ** state.step)
-    params -= (state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)).astype(
-        params.dtype
-    )
+    mhat_div, vhat_div = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+
+    def update(start: int) -> None:
+        chunk = slice(start, start + ADAM_CHUNK)
+        g, m, v = grads[chunk], state.m[chunk], state.v[chunk]
+        m += (1.0 - b1) * (g - m)
+        v += (1.0 - b2) * (g * g - v)
+        mhat = m / mhat_div
+        vhat = v / vhat_div
+        params[chunk] -= (state.learning_rate * mhat
+                          / (np.sqrt(vhat) + state.epsilon)).astype(params.dtype)
+
+    list(run(update, range(0, params.size, ADAM_CHUNK)))
     return params

@@ -37,6 +37,19 @@ BLAS 474k -> 319k px/s (paper 74k -> 47k), 1-thread 412k -> 370k (paper
 setting: a threaded gemv splits dense2's rows between threads, which moves
 the rows that round differently.
 
+Training runs on one OpenBLAS thread as well and takes its parallelism
+from the batch instead: train_zone cuts every optimizer batch into
+model.TRAIN_SLICES row slices, run on min(usable CPUs, TRAIN_SLICES)
+threads, with BatchNorm statistics and gradients summed over the slices
+in slice order (synchronized BatchNorm; see Model.forward_train). Between
+GEMMs a step is single-threaded numpy work (im2col copies, BatchNorm,
+dropout), two thirds of a desk step, which a second BLAS thread does not
+reach; slices run it on both cores. The slice count is fixed and every
+BLAS call single-threaded, so a trained model depends on neither the
+worker count nor the BLAS thread setting. The validation loss of each
+epoch runs the inference stack, in batches of at most PREDICT_BLOCK**2
+patches on the same threads.
+
 Why blocks of 64. Each pass allocates an im2col matrix and an output per
 layer; for a 64x64 block the largest is the second 3x3 layer's im2col,
 4096 x 9 f_a floats: 4.7 MB (desk preset) or 18.9 MB (paper preset). That
@@ -69,13 +82,12 @@ import numpy as np
 
 from . import model as model_mod, raster, sampling
 from .errors import ConfigError, DegenerateClassError, RegistryError
-from .model import (Model, build_model, inference_stack, run_layers,
-                    train_step)
+from .model import (TRAIN_SLICES, Model, build_model, inference_stack,
+                    run_layers, train_step)
 from .nncore import AdamState, bce_loss
 from .raster import PATCH_MARGIN, RasterGrid, TileIndex
 
 PREDICT_BLOCK = 64  # output pixels per side of one inference block
-INFER_LOSS_BATCH = 32768  # patches per validation-loss forward pass
 
 
 @dataclass
@@ -161,24 +173,104 @@ def _stratified_split(labels: np.ndarray, fraction: float,
     return np.sort(train_idx), np.sort(val_idx)
 
 
-def _infer_loss(model: Model, view: np.ndarray, rows: np.ndarray,
-                cols: np.ndarray, labels: np.ndarray,
-                batch: int = INFER_LOSS_BATCH) -> float:
-    """Mean BCE over a sample subset in inference mode."""
-    total = 0.0
-    for b0 in range(0, rows.size, batch):
+# -- threads ----------------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def train_workers() -> int:
+    """Threads train_zone runs the slices of a batch on."""
+    return min(usable_cpus(), TRAIN_SLICES)
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    or None when numpy uses another BLAS or the library cannot be loaded."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "*openblas*")
+    for path in glob.glob(pattern):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype = ctypes.c_int
+                    put.argtypes = [ctypes.c_int]
+                    return get, put
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_thread_calls()
+_blas_lock = threading.Lock()
+_blas_users = 0  # train_zone and predict_zone calls on one BLAS thread
+_blas_threads_before = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with one OpenBLAS thread; the count in force when the
+    first of any concurrent callers entered is restored when the last one
+    leaves."""
+    global _blas_users, _blas_threads_before
+    if _OPENBLAS_THREADS is None:
+        yield
+        return
+    get, put = _OPENBLAS_THREADS
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_threads_before = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_threads_before)
+
+
+# -- training ---------------------------------------------------------------
+
+
+def _infer_loss(stack, view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                labels: np.ndarray, run=map) -> float:
+    """Mean BCE over a sample subset in inference mode, from the layers of
+    model.inference_stack (the pass that makes the maps), in batches of at
+    most PREDICT_BLOCK**2 patches, a prediction block's pixel count; run
+    maps the batches, whose losses are added in order."""
+    batch = PREDICT_BLOCK ** 2
+
+    def batch_loss(b0: int) -> float:
         b1 = min(b0 + batch, rows.size)
         patches = raster.gather_patches(view, rows[b0:b1], cols[b0:b1])
-        probs = model.forward(patches)[:, 0, 0]
-        loss, _ = bce_loss(labels[b0:b1].astype(np.float32), probs)
-        total += loss * (b1 - b0)
-    return total / rows.size
+        loss, _ = bce_loss(labels[b0:b1].astype(np.float32),
+                           run_layers(stack, patches)[:, 0, 0])
+        return loss * (b1 - b0)
+
+    return sum(run(batch_loss, range(0, rows.size, batch))) / rows.size
 
 
 def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                arch: model_mod.ArchitectureConfig, run: TrainingRun,
                cfg: SamplingConfig):
     """Two-stage sampling plus the full optimization loop for one zone.
+
+    Each optimizer batch runs as model.TRAIN_SLICES row slices on
+    train_workers() threads, and validation batches run on the same
+    threads, all with one OpenBLAS thread. The slice count is fixed and
+    each BLAS call single-threaded, so the model and history do not depend
+    on the worker count or on the process's BLAS thread setting.
 
     Returns (model, history, info) where info carries the sampling manifest
     and the selected tile windows.
@@ -218,29 +310,34 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     history = TrainingHistory()
     best_val = np.inf
     stall = 0
-    for epoch in range(run.epochs):
-        epoch_loss = 0.0
-        for batch_idx in sampling.shuffle_minibatches(
-            train_idx.size, cfg.chunk_size, cfg.batch_size, train_rng
-        ):
-            idx = train_idx[batch_idx]
-            patches = raster.gather_patches(view, rows[idx], cols[idx])
-            loss = train_step(net, patches, labels[idx], state, train_rng)
-            epoch_loss += loss * idx.size
-        history.train_loss.append(epoch_loss / train_idx.size)
-        val_loss = _infer_loss(net, view, rows[val_idx], cols[val_idx],
-                               labels[val_idx])
-        history.validation_loss.append(val_loss)
-        net.epochs_trained = epoch + 1
+    workers = train_workers()
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        # one worker runs the slices here, in turn
+        run_tasks = pool.map if workers > 1 else map
+        for epoch in range(run.epochs):
+            epoch_loss = 0.0
+            for batch_idx in sampling.shuffle_minibatches(
+                train_idx.size, cfg.chunk_size, cfg.batch_size, train_rng
+            ):
+                idx = train_idx[batch_idx]
+                patches = raster.gather_patches(view, rows[idx], cols[idx])
+                loss = train_step(net, patches, labels[idx], state,
+                                  train_rng, run_tasks)
+                epoch_loss += loss * idx.size
+            history.train_loss.append(epoch_loss / train_idx.size)
+            val_loss = _infer_loss(inference_stack(net), view, rows[val_idx],
+                                   cols[val_idx], labels[val_idx], run_tasks)
+            history.validation_loss.append(val_loss)
+            net.epochs_trained = epoch + 1
 
-        if run.early_stopping is not None:
-            if val_loss < best_val - run.early_stopping.min_delta:
-                best_val = val_loss
-                stall = 0
-            else:
-                stall += 1
-                if stall >= run.early_stopping.patience:
-                    break
+            if run.early_stopping is not None:
+                if val_loss < best_val - run.early_stopping.min_delta:
+                    best_val = val_loss
+                    stall = 0
+                else:
+                    stall += 1
+                    if stall >= run.early_stopping.patience:
+                        break
 
     info = {
         "sampling": sampling.sample_manifest(samples),
@@ -282,57 +379,6 @@ class TilePrediction:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def _openblas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
-    or None when numpy uses another BLAS or the library cannot be loaded."""
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
-                           "numpy.libs", "*openblas*")
-    for path in glob.glob(pattern):
-        try:
-            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.restype = ctypes.c_int
-                    put.argtypes = [ctypes.c_int]
-                    return get, put
-    return None
-
-
-_OPENBLAS_THREADS = _openblas_thread_calls()
-_blas_lock = threading.Lock()
-_blas_users = 0  # predict_zone calls running with one BLAS thread
-_blas_threads_before = 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with one OpenBLAS thread; the count in force when the
-    first of any concurrent callers entered is restored when the last one
-    leaves."""
-    global _blas_users, _blas_threads_before
-    if _OPENBLAS_THREADS is None:
-        yield
-        return
-    get, put = _OPENBLAS_THREADS
-    with _blas_lock:
-        if _blas_users == 0:
-            _blas_threads_before = get()
-            put(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                put(_blas_threads_before)
 
 
 def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
@@ -405,7 +451,7 @@ class ZoneRegistry:
             return cls()
         try:
             entries = json.loads(p.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RegistryError(f"unreadable registry {p}: {exc}") from exc
         if not isinstance(entries, dict):
             raise RegistryError(f"registry {p} is not a JSON object")
@@ -423,4 +469,9 @@ class ZoneRegistry:
     def model_path(self, zone_id: str) -> str:
         if zone_id not in self.entries:
             raise RegistryError(f"no trained model registered for {zone_id!r}")
-        return self.entries[zone_id]["model_path"]
+        entry = self.entries[zone_id]
+        path = entry.get("model_path") if isinstance(entry, dict) else None
+        if not isinstance(path, str):
+            raise RegistryError(f"registry entry for {zone_id!r} has no "
+                                f"model_path string: {entry!r}")
+        return path

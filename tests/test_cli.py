@@ -59,6 +59,9 @@ def test_commands_exit_zero_with_ok_manifests(trained, capsys):
     assert load(manifests["predict"])["tiles_failed"] == 0
     for command in ("predict", "transfer"):
         assert load(manifests[command])["workers"] >= 1
+    train = load(manifests["train"])
+    assert train["train_samples_per_s"] > 0
+    assert train["workers"] == min(pipeline.usable_cpus(), 2)
     assert load(manifests["transfer"])["transfer"]["mode"] == "far_range"
     assert "thresholds" in load(root / "reports" / "A.json")
 
@@ -267,6 +270,24 @@ def test_corrupt_registry_is_a_registry_error(trained, tmp_path):
     assert load(tmp_path / "A.train_manifest.json")["error"]["class"] == \
         "registry"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["directory", "entry_not_an_object",
+                                  "no_model_path"])
+def test_unusable_registries_are_registry_errors(trained, tmp_path, case):
+    """A registry path that is a directory, or an entry without a string
+    model_path, exits 9 rather than escaping as an unexpected error."""
+    _, data, _, _ = trained
+    registry = tmp_path / "registry.json"
+    if case == "directory":
+        registry.mkdir()
+    else:
+        entry = 5 if case == "entry_not_an_object" else {"mode": "close_range"}
+        registry.write_text(json.dumps({"A": entry}), encoding="utf-8")
+    assert run("transfer", "--zone", "B", "--source-zone", "A", "--data",
+               data, "--registry", registry, "--out", tmp_path / "BA") == 9
+    assert load(tmp_path / "BA" / "transfer_manifest.json")["error"][
+        "class"] == "registry"
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -137,8 +137,9 @@ def test_batchnorm_train_gradients(seed):
     assert grad_check(f, [bn.gamma, bn.beta, x], [dgamma, dbeta, dx]) < 1e-4
 
 
-def full_stack_error(seed):
-    """BCE-through-the-whole-network check with a frozen dropout mask."""
+def full_stack_error(seed, slices=1):
+    """BCE-through-the-whole-network check with a frozen dropout mask, the
+    batch run as `slices` row slices."""
     rng = np.random.default_rng(seed)
     net = build_model(TINY_ARCH, seed=seed).astype(np.float64)
     x = rng.random((4, 5, 5, 3))
@@ -146,11 +147,11 @@ def full_stack_error(seed):
     mask_seed = seed + 1
 
     def run():
-        return net.forward_train(x, np.random.default_rng(mask_seed))
+        return net.forward_train(x, np.random.default_rng(mask_seed), slices)
 
     probs, caches = run()
     loss, dprobs = bce_loss(y, probs[:, 0, 0])
-    grads = net.backward(dprobs[:, None, None], caches)
+    grad = net.backward(dprobs[:, None, None], caches)
 
     def f():
         p, _ = run()
@@ -159,9 +160,15 @@ def full_stack_error(seed):
 
     params = net.trainable_arrays()
     numeric = finite_difference(f, params)
-    return max_relative_error(grads, numeric)
+    return max_relative_error(
+        [grad], [np.concatenate([g.reshape(-1) for g in numeric])])
 
 
 @pytest.mark.parametrize("seed", SEEDS[:8])
 def test_full_stack_gradients(seed):
     assert full_stack_error(seed) < 1e-4
+
+
+@pytest.mark.parametrize("seed", SEEDS[:8])
+def test_full_stack_gradients_of_two_slices(seed):
+    assert full_stack_error(seed, slices=2) < 1e-4

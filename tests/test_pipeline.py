@@ -22,8 +22,11 @@ import pytest
 from builtup import pipeline
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            inference_stack, run_layers, save_model)
-from builtup.pipeline import PREDICT_BLOCK, _predict_padded, predict_zone
-from builtup.raster import PATCH_MARGIN, rescale_reflectance
+from builtup.nncore import bce_loss
+from builtup.pipeline import (PREDICT_BLOCK, _infer_loss, _predict_padded,
+                              predict_zone)
+from builtup.raster import (PATCH_MARGIN, gather_patches, patch_view,
+                            rescale_reflectance)
 from builtup.synth import SceneParams, synth_zone
 
 SIZE = 64
@@ -150,6 +153,35 @@ def test_blocks_equal_one_pass_over_the_window(arch):
         whole = run_layers(stack, window.transpose(1, 2, 0)[None])[0]
         np.testing.assert_array_equal(_predict_padded(stack, window), whole,
                                       err_msg=f"{h}x{w}")
+
+
+def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
+    """_infer_loss feeds the stack's first layer at most one prediction
+    block of patches per call, and its loss is the model's inference-mode
+    loss, here against a float64 Model.forward."""
+    net = build_model(PRESETS["desk"], seed=0)
+    padded, _ = rescale_reflectance(zone.composite,
+                                    net.arch.normalization_divisor)
+    view = patch_view(padded)
+    rng = np.random.default_rng(0)
+    n = 2 * PREDICT_BLOCK ** 2 + 123
+    rows, cols = rng.integers(0, SIZE, n), rng.integers(0, SIZE, n)
+    labels = rng.integers(0, 2, n).astype(np.uint8)
+    stack = inference_stack(net)
+    sizes = []
+    first = stack[0].forward
+
+    def spy(x):
+        sizes.append(x.shape[0])
+        return first(x)
+
+    stack[0].forward = spy
+    loss = _infer_loss(stack, view, rows, cols, labels)
+    assert max(sizes) <= PREDICT_BLOCK ** 2 and sum(sizes) == n
+    patches = gather_patches(view, rows, cols).astype(np.float64)
+    probs = net.astype(np.float64).forward(patches)[:, 0, 0]
+    reference, _ = bce_loss(labels.astype(np.float64), probs)
+    assert abs(loss - reference) <= 1e-5
 
 
 needs_openblas = pytest.mark.skipif(pipeline._OPENBLAS_THREADS is None,
