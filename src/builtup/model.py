@@ -28,6 +28,21 @@ input, which the composed conv reads alike. Kernels are composed in
 float64 and cast once; the stack differs from Model.forward by float32
 rounding only.
 
+Training composes too. Its pass keeps BatchNorm and dropout where they
+are, with their statistics, masks and RNG stream, and composes each
+linear conv into the conv after it by the same rule (compose_convs, in
+the parameters' dtype): conv1.conv2 runs as one 3x3 conv on the 5x5
+patch, and conv3.conv4 as one 3x3 conv on the 3x3 map out of bn1/drop1,
+which is a dense layer. The layer list is built afresh for every pass
+and reaches backward through the pass's tape. The loss is the same
+function of the parameters, so each factor's gradient is the composed
+kernel's gradient pulled back through the bilinear composition
+(compose_convs_adjoint, the transpose of its Jacobian), once per step;
+in exact arithmetic this is the per-layer gradient, and in float64 it
+agrees with it to within a few roundings. Per paper patch the forward
+pass costs 467,968 multiply-adds instead of 1,540,608, and the composed
+first layer takes no input gradient.
+
 train_step runs each optimizer batch as TRAIN_SLICES contiguous row
 slices, which a caller may map onto threads. The layers from one BatchNorm
 to the next are one task per slice; each BatchNorm syncs the slices, its
@@ -36,8 +51,8 @@ order (synchronized BatchNorm); dropout masks are drawn at the whole
 batch's shape and sliced, so the RNG stream does not change; and each
 weight gradient is the sum of the slices' in slice order, before one Adam
 step. The slice count is fixed, so results do not depend on the thread
-count. One slice is the unsliced step bit for bit; two differ from it by
-the order of those sums only (within 1e-12 in float64 over several steps).
+count. One slice is the unsliced pass over the composed layers bit for
+bit; two differ from it by the order of those sums only.
 
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
 JSON header, then float32 little-endian parameter blobs in the order of
@@ -274,18 +289,26 @@ class Model:
         self._check_input(x)
         return run_layers(self.layers, x)
 
-    def _runs(self) -> list:
-        """(lo, hi) of each run of layers a train-mode pass gives one task
-        per slice. Every BatchNorm opens a run, since its statistics span
-        the whole batch: the slices sync there and nowhere else."""
-        cuts = [0] + [i for i, layer in enumerate(self.layers)
-                      if i and isinstance(layer, BatchNorm)]
-        return list(zip(cuts, cuts[1:] + [len(self.layers)]))
+    def _train_layers(self) -> list:
+        """(layer, table positions) of each layer a train-mode pass runs:
+        LAYERS with every linear ConvLayer composed into the ConvLayer
+        after it by compose_convs, in the parameters' dtype, so conv1.conv2
+        and conv3.conv4 each run as one 3x3 conv; BatchNorm, Dropout and
+        the other convs are the model's own layers. Built afresh for every
+        pass from the current parameters."""
+        def conv_of(layer):
+            if isinstance(layer, ConvLayer):
+                return layer.kernel, layer.bias, layer.activation
+            return None
+
+        table = self.layers
+        return [(table[pos[0]] if len(pos) == 1 else ConvLayer(*conv), pos)
+                for pos, conv in _merge_linear_convs(table, conv_of)]
 
     def forward_train(self, x: np.ndarray, rng: np.random.Generator,
                       slices: int = 1, run=map):
         """Training pass: batch BN statistics and fresh dropout masks drawn
-        from rng.
+        from rng, through the composed layers of _train_layers().
 
         The batch runs as `slices` contiguous row slices (slice_bounds).
         Each run of layers from one BatchNorm to the next is one task per
@@ -293,24 +316,25 @@ class Model:
         takes its statistics over the whole batch first. Dropout masks
         are drawn at the whole batch's shape in layer order and sliced, so
         rng's stream does not depend on slices, and one slice is the
-        unsliced pass bit for bit.
+        unsliced pass over the same layers bit for bit.
 
-        Returns (probabilities shaped as in forward(), one list of layer
-        caches per slice for backward())."""
+        Returns (probabilities shaped as in forward(), a tape for
+        backward(): the pass's layer list and one list of layer caches per
+        slice)."""
         self._check_input(x)
+        layers = self._train_layers()
         bounds = slice_bounds(x.shape[0], slices)
         xs = [x[a:b] for a, b in bounds]
         rngs = _BatchDraws(rng, x.shape[0]).slices(bounds)
         caches = [[] for _ in bounds]
-        layers = self.layers
-        for lo, hi in self._runs():
-            head = layers[lo]
+        for lo, hi in _runs(layers):
+            head = layers[lo][0]
             stats = (head.batch_statistics(xs, run)
                      if isinstance(head, BatchNorm) else None)
 
             def run_slice(s, lo=lo, hi=hi, stats=stats):
                 y = xs[s]
-                for layer in layers[lo:hi]:
+                for layer, _ in layers[lo:hi]:
                     y, cache = (layer.normalize(y, *stats)
                                 if isinstance(layer, BatchNorm)
                                 else layer.forward_train(y, rngs[s]))
@@ -318,48 +342,77 @@ class Model:
                 return y
 
             xs = list(run(run_slice, range(len(bounds))))
-        return np.concatenate(xs)[..., 0], caches
+        return np.concatenate(xs)[..., 0], (layers, caches)
 
-    def backward(self, dprobs: np.ndarray, caches, run=map) -> np.ndarray:
+    def backward(self, dprobs: np.ndarray, tape, run=map) -> np.ndarray:
         """Gradient of the loss over params, one flat vector laid out like
-        params; dprobs is shaped like forward_train's output, and caches
-        are its per-slice caches.
+        params; dprobs is shaped like forward_train's output, and tape is
+        its tape.
 
-        The runs of layers go in reverse, one task per slice each, and
-        each slice writes its parameter gradients into a flat vector of
-        its own. A task ends at its run's BatchNorm with that slice's
-        column sums, which added over the slices in slice order give each
-        slice's BatchNorm input gradient in the next task. The result is
-        the slices' vectors added in slice order."""
-        layers = self.layers
+        The runs of layers go in reverse, one task per slice each. A slice
+        writes the parameter gradients of the model's own layers into a
+        flat vector of its own and keeps those of each composed layer. A
+        task ends at its run's BatchNorm with that slice's column sums,
+        which added over the slices in slice order give each slice's
+        BatchNorm input gradient in the next task. The result is the
+        slices' vectors added in slice order, with each composed layer's
+        gradient, likewise added over the slices, pulled back once onto
+        its two factors by compose_convs_adjoint, whose tasks run maps."""
+        layers, caches = tape
         bounds = slice_bounds(dprobs.shape[0], len(caches))
         ds = [dprobs[a:b, ..., None] for a, b in bounds]
-        flats = [np.empty_like(self.params) for _ in bounds]
+        # zeros: the composed layers' factors are written after the sum
+        flats = [np.zeros_like(self.params) for _ in bounds]
         views = [self._layer_views(flat) for flat in flats]
+        composed = [{} for _ in bounds]  # layer index -> (dkernel, dbias)
         bn_sums = None
-        for lo, hi in reversed(self._runs()):
+        for lo, hi in reversed(_runs(layers)):
 
             def run_slice(s, lo=lo, hi=hi, bn_sums=bn_sums):
                 d, sums = ds[s], None
                 if bn_sums is not None:  # d is the dxhat of layers[hi]
-                    d = layers[hi].input_gradient(d, caches[s][hi], *bn_sums)
+                    d = layers[hi][0].input_gradient(d, caches[s][hi],
+                                                     *bn_sums)
                 for i in range(hi - 1, lo - 1, -1):
-                    if isinstance(layers[i], BatchNorm):
-                        d, grads, sums = layers[i].gradient_sums(
-                            d, caches[s][i])
+                    layer, pos = layers[i]
+                    if isinstance(layer, BatchNorm):
+                        d, grads, sums = layer.gradient_sums(d, caches[s][i])
                     else:
                         # nothing reads the gradient of the input patches
-                        d, *grads = layers[i].backward(d, caches[s][i],
-                                                       input_grad=i > 0)
-                    for view, grad in zip(views[s][i], grads):
+                        d, *grads = layer.backward(d, caches[s][i],
+                                                   input_grad=i > 0)
+                    if len(pos) > 1:
+                        composed[s][i] = grads
+                        continue
+                    for view, grad in zip(views[s][pos[0]], grads):
                         view[...] = grad
                 return d, sums
 
             done = list(run(run_slice, range(len(bounds))))
             ds = [d for d, _ in done]
-            if isinstance(layers[lo], BatchNorm):
+            if isinstance(layers[lo][0], BatchNorm):
                 bn_sums = [ordered_sum(c) for c in zip(*(c for _, c in done))]
-        return ordered_sum(flats)
+        grad = ordered_sum(flats)
+        out, table = self._layer_views(grad), self.layers
+        for i, (_, pos) in enumerate(layers):
+            if len(pos) == 1:
+                continue
+            summed = [ordered_sum(g) for g in zip(*(c[i] for c in composed))]
+            pulled = compose_convs_adjoint(
+                *[(table[p].kernel, table[p].bias) for p in pos], summed, run)
+            for p, grads in zip(pos, pulled):
+                for view, g in zip(out[p], grads):
+                    view[...] = g
+        return grad
+
+
+def _runs(layers) -> list:
+    """(lo, hi) of each run of a train-mode layer list that a pass gives
+    one task per slice. Every BatchNorm opens a run, since its statistics
+    span the whole batch: the slices sync there and nowhere else."""
+    cuts = [0] + [i for i, (layer, _) in enumerate(layers)
+                  if i and isinstance(layer, BatchNorm)]
+    return list(zip(cuts, cuts[1:] + [len(layers)]))
 
 
 TRAIN_SLICES = 2  # row slices of every optimizer batch (train_step)
@@ -427,19 +480,86 @@ def _inference_conv(layer):
             layer.activation)
 
 
+def _taps(kernel: np.ndarray) -> np.ndarray:
+    """A kernel's taps as one contiguous (k, k, in, out) array: tap (i, j)
+    is the (in, out) matrix that ConvLayer's GEMM applies to pixel (i, j)
+    of every window."""
+    return np.ascontiguousarray(kernel.transpose(2, 3, 1, 0))
+
+
 def compose_convs(first, second):
     """(kernel, bias) of the valid conv `second` applied to the output of
     the linear valid conv `first`, both given as (kernel, bias): one valid
-    conv of side k1 + k2 - 1, exact in real arithmetic."""
+    conv of side k1 + k2 - 1, exact in real arithmetic. Tap (i1 + i2,
+    j1 + j2) of the kernel sums the products of first's tap (i1, j1) and
+    second's tap (i2, j2), in the order of (i2, j2). The kernel is an
+    (out, in, k, k) view of its contiguous taps, so a ConvLayer's kernel
+    matrix is a reshape of it."""
     (k1, b1), (k2, b2) = first, second
-    s1, s2 = k1.shape[2], k2.shape[2]
+    t1, t2 = _taps(k1), _taps(k2)
+    s1, s2 = len(t1), len(t2)
     side = s1 + s2 - 1
-    kernel = np.zeros((k2.shape[0], k1.shape[1], side, side),
-                      dtype=np.result_type(k1, k2))
+    taps = np.zeros((side, side, t1.shape[2], t2.shape[3]),
+                    dtype=np.result_type(t1, t2))
     for i2, j2 in np.ndindex(s2, s2):
+        taps[i2:i2 + s1, j2:j2 + s1] += t1 @ t2[i2, j2]
+    return taps.transpose(3, 2, 0, 1), b2 + b1 @ t2.sum(axis=(0, 1))
+
+
+def compose_convs_adjoint(first, second, grad, run=map):
+    """((dk1, db1), (dk2, db2)): the gradient grad = (dK, dB) of
+    compose_convs(first, second) pulled back to its factors, i.e. the
+    transpose of the composition's Jacobian at (first, second), exact in
+    real arithmetic. Per tap, in the (in, out) matrices of _taps:
+
+        dk1[i1, j1] = sum over (i2, j2) of dK[i1 + i2, j1 + j2] k2[i2, j2]^T
+        dk2[i2, j2] = b1 dB^T + sum over (i1, j1) of
+                      k1[i1, j1]^T dK[i1 + i2, j1 + j2]
+        db1 = (sum of k2's taps) dB,  db2 = dB
+
+    with the terms added in the order shown. dk1 and dk2 are one task of
+    run (map, or a thread pool's map) each."""
+    (k1, b1), (k2, _) = first, second
+    dk, db = grad
+    t1, t2, dt = _taps(k1), _taps(k2), _taps(dk)
+    s1, s2 = len(t1), len(t2)
+    dtype = np.result_type(t1, t2, dt)
+
+    def first_taps():
+        acc = np.zeros(t1.shape, dtype=dtype)
+        for i2, j2 in np.ndindex(s2, s2):
+            acc += dt[i2:i2 + s1, j2:j2 + s1] @ t2[i2, j2].T
+        return acc
+
+    def second_taps():
+        acc = np.empty(t2.shape, dtype=dtype)
+        acc[...] = np.multiply.outer(b1, db)
         for i1, j1 in np.ndindex(s1, s1):
-            kernel[:, :, i1 + i2, j1 + j2] += k2[:, :, i2, j2] @ k1[:, :, i1, j1]
-    return kernel, b2 + k2.sum(axis=(2, 3)) @ b1
+            acc += t1[i1, j1].T @ dt[i1:i1 + s2, j1:j1 + s2]
+        return acc
+
+    dt1, dt2 = run(lambda taps: taps(), (first_taps, second_taps))
+    return ((dt1.transpose(3, 2, 0, 1), t2.sum(axis=(0, 1)) @ db),
+            (dt2.transpose(3, 2, 0, 1), db))
+
+
+def _merge_linear_convs(layers, conv_of) -> list:
+    """The composition rule of inference_stack and of the train-mode pass:
+    each linear conv is composed into the conv after it (compose_convs).
+    conv_of(layer) is a layer's (kernel, bias, activation), or None for a
+    layer that stays as it is. Returns (positions in layers, conv or
+    None) per merged layer, in order."""
+    merged = []
+    for i, layer in enumerate(layers):
+        conv = conv_of(layer)
+        if (conv is not None and merged and merged[-1][1] is not None
+                and merged[-1][1][2] == "linear"):
+            pos, (kernel, bias, _) = merged.pop()
+            conv = (*compose_convs((kernel, bias), conv[:2]), conv[2])
+            merged.append((pos + (i,), conv))
+        else:
+            merged.append(((i,), conv))
+    return merged
 
 
 def inference_stack(net: Model) -> list:
@@ -450,17 +570,11 @@ def inference_stack(net: Model) -> list:
     tanh and dense2. Kernels are composed in float64 and cast once to the
     model's dtype; net is not modified, and the layers are read-only, so
     threads may share them."""
-    convs = []  # (kernel, bias, activation) in float64
-    for layer in net.layers:
-        if isinstance(layer, Dropout):
-            continue
-        kernel, bias, activation = _inference_conv(layer)
-        if convs and convs[-1][2] == "linear":
-            kernel, bias = compose_convs(convs.pop()[:2], (kernel, bias))
-        convs.append((kernel, bias, activation))
+    layers = [layer for layer in net.layers if not isinstance(layer, Dropout)]
     dtype = net.params.dtype
     return [ConvLayer(kernel.astype(dtype), bias.astype(dtype), activation)
-            for kernel, bias, activation in convs]
+            for _, (kernel, bias, activation)
+            in _merge_linear_convs(layers, _inference_conv)]
 
 
 def build_model(arch: ArchitectureConfig, seed: int = 0, zone_id: str = "",

@@ -127,13 +127,15 @@ class ConvLayer:
 
         Row di of every k x k window is k*C contiguous values of the
         flattened input row, so the matrix is built from k row-run copies
-        rather than k*k per-offset slices.
+        rather than k*k per-offset slices. Where the windows do not overlap
+        (k = 1, or a kernel covering its whole h = w = k input, which is a
+        dense layer) the matrix is the input itself, reshaped.
         """
         k = self.kernel_size
         n, h, w, c = x.shape
-        if k == 1:
-            return x.reshape(n * h * w, c)
         ho, wo = h - k + 1, w - k + 1
+        if k == 1 or ho == wo == 1:
+            return x.reshape(n * ho * wo, k * k * c)
         runs = np.lib.stride_tricks.sliding_window_view(
             x.reshape(n, h, w * c), k * c, axis=2)[:, :, ::c]  # (n, h, wo, kc)
         cols = np.empty((n, ho, wo, k, k * c), dtype=x.dtype)
@@ -179,7 +181,7 @@ class ConvLayer:
         if not input_grad:
             return None, dkernel, dbias
         dcols = dz_mat @ self._kernel_matrix().T
-        if k == 1:
+        if k == 1 or ho == wo == 1:  # each dx element has one term
             return dcols.reshape(x_shape), dkernel, dbias
         dcols = dcols.reshape(n, ho, wo, k * k * c)
         dx = np.zeros(x_shape, dtype=dout.dtype)

@@ -42,11 +42,13 @@ from the batch instead: train_zone cuts every optimizer batch into
 model.TRAIN_SLICES row slices, run on min(usable CPUs, TRAIN_SLICES)
 threads, with BatchNorm statistics and gradients summed over the slices
 in slice order (synchronized BatchNorm; see Model.forward_train). Between
-GEMMs a step is single-threaded numpy work (im2col copies, BatchNorm,
-dropout), two thirds of a desk step, which a second BLAS thread does not
-reach; slices run it on both cores. The slice count is fixed and every
-BLAS call single-threaded, so a trained model depends on neither the
-worker count nor the BLAS thread setting. The validation loss of each
+GEMMs a step is numpy work (im2col copies, BatchNorm, dropout) that a
+second BLAS thread does not reach; slices run it on both cores. Each step
+runs conv1.conv2 and conv3.conv4 as one composed conv each and pulls
+their gradients back to the four layers once, on the same threads (see
+the model module). The slice count is fixed and every BLAS call
+single-threaded, so a trained model depends on neither the worker count
+nor the BLAS thread setting. The validation loss of each
 epoch runs the inference stack, in batches of at most PREDICT_BLOCK**2
 patches on the same threads.
 

@@ -13,6 +13,7 @@ from builtup.model import (
     PRESETS,
     build_model,
     compose_convs,
+    compose_convs_adjoint,
     count_params,
     inference_stack,
     load_model,
@@ -252,6 +253,34 @@ class TestInferenceStack:
         np.testing.assert_allclose(composed, reference, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("pair", [("conv1", "conv2"), ("conv3", "conv4")])
+@pytest.mark.parametrize("arch", [TINY, PRESETS["desk"], PRESETS["paper"]],
+                         ids=["tiny", "desk", "paper"])
+def test_pull_back_is_the_transpose_of_the_composition(arch, pair):
+    """<G, J d> = <J^T G, d> in float64, biases included: J is the
+    Jacobian of compose_convs at the network's factors, J^T G is
+    compose_convs_adjoint, and d and G are random directions. The
+    composition is bilinear in (k1, b1) and k2 and adds b2, so
+    J d = compose(d1, (k2, db2)) + compose(first, (dk2, 0))."""
+    net = build_model(arch, seed=8).astype(np.float64)
+    rng = np.random.default_rng(9)
+    first, second = [(getattr(net, name).kernel, getattr(net, name).bias)
+                     for name in pair]
+
+    def direction(arrays):
+        return tuple(rng.standard_normal(a.shape) for a in arrays)
+
+    d1, d2 = direction(first), direction(second)
+    g = direction(compose_convs(first, second))
+    ka, ba = compose_convs(d1, (second[0], d2[1]))
+    kb, bb = compose_convs(first, (d2[0], np.zeros_like(d2[1])))
+    (dk1, db1), (dk2, db2) = compose_convs_adjoint(first, second, g)
+    assert dk1.shape == first[0].shape and dk2.shape == second[0].shape
+    lhs = np.vdot(g[0], ka + kb) + np.vdot(g[1], ba + bb)
+    rhs = sum(np.vdot(a, b) for a, b in zip((dk1, db1, dk2, db2), d1 + d2))
+    np.testing.assert_allclose(rhs, lhs, rtol=1e-12)
+
+
 class TestTrainStep:
     def separable_batch(self, rng, n=64):
         x = rng.random((n, 5, 5, TINY.bands)).astype(np.float32) * 0.2
@@ -388,3 +417,34 @@ def test_header_byte_mutations_load_or_raise_toolkit_errors(desk_ghsm, data,
         load_model(path.with_suffix(".mutated"))
     except ToolkitError:
         pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(bands=st.integers(1, 6), f_a=st.integers(1, 6), f_b=st.integers(1, 6),
+       hidden=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_ghsm_round_trip(tmp_path_factory, bands, f_a, f_b, hidden, seed):
+    """A trained model with random parameters and moving statistics saves,
+    loads and saves again to the same bytes, and loads the arrays it
+    saved: training's composed layers leave the table's layout alone."""
+    arch = ArchitectureConfig(bands=bands, block_filters=(f_a, f_b),
+                              hidden_units=hidden)
+    rng = np.random.default_rng(seed)
+    net = build_model(arch, seed=seed % 1000, zone_id="Z")
+    x = random_patches(rng, 4, arch)
+    train_step(net, x, (rng.random(4) < 0.5).astype(np.float32),
+               AdamState.for_size(net.params.size), rng)
+    net.params[...] = rng.standard_normal(net.params.size)
+    for bn in (net.bn1, net.bn2):
+        bn.moving_mean[...] = rng.standard_normal(bn.channels)
+        bn.moving_var[...] = rng.random(bn.channels) + 0.5
+    path = tmp_path_factory.mktemp("round_trip") / "m.ghsm"
+    save_model(net, path)
+    raw = path.read_bytes()
+    back = load_model(path)
+    save_model(back, path)
+    assert path.read_bytes() == raw
+    assert back.arch == arch and back.zone_id == "Z"
+    for saved, loaded in zip(net.serialization_arrays(),
+                             back.serialization_arrays()):
+        assert loaded.dtype == np.float32
+        assert loaded.tobytes() == saved.tobytes()

@@ -117,6 +117,40 @@ class TestIm2col:
                                       im2col_by_offsets(x, k))
 
 
+class TestWholeInputConv:
+    """A conv whose kernel covers its whole h = w = k input is a dense
+    layer: its im2col matrix and its dx are reshapes. Forward, dx and the
+    weight gradients equal the general path: offset-slice im2col and k*k
+    slice-adds of dcols into a zero dx."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_general_path(self, k):
+        rng = np.random.default_rng(30 + k)
+        n, c = 6, 3
+        layer = ConvLayer(init_uniform(rng, (4, c, k, k)),
+                          init_uniform(rng, (4,)), "tanh")
+        x = rng.random((n, k, k, c)).astype(np.float32)
+        dout = rng.standard_normal((n, 1, 1, 4)).astype(np.float32)
+        y, cache = layer.forward_train(x)
+        dx, dkernel, dbias = layer.backward(dout, cache)
+
+        cols = im2col_by_offsets(x, k)
+        matrix = layer._kernel_matrix()
+        z = cols @ matrix
+        z += layer.bias
+        a = np.tanh(z).reshape(n, 1, 1, 4)
+        np.testing.assert_array_equal(y, a)
+        dz = (dout * (1.0 - a * a)).reshape(n, 4)
+        dcols = (dz @ matrix.T).reshape(n, 1, 1, k * k * c)
+        want_dx = np.zeros_like(x)
+        for i, (di, dj) in enumerate(np.ndindex(k, k)):
+            want_dx[:, di:di + 1, dj:dj + 1] += dcols[..., i * c:(i + 1) * c]
+        assert np.array_equal(dx, want_dx)
+        np.testing.assert_array_equal(
+            dkernel, (cols.T @ dz).reshape(k, k, c, 4).transpose(3, 2, 0, 1))
+        np.testing.assert_array_equal(dbias, dz.sum(axis=0))
+
+
 def float32_conv(k, activation):
     rng = np.random.default_rng(k)
     return ConvLayer(init_uniform(rng, (4, 3, k, k)), init_uniform(rng, (4,)),
