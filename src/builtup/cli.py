@@ -299,7 +299,8 @@ def cmd_transfer(args, argv) -> int:
     return _predict_common(args, argv, "transfer")
 
 
-TILE_EXTENT = ("row0", "col0", "rows", "cols")  # ints of a manifest tile
+# the ints of a manifest tile, each with its least value
+TILE_EXTENT = {"row0": 0, "col0": 0, "rows": 1, "cols": 1}
 
 
 def _load_prediction_mosaic(probs_dir: Path):
@@ -329,7 +330,8 @@ def _load_prediction_mosaic(probs_dir: Path):
     tiles = info["tiles"]
     for t in tiles:
         if not (isinstance(t, dict)
-                and all(isinstance(t.get(k), int) for k in TILE_EXTENT)
+                and all(isinstance(t.get(k), int) and t[k] >= least
+                        for k, least in TILE_EXTENT.items())
                 and t.get("status") in ("ok", "error")
                 and (t["status"] != "ok" or isinstance(t.get("prob"), str))):
             raise FormatError(f"{manifest_path}: bad tile entry {t!r}")
@@ -343,6 +345,11 @@ def _load_prediction_mosaic(probs_dir: Path):
             continue
         grid = raster.read_raster(_require_file(
             probs_dir / Path(t["prob"]).name, "tile raster"))
+        if grid.data.shape[1:] != (t["rows"], t["cols"]):
+            raise FormatError(
+                f"{manifest_path}: tile {t['prob']} is "
+                f"{grid.data.shape[1]}x{grid.data.shape[2]}, its entry says "
+                f"{t['rows']}x{t['cols']}")
         pixel_size = grid.pixel_size
         window = grid.data[0]
         sl = (slice(t["row0"], t["row0"] + t["rows"]),

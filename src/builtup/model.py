@@ -30,8 +30,8 @@ rounding only.
 
 Training composes too. Its pass keeps BatchNorm and dropout where they
 are, with their statistics, masks and RNG stream, and composes each
-linear conv into the conv after it by the same rule (compose_convs, in
-the parameters' dtype): conv1.conv2 runs as one 3x3 conv on the 5x5
+linear conv into the conv after it by the same rule (_compose, in the
+parameters' dtype): conv1.conv2 runs as one 3x3 conv on the 5x5
 patch, and conv3.conv4 as one 3x3 conv on the 3x3 map out of bn1/drop1,
 which is a dense layer. The layer list is built afresh for every pass
 and reaches backward through the pass's tape. The loss is the same
@@ -47,10 +47,11 @@ train_step runs each optimizer batch as TRAIN_SLICES contiguous row
 slices, which a caller may map onto threads. The layers from one BatchNorm
 to the next are one task per slice; each BatchNorm syncs the slices, its
 statistics and gradient sums being per-slice column sums added in slice
-order (synchronized BatchNorm); dropout masks are drawn at the whole
-batch's shape and sliced, so the RNG stream does not change; and each
-weight gradient is the sum of the slices' in slice order, before one Adam
-step. The slice count is fixed, so results do not depend on the thread
+order (synchronized BatchNorm). Dropout needs no sync: the caller draws
+every mask at the whole batch's shape before the slices run, and each
+slice applies its rows, so the RNG stream does not change. Each layer's
+weight gradient is the sum of the slices' in slice order, before one
+Adam step. The slice count is fixed, so results do not depend on the thread
 count. One slice is the unsliced pass over the composed layers bit for
 bit; two differ from it by the order of those sums only.
 
@@ -66,7 +67,6 @@ import json
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -289,43 +289,29 @@ class Model:
         self._check_input(x)
         return run_layers(self.layers, x)
 
-    def _train_layers(self) -> list:
-        """(layer, table positions) of each layer a train-mode pass runs:
-        LAYERS with every linear ConvLayer composed into the ConvLayer
-        after it by compose_convs, in the parameters' dtype, so conv1.conv2
-        and conv3.conv4 each run as one 3x3 conv; BatchNorm, Dropout and
-        the other convs are the model's own layers. Built afresh for every
-        pass from the current parameters."""
-        def conv_of(layer):
-            if isinstance(layer, ConvLayer):
-                return layer.kernel, layer.bias, layer.activation
-            return None
-
-        table = self.layers
-        return [(table[pos[0]] if len(pos) == 1 else ConvLayer(*conv), pos)
-                for pos, conv in _merge_linear_convs(table, conv_of)]
-
     def forward_train(self, x: np.ndarray, rng: np.random.Generator,
                       slices: int = 1, run=map):
         """Training pass: batch BN statistics and fresh dropout masks drawn
-        from rng, through the composed layers of _train_layers().
+        from rng, through _compose(self.layers), built afresh from the
+        current parameters for every pass.
 
-        The batch runs as `slices` contiguous row slices (slice_bounds).
-        Each run of layers from one BatchNorm to the next is one task per
-        slice, mapped by run (map, or a thread pool's map); each BatchNorm
-        takes its statistics over the whole batch first. Dropout masks
-        are drawn at the whole batch's shape in layer order and sliced, so
-        rng's stream does not depend on slices, and one slice is the
-        unsliced pass over the same layers bit for bit.
+        Every dropout mask is drawn first, on the calling thread, in layer
+        order and at the whole batch's shape (_draw_masks), so rng's
+        stream does not depend on slices. The batch then runs as `slices`
+        contiguous row slices (slice_bounds), each applying its rows of
+        the masks. Each run of layers from one BatchNorm to the next is
+        one task per slice, mapped by run (map, or a thread pool's map);
+        each BatchNorm takes its statistics over the whole batch first.
+        One slice is the unsliced pass over the same layers bit for bit.
 
         Returns (probabilities shaped as in forward(), a tape for
         backward(): the pass's layer list and one list of layer caches per
         slice)."""
         self._check_input(x)
-        layers = self._train_layers()
+        layers = _compose(self.layers)
+        masks = _draw_masks(layers, x.shape, rng)
         bounds = slice_bounds(x.shape[0], slices)
         xs = [x[a:b] for a, b in bounds]
-        rngs = _BatchDraws(rng, x.shape[0]).slices(bounds)
         caches = [[] for _ in bounds]
         for lo, hi in _runs(layers):
             head = layers[lo][0]
@@ -333,11 +319,17 @@ class Model:
                      if isinstance(head, BatchNorm) else None)
 
             def run_slice(s, lo=lo, hi=hi, stats=stats):
-                y = xs[s]
-                for layer, _ in layers[lo:hi]:
-                    y, cache = (layer.normalize(y, *stats)
-                                if isinstance(layer, BatchNorm)
-                                else layer.forward_train(y, rngs[s]))
+                (a, b), y = bounds[s], xs[s]
+                for i in range(lo, hi):
+                    layer = layers[i][0]
+                    if isinstance(layer, BatchNorm):
+                        y, cache = layer.normalize(y, *stats)
+                    elif isinstance(layer, Dropout):
+                        mask = masks[i]
+                        y, cache = layer.apply(
+                            y, None if mask is None else mask[a:b])
+                    else:
+                        y, cache = layer.forward_train(y)
                     caches[s].append(cache)
                 return y
 
@@ -349,22 +341,19 @@ class Model:
         params; dprobs is shaped like forward_train's output, and tape is
         its tape.
 
-        The runs of layers go in reverse, one task per slice each. A slice
-        writes the parameter gradients of the model's own layers into a
-        flat vector of its own and keeps those of each composed layer. A
-        task ends at its run's BatchNorm with that slice's column sums,
-        which added over the slices in slice order give each slice's
-        BatchNorm input gradient in the next task. The result is the
-        slices' vectors added in slice order, with each composed layer's
-        gradient, likewise added over the slices, pulled back once onto
-        its two factors by compose_convs_adjoint, whose tasks run maps."""
+        The runs of layers go in reverse, one task per slice each, and a
+        slice records its gradients per layer of the pass. A task ends at
+        its run's BatchNorm with that slice's column sums, which added over
+        the slices in slice order give each slice's BatchNorm input
+        gradient in the next task. After the runs each layer's gradients
+        are added over the slices once, in slice order, and written into
+        the flat vector: a composed layer's pulled back onto its two
+        factors by compose_convs_adjoint, whose tasks run maps, and any
+        other layer's as they are."""
         layers, caches = tape
         bounds = slice_bounds(dprobs.shape[0], len(caches))
         ds = [dprobs[a:b, ..., None] for a, b in bounds]
-        # zeros: the composed layers' factors are written after the sum
-        flats = [np.zeros_like(self.params) for _ in bounds]
-        views = [self._layer_views(flat) for flat in flats]
-        composed = [{} for _ in bounds]  # layer index -> (dkernel, dbias)
+        grads = [[()] * len(layers) for _ in bounds]  # per slice, per layer
         bn_sums = None
         for lo, hi in reversed(_runs(layers)):
 
@@ -374,34 +363,29 @@ class Model:
                     d = layers[hi][0].input_gradient(d, caches[s][hi],
                                                      *bn_sums)
                 for i in range(hi - 1, lo - 1, -1):
-                    layer, pos = layers[i]
+                    layer = layers[i][0]
                     if isinstance(layer, BatchNorm):
-                        d, grads, sums = layer.gradient_sums(d, caches[s][i])
+                        d, grads[s][i], sums = layer.gradient_sums(
+                            d, caches[s][i])
                     else:
                         # nothing reads the gradient of the input patches
-                        d, *grads = layer.backward(d, caches[s][i],
-                                                   input_grad=i > 0)
-                    if len(pos) > 1:
-                        composed[s][i] = grads
-                        continue
-                    for view, grad in zip(views[s][pos[0]], grads):
-                        view[...] = grad
+                        d, *grads[s][i] = layer.backward(d, caches[s][i],
+                                                         input_grad=i > 0)
                 return d, sums
 
             done = list(run(run_slice, range(len(bounds))))
             ds = [d for d, _ in done]
             if isinstance(layers[lo][0], BatchNorm):
                 bn_sums = [ordered_sum(c) for c in zip(*(c for _, c in done))]
-        grad = ordered_sum(flats)
+        grad = np.empty_like(self.params)  # every trainable array is written
         out, table = self._layer_views(grad), self.layers
         for i, (_, pos) in enumerate(layers):
-            if len(pos) == 1:
-                continue
-            summed = [ordered_sum(g) for g in zip(*(c[i] for c in composed))]
-            pulled = compose_convs_adjoint(
+            summed = [ordered_sum(g) for g in zip(*(g[i] for g in grads))]
+            pulled = (compose_convs_adjoint(
                 *[(table[p].kernel, table[p].bias) for p in pos], summed, run)
-            for p, grads in zip(pos, pulled):
-                for view, g in zip(out[p], grads):
+                if len(pos) > 1 else [summed])
+            for p, factor_grads in zip(pos, pulled):
+                for view, g in zip(out[p], factor_grads):
                     view[...] = g
         return grad
 
@@ -426,38 +410,20 @@ def slice_bounds(n: int, slices: int) -> list:
     return list(zip(edges, edges[1:]))
 
 
-class _BatchDraws:
-    """The uniform draws of an n-row batch's train-mode pass, shared by its
-    row slices. The k-th random(shape) call of a slice returns its rows of
-    the batch's k-th draw, made once from rng at the whole batch's shape
-    by whichever slice asks first, so rng's stream and every row's values
-    are those of an unsliced pass."""
-
-    def __init__(self, rng: np.random.Generator, n: int):
-        self.rng, self.n = rng, n
-        self.draws = []
-        self.lock = threading.Lock()
-
-    def slices(self, bounds) -> list:
-        """One stand-in for rng per (start, stop) row slice."""
-        return [_SliceDraws(self, a, b) for a, b in bounds]
-
-    def draw(self, k: int, shape) -> np.ndarray:
-        with self.lock:
-            if k == len(self.draws):
-                self.draws.append(self.rng.random((self.n,) + shape[1:]))
-            return self.draws[k]
-
-
-class _SliceDraws:
-    def __init__(self, batch: _BatchDraws, start: int, stop: int):
-        self.batch, self.start, self.stop = batch, start, stop
-        self.calls = 0
-
-    def random(self, shape) -> np.ndarray:
-        draw = self.batch.draw(self.calls, tuple(shape))
-        self.calls += 1
-        return draw[self.start:self.stop]
+def _draw_masks(layers, shape, rng: np.random.Generator) -> list:
+    """draw() of each Dropout of a train-mode layer list, in layer order
+    and at the whole batch's shape, None for every other layer. shape is
+    the input's (N, H, W, C); each ConvLayer shrinks H and W by k - 1 and
+    sets C."""
+    n, h, w, c = shape
+    masks = []
+    for layer, _ in layers:
+        if isinstance(layer, ConvLayer):
+            k = layer.kernel_size
+            h, w, c = h - k + 1, w - k + 1, layer.out_channels
+        masks.append(layer.draw(rng, (n, h, w, c))
+                     if isinstance(layer, Dropout) else None)
+    return masks
 
 
 def run_layers(layers, x: np.ndarray) -> np.ndarray:
@@ -468,16 +434,16 @@ def run_layers(layers, x: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def _inference_conv(layer):
-    """(kernel, bias, activation) of a layer's inference map in float64;
+def _inference_conv(layer) -> ConvLayer:
+    """A conv or BatchNorm layer's inference map as a float64 ConvLayer;
     a BatchNorm is the linear 1x1 conv of its moving-statistics affine."""
     if isinstance(layer, BatchNorm):
         scale = layer.gamma / np.sqrt(
             layer.moving_var.astype(np.float64) + layer.epsilon)
         shift = layer.beta - layer.moving_mean * scale
-        return np.diag(scale)[:, :, None, None], shift, "linear"
-    return (layer.kernel.astype(np.float64), layer.bias.astype(np.float64),
-            layer.activation)
+        return ConvLayer(np.diag(scale)[:, :, None, None], shift, "linear")
+    return ConvLayer(layer.kernel.astype(np.float64),
+                     layer.bias.astype(np.float64), layer.activation)
 
 
 def _taps(kernel: np.ndarray) -> np.ndarray:
@@ -543,23 +509,24 @@ def compose_convs_adjoint(first, second, grad, run=map):
             (dt2.transpose(3, 2, 0, 1), db))
 
 
-def _merge_linear_convs(layers, conv_of) -> list:
-    """The composition rule of inference_stack and of the train-mode pass:
-    each linear conv is composed into the conv after it (compose_convs).
-    conv_of(layer) is a layer's (kernel, bias, activation), or None for a
-    layer that stays as it is. Returns (positions in layers, conv or
-    None) per merged layer, in order."""
-    merged = []
+def _compose(layers) -> list:
+    """The composition rule of the train-mode pass and of inference_stack:
+    each linear ConvLayer is composed into the ConvLayer after it
+    (compose_convs, in the kernels' dtype), and a composed layer that is
+    linear composes on. Returns (layer, positions in layers) per result,
+    in order; a layer that is not composed is the given object."""
+    composed = []
     for i, layer in enumerate(layers):
-        conv = conv_of(layer)
-        if (conv is not None and merged and merged[-1][1] is not None
-                and merged[-1][1][2] == "linear"):
-            pos, (kernel, bias, _) = merged.pop()
-            conv = (*compose_convs((kernel, bias), conv[:2]), conv[2])
-            merged.append((pos + (i,), conv))
+        prev, pos = composed[-1] if composed else (None, ())
+        if (isinstance(layer, ConvLayer) and isinstance(prev, ConvLayer)
+                and prev.activation == "linear"):
+            kernel, bias = compose_convs((prev.kernel, prev.bias),
+                                         (layer.kernel, layer.bias))
+            composed[-1] = (ConvLayer(kernel, bias, layer.activation),
+                            pos + (i,))
         else:
-            merged.append(((i,), conv))
-    return merged
+            composed.append((layer, (i,)))
+    return composed
 
 
 def inference_stack(net: Model) -> list:
@@ -570,11 +537,11 @@ def inference_stack(net: Model) -> list:
     tanh and dense2. Kernels are composed in float64 and cast once to the
     model's dtype; net is not modified, and the layers are read-only, so
     threads may share them."""
-    layers = [layer for layer in net.layers if not isinstance(layer, Dropout)]
+    layers = [_inference_conv(layer) for layer in net.layers
+              if not isinstance(layer, Dropout)]
     dtype = net.params.dtype
-    return [ConvLayer(kernel.astype(dtype), bias.astype(dtype), activation)
-            for _, (kernel, bias, activation)
-            in _merge_linear_convs(layers, _inference_conv)]
+    return [ConvLayer(layer.kernel.astype(dtype), layer.bias.astype(dtype),
+                      layer.activation) for layer, _ in _compose(layers)]
 
 
 def build_model(arch: ArchitectureConfig, seed: int = 0, zone_id: str = "",
@@ -693,24 +660,24 @@ def read_model_header(path) -> dict:
 def load_model(path) -> Model:
     hdr = read_model_header(path)
     arch = ArchitectureConfig.from_dict(hdr["arch"])
-    model = build_model(arch, seed=hdr["seed"], zone_id=hdr["zone_id"])
-    model.epochs_trained = hdr["epochs_trained"]
+    # checked before build_model: a header can ask for terabytes
+    need = 4 * sum(count_params(arch))
     with open(path, "rb") as f:
         f.seek(4)
         (hlen,) = struct.unpack("<I", f.read(4))
         offset = 8 + hlen
+        size = os.fstat(f.fileno()).st_size
+        if size - offset != need:
+            raise FormatError(
+                f"parameter payload of {size - offset} bytes at offset "
+                f"{offset}: expected {offset + need} bytes total"
+            )
         f.seek(offset)
-        blob = f.read()
-    arrays = model.serialization_arrays()
-    need = sum(a.size for a in arrays) * 4
-    if len(blob) != need:
-        raise FormatError(
-            f"truncated parameter payload at offset {offset + len(blob)}: "
-            f"expected {offset + need} bytes total"
-        )
-    flat = np.frombuffer(blob, dtype="<f4")
+        flat = np.frombuffer(f.read(), dtype="<f4")
+    model = build_model(arch, seed=hdr["seed"], zone_id=hdr["zone_id"])
+    model.epochs_trained = hdr["epochs_trained"]
     pos = 0
-    for a in arrays:
+    for a in model.serialization_arrays():
         a[...] = flat[pos:pos + a.size].reshape(a.shape)
         pos += a.size
     return model

@@ -12,18 +12,25 @@ protocol:
 param_names and state_names name each layer's trainable arrays and its
 non-trainable statistics. The layers are ConvLayer (a k x k convolution; a
 dense layer applied per pixel is its k = 1 case), BatchNorm and Dropout
-(no parameters; rng draws its mask). Inference passes never mutate layer
-state, so they are safe to share across threads; the train-mode pass of
-BatchNorm updates its moving statistics.
+(no parameters; rng draws its keep flags). Inference passes never mutate
+layer state, so they are safe to share across threads; the train-mode
+pass of BatchNorm updates its moving statistics.
 
 A training batch may run as contiguous row slices on several threads
-(synchronized BatchNorm). ConvLayer and Dropout passes are per row, and
-only BatchNorm couples rows: its train-mode pass splits into
-batch_statistics, one call for the whole batch, and normalize per slice,
-and its backward into gradient_sums per slice and input_gradient per
-slice. Every batch-wide quantity is a sum of per-slice column sums taken
-in slice order (ordered_sum), so a result does not depend on which thread
-ran a slice, and one slice gives the bits of the unsliced pass.
+(synchronized BatchNorm). ConvLayer passes are per row. The two layers
+with a batch-wide train-mode quantity split their pass into one call for
+the whole batch, made by the caller, and calls per slice that only
+consume it:
+
+    BatchNorm  batch_statistics(xs) once, normalize(x, ...) per slice;
+               gradient_sums per slice, then input_gradient per slice
+    Dropout    draw(rng, shape) once, apply(x, draws[a:b]) per slice
+
+Every batch-wide BatchNorm quantity is a sum of per-slice column sums
+taken in slice order (ordered_sum), and every dropout mask is drawn at
+the whole batch's shape before any slice runs, so a result does not
+depend on which thread ran a slice, rng's stream does not depend on the
+slice count, and one slice gives the bits of the unsliced pass.
 
 No pass writes its input. Epilogues run in place on arrays the pass
 allocated itself: a ConvLayer adds its bias to and takes tanh of its fresh
@@ -314,13 +321,24 @@ class Dropout:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x
 
-    def forward_train(self, x: np.ndarray, rng: np.random.Generator):
-        """(y, mask); rate 0 is the identity with mask None."""
+    def draw(self, rng: np.random.Generator, shape):
+        """The keep flags of a batch shaped `shape`, one uniform draw from
+        rng per unit; None at rate 0, which draws nothing."""
         if self.rate == 0.0:
+            return None
+        return rng.random(shape) >= self.rate
+
+    def apply(self, x: np.ndarray, draws):
+        """(y, mask) of x under its rows of draw()'s keep flags; draws None
+        is the identity with mask None."""
+        if draws is None:
             return x, None
-        keep = (rng.random(x.shape) >= self.rate).astype(x.dtype)
-        mask = keep / np.asarray(1.0 - self.rate, dtype=x.dtype)
+        mask = draws.astype(x.dtype) / np.asarray(1.0 - self.rate,
+                                                  dtype=x.dtype)
         return x * mask, mask
+
+    def forward_train(self, x: np.ndarray, rng: np.random.Generator):
+        return self.apply(x, self.draw(rng, x.shape))
 
     def backward(self, dout: np.ndarray, mask, input_grad: bool = True):
         if not input_grad:

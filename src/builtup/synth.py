@@ -8,6 +8,7 @@ and the footprint rectangles (in metres) describe exactly the same mask.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,9 +158,17 @@ def save_zone(zone: Zone, out_dir) -> dict:
     return {k: str(v) for k, v in paths.items()}
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def load_footprints(path) -> dict:
-    """The footprints.json written by save_zone; FormatError when it is not
-    a JSON object with "rects"."""
+    """The footprints.json written by save_zone; FormatError unless it is a
+    JSON object whose "rects" is a list of [x0, y0, x1, y1] number lists
+    and whose pixel_size (positive), origin_x and origin_y, where present,
+    are numbers."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             footprints = json.load(f)
@@ -167,4 +176,14 @@ def load_footprints(path) -> dict:
         raise FormatError(f"unreadable footprints {path}: {exc}") from exc
     if not isinstance(footprints, dict) or "rects" not in footprints:
         raise FormatError(f"footprints {path} is not an object with rects")
+    rects = footprints["rects"]
+    if not isinstance(rects, list) or not all(
+            isinstance(r, list) and len(r) == 4 and all(map(_is_number, r))
+            for r in rects):
+        raise FormatError(f"footprints {path}: rects must be a list of "
+                          f"[x0, y0, x1, y1] number lists")
+    for key in ("pixel_size", "origin_x", "origin_y"):
+        value = footprints.get(key, 1.0)
+        if not _is_number(value) or (key == "pixel_size" and value <= 0):
+            raise FormatError(f"footprints {path}: bad {key} {value!r}")
     return footprints

@@ -134,14 +134,27 @@ def tile_without_row0(pred, ref):
                                                 encoding="utf-8")
 
 
+def edit_tile(**fields):
+    def damage(pred, ref):
+        info = load(pred / "predict_manifest.json")
+        info["tiles"][1].update(fields)
+        (pred / "predict_manifest.json").write_text(json.dumps(info),
+                                                    encoding="utf-8")
+    return damage
+
+
 @pytest.mark.parametrize("damage, code, error_class", [
     (drop_a_tile, 3, "missing_input"),
     (list_no_tiles, 4, "format"),
     (corrupt_footprints, 4, "format"),
     (manifest_not_json, 4, "format"),
     (tile_without_row0, 4, "format"),
+    (edit_tile(rows=31), 4, "format"),
+    (edit_tile(row0=-5), 4, "format"),
+    (edit_tile(cols=0), 4, "format"),
 ], ids=["missing_tile", "no_tiles", "corrupt_footprints", "manifest_not_json",
-        "tile_without_row0"])
+        "tile_without_row0", "tile_rows_not_its_raster", "negative_row0",
+        "zero_cols"])
 def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                                             error_class):
     _, data, model, _ = trained
@@ -154,8 +167,43 @@ def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
     damage(pred, ref)
     assert run("evaluate", "--probs", pred, "--reference", ref,
                "--report", tmp_path / "r.json") == code
-    assert load(tmp_path / "r.evaluate_manifest.json")["error"]["class"] == \
-        error_class
+    info = load(tmp_path / "r.evaluate_manifest.json")
+    assert info["status"] == "error" and info["error"]["class"] == error_class
+
+
+@pytest.fixture(scope="module")
+def predicted(trained):
+    root, data, model, _ = trained
+    pred = root / "pred_for_footprints"
+    assert run("predict", "--zone", "A", "--data", data, "--model", model,
+               "--out", pred) == 0
+    return pred
+
+
+@pytest.mark.parametrize("edit", [
+    {"rects": [[0, 0, "x", 5]]},
+    {"rects": 5},
+    {"rects": [[0, 0, 5]]},
+    {"rects": [[0, 0, True, 5]]},
+    {"origin_x": "a"},
+    {"origin_y": None},
+    {"pixel_size": 0},
+], ids=["string_coordinate", "rects_not_a_list", "three_coordinates",
+        "bool_coordinate", "string_origin_x", "null_origin_y",
+        "zero_pixel_size"])
+def test_malformed_footprints_are_format_errors(trained, predicted, tmp_path,
+                                                edit):
+    _, data, _, _ = trained
+    footprints = load(data / "A" / "footprints.json")
+    footprints.update(edit)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    (ref / "footprints.json").write_text(json.dumps(footprints),
+                                         encoding="utf-8")
+    assert run("evaluate", "--probs", predicted, "--reference", ref,
+               "--report", tmp_path / "r.json") == 4
+    info = load(tmp_path / "r.evaluate_manifest.json")
+    assert info["status"] == "error" and info["error"]["class"] == "format"
 
 
 def ghsm_with_header(model, path, edit):
@@ -179,7 +227,7 @@ def ghsr_with_bad_zone_id(data, path):
 
 @pytest.mark.parametrize("case", ["zone_id_0xff", "no_arch",
                                   "fractional_hidden_units", "directory",
-                                  "model_directory"])
+                                  "model_directory", "huge_hidden_units"])
 def test_corrupt_headers_are_format_errors(trained, tmp_path, case):
     _, data, model, _ = trained
     if case == "zone_id_0xff":
@@ -192,11 +240,17 @@ def test_corrupt_headers_are_format_errors(trained, tmp_path, case):
     else:
         edit = {"no_arch": lambda h: h.pop("arch"),
                 "fractional_hidden_units":
-                    lambda h: h["arch"].update(hidden_units=1.8)}[case]
+                    lambda h: h["arch"].update(hidden_units=1.8),
+                "huge_hidden_units":
+                    lambda h: h["arch"].update(hidden_units=10 ** 12)}[case]
         bad = ghsm_with_header(model, tmp_path / "m.ghsm", edit)
         argv = ["predict", "--zone", "A", "--data", data, "--model", bad,
                 "--out", tmp_path / "pred"]
     assert run(*argv) == 4
+    if argv[0] == "predict":
+        info = load(tmp_path / "pred" / "predict_manifest.json")
+        assert info["status"] == "error"
+        assert info["error"]["class"] == "format"
 
 
 def test_transfer_does_not_register_the_target(trained, tmp_path):

@@ -1,6 +1,8 @@
 """Topology assembly, parameter counting, batched passes, GHSM files."""
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -371,6 +373,21 @@ class TestSerialization:
         save_model(net, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError, match="offset"):
+            load_model(path)
+
+    def test_a_huge_architecture_is_a_format_error(self, tmp_path):
+        """The payload size is checked against the header's architecture
+        before any array is built: 10^12 hidden units would need 240 TiB."""
+        path = tmp_path / "m.ghsm"
+        save_model(build_model(PRESETS["desk"], seed=0), path)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<I", raw[4:8])[0]
+        header = json.loads(raw[8:8 + hlen])
+        header["arch"]["hidden_units"] = 10 ** 12
+        text = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text
+                         + raw[8 + hlen:])
+        with pytest.raises(FormatError, match="payload"):
             load_model(path)
 
     def test_loaded_model_forward_is_exact(self, tmp_path):

@@ -15,6 +15,7 @@ the worker count or on the BLAS thread setting.
 
 import copy
 import sys
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -251,6 +252,28 @@ def test_two_slices_match_one_in_float64(name, n, monkeypatch):
     monkeypatch.setattr(model_mod, "TRAIN_SLICES", 1)
     _, one_losses = run_steps(train_step, arch, n, 5, np.float64)
     np.testing.assert_allclose(two_losses, one_losses, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.0])
+@pytest.mark.parametrize("slices", [1, 2, 3])
+def test_a_step_draws_each_dropout_mask_once_at_the_batch_shape(slices, rate,
+                                                                 monkeypatch):
+    """rng's stream is part of a zone's reproducible training: one step
+    draws drop1's (N, 3, 3, f_a) uniforms, then drop2's (N, 1, 1, f_b),
+    and nothing else, whatever the slice count; at rate 0 it draws
+    nothing."""
+    monkeypatch.setattr(model_mod, "TRAIN_SLICES", slices)
+    arch = replace(TINY, dropout_rate=rate)
+    n, (f_a, f_b) = 37, arch.block_filters
+    net = build_model(arch, seed=0)
+    x, y = batch(arch, n, 1)
+    rng, expected = np.random.default_rng(5), np.random.default_rng(5)
+    loss = train_step(net, x, y, AdamState.for_size(net.params.size), rng)
+    assert np.isfinite(loss)
+    if rate:
+        expected.random((n, 3, 3, f_a))
+        expected.random((n, 1, 1, f_b))
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_an_empty_slice_changes_nothing(monkeypatch):
