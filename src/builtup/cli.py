@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, model as model_mod, pipeline, raster, synth
-from .errors import FormatError, MissingInputError, ToolkitError
+from .errors import (FormatError, MissingInputError, ToolkitError,
+                     UndefinedStatisticError)
 
 
 def _sha256(path) -> str:
@@ -132,8 +133,7 @@ def _zone_names(n: int):
 def cmd_synth(args, argv) -> int:
     out = Path(args.out)
     with Manifest("synth", argv, args, out / "synth_manifest.json") as manifest:
-        params = synth.SceneParams(size=args.size, tile_size=args.tile_size,
-                                   clusters=args.clusters,
+        params = synth.SceneParams(size=args.size, clusters=args.clusters,
                                    noise_sigma=args.noise_sigma,
                                    nodata_fraction=args.nodata_fraction,
                                    seed=args.seed)
@@ -306,7 +306,8 @@ TILE_EXTENT = {"row0": 0, "col0": 0, "rows": 1, "cols": 1}
 def _load_prediction_mosaic(probs_dir: Path):
     """Rebuild the zone probability grid from a prediction manifest. The
     tile rasters are read from probs_dir, next to the manifest, whatever
-    directory the prediction ran from."""
+    directory the prediction ran from. Returns (prob, valid, pixel_size);
+    UndefinedStatisticError when no tile is ok."""
     manifest_path = None
     for name in ("predict_manifest.json", "transfer_manifest.json"):
         if (probs_dir / name).exists():
@@ -327,36 +328,41 @@ def _load_prediction_mosaic(probs_dir: Path):
         raise FormatError(
             f"{manifest_path} lists no tiles (run status {info.get('status')!r})"
         )
-    tiles = info["tiles"]
-    for t in tiles:
+    for t in info["tiles"]:
         if not (isinstance(t, dict)
                 and all(isinstance(t.get(k), int) and t[k] >= least
                         for k, least in TILE_EXTENT.items())
                 and t.get("status") in ("ok", "error")
                 and (t["status"] != "ok" or isinstance(t.get("prob"), str))):
             raise FormatError(f"{manifest_path}: bad tile entry {t!r}")
+    # a failed tile wrote no raster that could confirm its extent, so only
+    # the ok tiles size the grid, each once its raster's header agrees
+    tiles = [t for t in info["tiles"] if t["status"] == "ok"]
+    if not tiles:
+        raise UndefinedStatisticError(
+            f"{manifest_path}: no tile was predicted, nothing to score")
+    paths = []
+    for t in tiles:
+        path = _require_file(probs_dir / Path(t["prob"]).name, "tile raster")
+        header = raster.read_header(path)
+        if (header["height"], header["width"]) != (t["rows"], t["cols"]):
+            raise FormatError(
+                f"{manifest_path}: tile {t['prob']} is "
+                f"{header['height']}x{header['width']}, its entry says "
+                f"{t['rows']}x{t['cols']}")
+        paths.append(path)
     height = max(t["row0"] + t["rows"] for t in tiles)
     width = max(t["col0"] + t["cols"] for t in tiles)
     prob = np.full((height, width), -1.0, dtype=np.float32)
     valid = np.zeros((height, width), dtype=bool)
-    pixel_size = None
-    for t in tiles:
-        if t["status"] != "ok":
-            continue
-        grid = raster.read_raster(_require_file(
-            probs_dir / Path(t["prob"]).name, "tile raster"))
-        if grid.data.shape[1:] != (t["rows"], t["cols"]):
-            raise FormatError(
-                f"{manifest_path}: tile {t['prob']} is "
-                f"{grid.data.shape[1]}x{grid.data.shape[2]}, its entry says "
-                f"{t['rows']}x{t['cols']}")
-        pixel_size = grid.pixel_size
+    for t, path in zip(tiles, paths):
+        grid = raster.read_raster(path)
         window = grid.data[0]
         sl = (slice(t["row0"], t["row0"] + t["rows"]),
               slice(t["col0"], t["col0"] + t["cols"]))
         prob[sl] = window
         valid[sl] = window != grid.nodata
-    return prob, valid, pixel_size
+    return prob, valid, grid.pixel_size
 
 
 def cmd_evaluate(args, argv) -> int:
@@ -373,7 +379,7 @@ def cmd_evaluate(args, argv) -> int:
         report = evaluation.evaluate_probabilities(
             prob, valid, footprints["rects"],
             width=prob.shape[1], height=prob.shape[0],
-            pixel_size=pixel_size or footprints["pixel_size"],
+            pixel_size=pixel_size,
             origin_x=footprints.get("origin_x", 0.0),
             origin_y=footprints.get("origin_y", 0.0),
             thresholds=args.thresholds, aoi_id=footprints.get("aoi_id", ""),
@@ -431,14 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic zones")
+    scene = synth.SceneParams
     p.add_argument("--out", required=True)
     p.add_argument("--zones", type=int, default=1)
-    p.add_argument("--size", type=int, default=512)
-    p.add_argument("--tile-size", type=int, default=256)
-    p.add_argument("--clusters", type=int, default=26)
+    p.add_argument("--size", type=int, default=scene.size)
+    p.add_argument("--clusters", type=int, default=scene.clusters)
+    # 300, not SceneParams.noise_sigma (200): keeps the zones the CLI writes
     p.add_argument("--noise-sigma", type=float, default=300.0)
-    p.add_argument("--nodata-fraction", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodata-fraction", type=float,
+                   default=scene.nodata_fraction)
+    p.add_argument("--seed", type=int, default=scene.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one zone model")
@@ -447,19 +455,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output .ghsm model path")
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS),
                    default="desk")
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--validation-fraction", type=float, default=0.10)
-    p.add_argument("--learning-rate", type=float, default=1e-4)
-    p.add_argument("--tile-size", type=int, default=256)
-    p.add_argument("--tile-fraction", type=float, default=0.5)
-    p.add_argument("--non-bu-rate", type=float, default=0.6)
-    p.add_argument("--chunk-size", type=int, default=200_000)
-    p.add_argument("--batch-size", type=int, default=1024)
-    p.add_argument("--divisor", type=float, default=10000.0)
+    run, cfg = pipeline.TrainingRun, pipeline.SamplingConfig
+    arch = model_mod.ArchitectureConfig
+    p.add_argument("--epochs", type=int, default=run.epochs)
+    p.add_argument("--seed", type=int, default=run.seed)
+    p.add_argument("--validation-fraction", type=float,
+                   default=run.validation_fraction)
+    p.add_argument("--learning-rate", type=float, default=run.learning_rate)
+    p.add_argument("--tile-size", type=int, default=cfg.tile_pixels)
+    p.add_argument("--tile-fraction", type=float, default=cfg.tile_fraction)
+    p.add_argument("--non-bu-rate", type=float, default=cfg.non_bu_rate)
+    p.add_argument("--chunk-size", type=int, default=cfg.chunk_size)
+    p.add_argument("--batch-size", type=int, default=cfg.batch_size)
+    p.add_argument("--divisor", type=float,
+                   default=arch.normalization_divisor)
     p.add_argument("--water-zone", action="store_true")
     p.add_argument("--early-stop-patience", type=int, default=None)
-    p.add_argument("--early-stop-min-delta", type=float, default=1e-4)
+    p.add_argument("--early-stop-min-delta", type=float,
+                   default=pipeline.EarlyStopping.min_delta)
     p.add_argument("--registry", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -485,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "footprints")
     p.add_argument("--probs", required=True)
     p.add_argument("--reference", required=True)
-    p.add_argument("--thresholds", type=_thresholds, default="0.2,0.5")
+    p.add_argument("--thresholds", type=_thresholds,
+                   default=list(evaluation.DEFAULT_THRESHOLDS))
     p.add_argument("--report", required=True)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_evaluate)

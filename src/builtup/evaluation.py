@@ -19,12 +19,13 @@ import numpy as np
 from .errors import MetricError, ShapeError, UndefinedStatisticError
 
 DEFAULT_THRESHOLDS = (0.2, 0.5)
+FINE_RES = 1.0  # metres per side of a rasterize_density fine cell
 RASTER_STRIP_CELLS = 1 << 24  # fine cells per rasterize_density band (16 MB)
 
 
 def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
-                      origin_x: float = 0.0, origin_y: float = 0.0,
-                      fine_res: float = 1.0) -> np.ndarray:
+                      origin_x: float = 0.0, origin_y: float = 0.0
+                      ) -> np.ndarray:
     """Built-up density per coarse cell from rectangle footprints.
 
     Rectangles are (x0, y0, x1, y1) in metres; x runs along columns and y
@@ -36,17 +37,17 @@ def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
     The fine grid is built one band of coarse rows at a time, of at most
     RASTER_STRIP_CELLS fine cells, so memory does not grow with the zone.
     """
-    sub = int(round(pixel_size / fine_res))
+    sub = int(round(pixel_size / FINE_RES))
     fw, fh = width * sub, height * sub
     boxes = []
     clipped = False
     for x0, y0, x1, y1 in rects:
-        # fine cell i has center (i + 0.5) * fine_res; center in [a, b)
+        # fine cell i has center (i + 0.5) * FINE_RES; center in [a, b)
         # iff i in [ceil(a/fine - 0.5), ceil(b/fine - 0.5) - 1]
-        c0 = int(np.ceil((x0 - origin_x) / fine_res - 0.5))
-        c1 = int(np.ceil((x1 - origin_x) / fine_res - 0.5))
-        r0 = int(np.ceil((y0 - origin_y) / fine_res - 0.5))
-        r1 = int(np.ceil((y1 - origin_y) / fine_res - 0.5))
+        c0 = int(np.ceil((x0 - origin_x) / FINE_RES - 0.5))
+        c1 = int(np.ceil((x1 - origin_x) / FINE_RES - 0.5))
+        r0 = int(np.ceil((y0 - origin_y) / FINE_RES - 0.5))
+        r1 = int(np.ceil((y1 - origin_y) / FINE_RES - 0.5))
         if c0 < 0 or r0 < 0 or c1 > fw or r1 > fh:
             clipped = True
         c0, c1 = max(c0, 0), min(c1, fw)

@@ -67,7 +67,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -115,22 +115,14 @@ class ArchitectureConfig:
             raise ConfigError("normalization_divisor must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "patch_size": self.patch_size,
-            "bands": self.bands,
-            "block_filters": list(self.block_filters),
-            "hidden_units": self.hidden_units,
-            "dropout_rate": self.dropout_rate,
-            "normalization_divisor": self.normalization_divisor,
-        }
+        """The fields by name; JSON writes block_filters as a list."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ArchitectureConfig":
-        cfg = cls(patch_size=d["patch_size"], bands=d["bands"],
-                  block_filters=tuple(d["block_filters"]),
-                  hidden_units=d["hidden_units"],
-                  dropout_rate=d["dropout_rate"],
-                  normalization_divisor=d["normalization_divisor"])
+        values = {f.name: d[f.name] for f in fields(cls)}
+        values["block_filters"] = tuple(values["block_filters"])
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -141,15 +133,12 @@ PRESETS = {
 }
 
 
-def preset(name: str, divisor: Optional[float] = None,
-           bands: Optional[int] = None) -> ArchitectureConfig:
+def preset(name: str, divisor: Optional[float] = None) -> ArchitectureConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     cfg = PRESETS[name]
     if divisor is not None:
         cfg = replace(cfg, normalization_divisor=divisor)
-    if bands is not None:
-        cfg = replace(cfg, bands=bands)
     return cfg
 
 
@@ -544,13 +533,12 @@ def inference_stack(net: Model) -> list:
                       layer.activation) for layer, _ in _compose(layers)]
 
 
-def build_model(arch: ArchitectureConfig, seed: int = 0, zone_id: str = "",
-                rng: Optional[np.random.Generator] = None) -> Model:
+def build_model(arch: ArchitectureConfig, seed: int = 0,
+                zone_id: str = "") -> Model:
     """Initialize all layers; conv kernels and biases uniform on
-    [-0.1065, 0.1065], drawn in table order; BN at gamma=1, beta=0, moving
-    mean 0 / var 1."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    [-0.1065, 0.1065], drawn from a generator seeded with seed in table
+    order; BN at gamma=1, beta=0, moving mean 0 / var 1."""
+    rng = np.random.default_rng(seed)
     model = Model(arch, zone_id=zone_id, seed=seed)
     for layer in model.layers:
         if isinstance(layer, ConvLayer):
@@ -660,7 +648,7 @@ def read_model_header(path) -> dict:
 def load_model(path) -> Model:
     hdr = read_model_header(path)
     arch = ArchitectureConfig.from_dict(hdr["arch"])
-    # checked before build_model: a header can ask for terabytes
+    # checked before the model is allocated: a header can ask for terabytes
     need = 4 * sum(count_params(arch))
     with open(path, "rb") as f:
         f.seek(4)
@@ -674,8 +662,9 @@ def load_model(path) -> Model:
             )
         f.seek(offset)
         flat = np.frombuffer(f.read(), dtype="<f4")
-    model = build_model(arch, seed=hdr["seed"], zone_id=hdr["zone_id"])
-    model.epochs_trained = hdr["epochs_trained"]
+    # every parameter array is read from the file, so none is initialised
+    model = Model(arch, zone_id=hdr["zone_id"], seed=hdr["seed"],
+                  epochs_trained=hdr["epochs_trained"])
     pos = 0
     for a in model.serialization_arrays():
         a[...] = flat[pos:pos + a.size].reshape(a.shape)

@@ -12,7 +12,9 @@ protocol:
 param_names and state_names name each layer's trainable arrays and its
 non-trainable statistics. The layers are ConvLayer (a k x k convolution; a
 dense layer applied per pixel is its k = 1 case), BatchNorm and Dropout
-(no parameters; rng draws its keep flags). Inference passes never mutate
+(no parameters; rng draws its keep flags). BatchNorm's epsilon and
+momentum, and AdamState's betas and epsilon, are class-level constants
+(BN_*, ADAM_*), not per-instance settings. Inference passes never mutate
 layer state, so they are safe to share across threads; the train-mode
 pass of BatchNorm updates its moving statistics.
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -207,16 +210,15 @@ class BatchNorm:
 
     param_names = ("gamma", "beta")
     state_names = ("moving_mean", "moving_var")
+    epsilon = BN_EPSILON
+    momentum = BN_MOMENTUM
 
     def __init__(self, gamma: np.ndarray, beta: np.ndarray,
-                 moving_mean: np.ndarray, moving_var: np.ndarray,
-                 epsilon: float = BN_EPSILON, momentum: float = BN_MOMENTUM):
+                 moving_mean: np.ndarray, moving_var: np.ndarray):
         self.gamma = gamma
         self.beta = beta
         self.moving_mean = moving_mean
         self.moving_var = moving_var
-        self.epsilon = epsilon
-        self.momentum = momentum
 
     @property
     def channels(self) -> int:
@@ -382,10 +384,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPSILON
     learning_rate: float = 1e-4
+    beta1: ClassVar[float] = ADAM_BETA1
+    beta2: ClassVar[float] = ADAM_BETA2
+    epsilon: ClassVar[float] = ADAM_EPSILON
 
     @classmethod
     def for_size(cls, n: int, learning_rate: float = 1e-4,

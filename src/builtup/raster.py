@@ -20,6 +20,7 @@ Header layout (offsets in bytes):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,7 +36,7 @@ PATCH_SIZE = 5
 PATCH_MARGIN = PATCH_SIZE // 2
 
 DTYPE_CODES = {"u8": 1, "i16": 2, "f32": 3}
-CODE_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<i2"), 3: np.dtype("<f4")}
+DTYPE_NAMES = {code: name for name, code in DTYPE_CODES.items()}
 DTYPE_NUMPY = {"u8": np.dtype("<u1"), "i16": np.dtype("<i2"), "f32": np.dtype("<f4")}
 
 
@@ -130,7 +131,7 @@ def read_header(path) -> dict:
     )
     if version != VERSION:
         raise FormatError(f"unsupported version {version} at offset 4")
-    if dcode not in CODE_DTYPES:
+    if dcode not in DTYPE_NAMES:
         raise FormatError(f"unknown dtype code {dcode} at offset 6")
     try:
         zone_id = raw[48:80].rstrip(b"\x00").decode("utf-8")
@@ -138,7 +139,7 @@ def read_header(path) -> dict:
         raise FormatError(f"zone_id is not UTF-8 at offset 48: {exc}") from exc
     return {
         "version": version,
-        "dtype": {v: k for k, v in DTYPE_CODES.items()}[dcode],
+        "dtype": DTYPE_NAMES[dcode],
         "bands": bands,
         "width": width,
         "height": height,
@@ -156,16 +157,16 @@ def read_raster(path) -> RasterGrid:
     count = hdr["bands"] * hdr["height"] * hdr["width"]
     expected = count * np_dtype.itemsize
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size != HEADER_SIZE + expected:
+            raise FormatError(
+                f"truncated payload at offset {size}: "
+                f"expected {HEADER_SIZE + expected} bytes total"
+            )
         f.seek(HEADER_SIZE)
-        payload = f.read()
-    if len(payload) != expected:
-        raise FormatError(
-            f"truncated payload at offset {HEADER_SIZE + len(payload)}: "
-            f"expected {HEADER_SIZE + expected} bytes total"
-        )
-    data = np.frombuffer(payload, dtype=np_dtype).reshape(
-        hdr["bands"], hdr["height"], hdr["width"]
-    ).copy()
+        # read into the array itself: no bytes object beside it
+        data = np.fromfile(f, dtype=np_dtype, count=count).reshape(
+            hdr["bands"], hdr["height"], hdr["width"])
     return RasterGrid(width=hdr["width"], height=hdr["height"],
                       bands=hdr["bands"], dtype=hdr["dtype"],
                       nodata=hdr["nodata"], zone_id=hdr["zone_id"],
@@ -193,9 +194,11 @@ def rescale_reflectance(grid: RasterGrid, divisor: float = 10000.0):
     return padded, valid
 
 
-def patch_view(padded: np.ndarray, size: int = PATCH_SIZE) -> np.ndarray:
-    """Sliding-window view over (bands, Hp, Wp): result (H, W, size, size, bands)."""
-    win = np.lib.stride_tricks.sliding_window_view(padded, (size, size), axis=(1, 2))
+def patch_view(padded: np.ndarray) -> np.ndarray:
+    """Sliding-window view over (bands, Hp, Wp): result (H, W, PATCH_SIZE,
+    PATCH_SIZE, bands)."""
+    win = np.lib.stride_tricks.sliding_window_view(
+        padded, (PATCH_SIZE, PATCH_SIZE), axis=(1, 2))
     # win: (bands, H, W, size, size) -> (H, W, size, size, bands)
     return win.transpose(1, 2, 3, 4, 0)
 

@@ -15,9 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError, StatsError
-from .raster import PATCH_MARGIN, RasterGrid
-
-LABEL_NODATA = 255
+from .raster import PATCH_MARGIN, PATCH_SIZE, RasterGrid
 
 
 def select_training_tiles(tiles, fraction: float,
@@ -33,8 +31,6 @@ def select_training_tiles(tiles, fraction: float,
         return [t for t in tiles if not t.water_dominated]
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        return list(tiles)
     if fraction == 0.5:
         return [t for t in tiles if (t.tile_row + t.tile_col) % 2 == 0]
     return [t for i, t in enumerate(tiles) if (i * fraction) % 1.0 < fraction]
@@ -63,18 +59,15 @@ class SampleSet:
         return int(len(self) - self.labels.sum())
 
 
-def patch_block_labels(labels: np.ndarray, nodata: float = LABEL_NODATA,
-                       margin: int = PATCH_MARGIN) -> np.ndarray:
+def patch_block_labels(labels: np.ndarray) -> np.ndarray:
     """(H, W) bool: patch label block contains >= 1 built-up pixel.
 
     Blocks are clipped at the grid border; nodata label cells never count
     as built-up.
     """
-    built = (labels == 1)
-    padded = np.pad(built, margin, mode="constant", constant_values=False)
-    win = np.lib.stride_tricks.sliding_window_view(
-        padded, (2 * margin + 1, 2 * margin + 1)
-    )
+    padded = np.pad(labels == 1, PATCH_MARGIN)
+    win = np.lib.stride_tricks.sliding_window_view(padded,
+                                                   (PATCH_SIZE, PATCH_SIZE))
     return win.any(axis=(2, 3))
 
 
@@ -88,7 +81,7 @@ def build_sample_set(label_grid: RasterGrid, valid_mask: np.ndarray,
     is known and whose center pixel carries valid image data.
     """
     labels = label_grid.data[0]
-    block_bu = patch_block_labels(labels, nodata=label_grid.nodata)
+    block_bu = patch_block_labels(labels)
     center_ok = (labels != label_grid.nodata) & valid_mask
 
     rows_out, cols_out, labels_out = [], [], []

@@ -24,7 +24,6 @@ PLACEMENT_RETRIES = 200
 @dataclass(frozen=True)
 class SceneParams:
     size: int = 512  # zone edge, pixels
-    tile_size: int = 256
     clusters: int = 26
     buildings_per_cluster: int = 14
     building_size: tuple = (5, 11)  # min/max rectangle edge, pixels
@@ -59,7 +58,6 @@ class Zone:
     composite: RasterGrid  # i16, 4 bands
     labels: RasterGrid  # u8 {0,1}, nodata 255 unused
     footprints: list  # [(x0, y0, x1, y1), ...] metres
-    params: SceneParams = None
 
 
 def _place_buildings(params: SceneParams, rng: np.random.Generator):
@@ -117,7 +115,7 @@ def synth_zone(params: SceneParams, zone_id: str = "A") -> Zone:
     footprints = [(c0 * pixel, r0 * pixel, c1 * pixel, r1 * pixel)
                   for r0, c0, r1, c1 in rects]
     return Zone(zone_id=zone_id, composite=comp_grid, labels=label_grid,
-                footprints=footprints, params=params)
+                footprints=footprints)
 
 
 def zone_stats(zone: Zone) -> dict:

@@ -1,5 +1,6 @@
 """The command-line pipeline end to end on a small synthetic zone pair."""
 
+import argparse
 import json
 import struct
 
@@ -143,6 +144,22 @@ def edit_tile(**fields):
     return damage
 
 
+def fail_every_tile(pred, ref):
+    info = load(pred / "predict_manifest.json")
+    for tile in info["tiles"]:
+        tile.update(status="error", error="RuntimeError: band failed")
+    (pred / "predict_manifest.json").write_text(json.dumps(info),
+                                                encoding="utf-8")
+
+
+def fail_every_tile_without_pixel_size(pred, ref):
+    fail_every_tile(pred, ref)
+    footprints = load(ref / "footprints.json")
+    del footprints["pixel_size"]
+    (ref / "footprints.json").write_text(json.dumps(footprints),
+                                         encoding="utf-8")
+
+
 @pytest.mark.parametrize("damage, code, error_class", [
     (drop_a_tile, 3, "missing_input"),
     (list_no_tiles, 4, "format"),
@@ -152,9 +169,11 @@ def edit_tile(**fields):
     (edit_tile(rows=31), 4, "format"),
     (edit_tile(row0=-5), 4, "format"),
     (edit_tile(cols=0), 4, "format"),
+    (fail_every_tile, 10, "undefined_statistic"),
+    (fail_every_tile_without_pixel_size, 10, "undefined_statistic"),
 ], ids=["missing_tile", "no_tiles", "corrupt_footprints", "manifest_not_json",
         "tile_without_row0", "tile_rows_not_its_raster", "negative_row0",
-        "zero_cols"])
+        "zero_cols", "no_ok_tile", "no_ok_tile_nor_pixel_size"])
 def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                                             error_class):
     _, data, model, _ = trained
@@ -169,6 +188,53 @@ def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                "--report", tmp_path / "r.json") == code
     info = load(tmp_path / "r.evaluate_manifest.json")
     assert info["status"] == "error" and info["error"]["class"] == error_class
+
+
+def test_a_failed_tile_does_not_size_the_mosaic(trained, tmp_path):
+    """A failed tile's entry has no raster to check its extent against, so
+    rows 10**12 on it change nothing: the report is that of its honest
+    extent."""
+    _, data, model, _ = trained
+    reports = []
+    for rows in (32, 10 ** 12):
+        pred, report = tmp_path / f"pred_{rows}", tmp_path / f"r_{rows}.json"
+        assert run("predict", "--zone", "A", "--data", data, "--model", model,
+                   "--out", pred, "--tile-size", 32) == 0
+        edit_tile(status="error", rows=rows)(pred, None)
+        assert run("evaluate", "--probs", pred, "--reference", data / "A",
+                   "--report", report) == 0
+        assert load(tmp_path / f"r_{rows}.evaluate_manifest.json")[
+            "status"] == "ok"
+        reports.append(load(report))
+    assert reports[0] == reports[1]
+
+
+# Every option of every subcommand, by dest. An option added or dropped is
+# a change to the CLI's surface, made here on purpose.
+OPTIONS = {
+    "synth": ["clusters", "nodata_fraction", "noise_sigma", "out", "seed",
+              "size", "zones"],
+    "train": ["batch_size", "chunk_size", "data", "divisor",
+              "early_stop_min_delta", "early_stop_patience", "epochs",
+              "learning_rate", "non_bu_rate", "out", "preset", "registry",
+              "seed", "tile_fraction", "tile_size", "validation_fraction",
+              "water_zone", "zone"],
+    "predict": ["data", "model", "out", "tile_size", "zone"],
+    "transfer": ["data", "out", "registry", "source_zone", "tile_size",
+                 "zone"],
+    "evaluate": ["csv", "probs", "reference", "report", "thresholds"],
+    "inspect": ["path"],
+}
+
+
+def test_option_surface_is_pinned():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    dests = {name: sorted(a.dest for a in sub._actions if a.dest != "help")
+             for name, sub in commands.choices.items()}
+    assert dests == OPTIONS
+    assert sum(map(len, dests.values())) == 42
 
 
 @pytest.fixture(scope="module")

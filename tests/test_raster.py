@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from builtup import raster
 from builtup.errors import (FormatError, NumericError, ParameterError,
@@ -96,6 +97,14 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match="offset"):
             read_raster(path)
 
+    def test_bytes_after_the_payload(self, tmp_path):
+        path = tmp_path / "bad.ghsr"
+        write_raster(random_grid(np.random.default_rng(0), "u8"), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00" * 5)
+        with pytest.raises(FormatError, match=f"offset {len(raw) + 5}"):
+            read_raster(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad.ghsr"
         path.write_bytes(b"GHSR\x01\x00")
@@ -129,6 +138,47 @@ def test_header_byte_mutations_load_or_raise_toolkit_errors(ghsr_file, offset,
         read_raster(path.with_suffix(".mutated"))
     except ToolkitError:
         pass
+
+
+GHSR_VALUES = {
+    "u8": (np.uint8, st.integers(0, 255)),
+    "i16": (np.int16, st.integers(-32768, 32767)),
+    "f32": (np.float32, st.floats(width=32, allow_nan=False)),
+}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ghsr_grids(draw):
+    """Any grid GHSR can hold: each dtype, 1-4 bands, sides 1-17, a nodata
+    the dtype represents, a zone id of up to 32 UTF-8 bytes and finite
+    georeferencing."""
+    dtype = draw(st.sampled_from(sorted(GHSR_VALUES)))
+    np_dtype, values = GHSR_VALUES[dtype]
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 17)),
+             draw(st.integers(1, 17)))
+    data = draw(hnp.arrays(np_dtype, shape))
+    zone_id = draw(st.text(max_size=32).filter(
+        lambda z: len(z.encode("utf-8")) <= 32))
+    return make_grid(data, dtype, draw(values), zone_id=zone_id,
+                     origin_x=draw(FINITE), origin_y=draw(FINITE),
+                     pixel_size=draw(FINITE))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=ghsr_grids())
+def test_write_read_write_property(scratch, grid):
+    first, second = scratch / "first.ghsr", scratch / "second.ghsr"
+    write_raster(grid, first)
+    back = read_raster(first)
+    write_raster(back, second)
+    assert first.read_bytes() == second.read_bytes()
+    np.testing.assert_array_equal(back.data, grid.data)
 
 
 class TestRescale:

@@ -8,13 +8,13 @@ from builtup import sampling
 from builtup.errors import ParameterError, StatsError
 from builtup.raster import TileIndex, make_grid, tile_grid
 from builtup.sampling import (
-    LABEL_NODATA,
     build_sample_set,
     class_stats,
     patch_block_labels,
     select_training_tiles,
     shuffle_minibatches,
 )
+from builtup.synth import LABEL_NODATA
 
 
 def label_grid(values, nodata=LABEL_NODATA, zone_id="Z"):
