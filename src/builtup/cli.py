@@ -20,14 +20,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import resource
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import evaluation, model as model_mod, pipeline, raster, synth
 from .errors import (FormatError, MissingInputError, ToolkitError,
@@ -74,7 +73,10 @@ class Manifest:
         self.data = {
             "command": command,
             "argv": list(argv),
-            "config": {k: v for k, v in vars(args).items() if k != "func"},
+            # inf and nan, which JSON lacks, are echoed as strings
+            "config": {k: str(v) if isinstance(v, float)
+                       and not math.isfinite(v) else v
+                       for k, v in vars(args).items() if k != "func"},
             "inputs": {},
             "outputs": {},
             "timings_s": {},
@@ -183,7 +185,6 @@ def cmd_train(args, argv) -> int:
         cfg = pipeline.SamplingConfig(tile_pixels=args.tile_size,
                                       tile_fraction=args.tile_fraction,
                                       non_bu_rate=args.non_bu_rate,
-                                      chunk_size=args.chunk_size,
                                       batch_size=args.batch_size,
                                       water_zone=args.water_zone)
         manifest.data["workers"] = pipeline.train_workers()
@@ -207,40 +208,6 @@ def cmd_train(args, argv) -> int:
             registry.record(args.zone, str(out))
             registry.save(args.registry)
     return 0
-
-
-def _write_predictions(predictions, composite, out_dir: Path):
-    """Per-tile probability + quantized rasters; returns tile status list."""
-    statuses = []
-    for pred in predictions:
-        t = pred.tile
-        entry = {
-            "tile_row": t.tile_row, "tile_col": t.tile_col,
-            "row0": t.row0, "col0": t.col0, "rows": t.rows, "cols": t.cols,
-        }
-        if pred.ok:
-            stem = f"tile_{t.tile_row:03d}_{t.tile_col:03d}"
-            prob_grid = raster.RasterGrid(
-                width=t.cols, height=t.rows, bands=1, dtype="f32",
-                nodata=-1.0, zone_id=composite.zone_id,
-                origin_x=composite.origin_x + t.col0 * composite.pixel_size,
-                origin_y=composite.origin_y + t.row0 * composite.pixel_size,
-                pixel_size=composite.pixel_size, data=pred.prob[None])
-            quant = raster.quantize_probability(
-                np.where(pred.valid, pred.prob, 0.0), pred.valid
-            )
-            quant_grid = replace(prob_grid, data=quant[None], dtype="u8",
-                                 nodata=255.0)
-            prob_path = out_dir / f"{stem}_prob.ghsr"
-            quant_path = out_dir / f"{stem}_quant.ghsr"
-            raster.write_raster(prob_grid, prob_path)
-            raster.write_raster(quant_grid, quant_path)
-            entry.update(status="ok", prob=str(prob_path),
-                         quant=str(quant_path))
-        else:
-            entry.update(status="error", error=pred.error)
-        statuses.append(entry)
-    return statuses
 
 
 def _predict_common(args, argv, command: str) -> int:
@@ -280,7 +247,7 @@ def _predict_common(args, argv, command: str) -> int:
 
         manifest.data["inputs"] = _hash_paths([comp_path, model_path])
         out_dir.mkdir(parents=True, exist_ok=True)
-        statuses = _write_predictions(predictions, composite, out_dir)
+        statuses = pipeline.write_tiles(predictions, composite, out_dir)
         manifest.data["tiles"] = statuses
         manifest.data["outputs"] = _hash_paths(
             [s["prob"] for s in statuses if s["status"] == "ok"]
@@ -299,15 +266,10 @@ def cmd_transfer(args, argv) -> int:
     return _predict_common(args, argv, "transfer")
 
 
-# the ints of a manifest tile, each with its least value
-TILE_EXTENT = {"row0": 0, "col0": 0, "rows": 1, "cols": 1}
-
-
-def _load_prediction_mosaic(probs_dir: Path):
-    """Rebuild the zone probability grid from a prediction manifest. The
-    tile rasters are read from probs_dir, next to the manifest, whatever
-    directory the prediction ran from. Returns (prob, valid, pixel_size);
-    UndefinedStatisticError when no tile is ok."""
+def _load_prediction_mosaic(probs_dir: Path) -> raster.RasterGrid:
+    """pipeline.read_mosaic of the ok tiles of the prediction manifest in
+    probs_dir, read from probs_dir whatever directory the prediction ran
+    from; UndefinedStatisticError when no tile is ok."""
     manifest_path = None
     for name in ("predict_manifest.json", "transfer_manifest.json"):
         if (probs_dir / name).exists():
@@ -329,40 +291,15 @@ def _load_prediction_mosaic(probs_dir: Path):
             f"{manifest_path} lists no tiles (run status {info.get('status')!r})"
         )
     for t in info["tiles"]:
-        if not (isinstance(t, dict)
-                and all(isinstance(t.get(k), int) and t[k] >= least
-                        for k, least in TILE_EXTENT.items())
-                and t.get("status") in ("ok", "error")
+        if not (isinstance(t, dict) and t.get("status") in ("ok", "error")
                 and (t["status"] != "ok" or isinstance(t.get("prob"), str))):
             raise FormatError(f"{manifest_path}: bad tile entry {t!r}")
-    # a failed tile wrote no raster that could confirm its extent, so only
-    # the ok tiles size the grid, each once its raster's header agrees
-    tiles = [t for t in info["tiles"] if t["status"] == "ok"]
-    if not tiles:
+    paths = [_require_file(probs_dir / Path(t["prob"]).name, "tile raster")
+             for t in info["tiles"] if t["status"] == "ok"]
+    if not paths:
         raise UndefinedStatisticError(
             f"{manifest_path}: no tile was predicted, nothing to score")
-    paths = []
-    for t in tiles:
-        path = _require_file(probs_dir / Path(t["prob"]).name, "tile raster")
-        header = raster.read_header(path)
-        if (header["height"], header["width"]) != (t["rows"], t["cols"]):
-            raise FormatError(
-                f"{manifest_path}: tile {t['prob']} is "
-                f"{header['height']}x{header['width']}, its entry says "
-                f"{t['rows']}x{t['cols']}")
-        paths.append(path)
-    height = max(t["row0"] + t["rows"] for t in tiles)
-    width = max(t["col0"] + t["cols"] for t in tiles)
-    prob = np.full((height, width), -1.0, dtype=np.float32)
-    valid = np.zeros((height, width), dtype=bool)
-    for t, path in zip(tiles, paths):
-        grid = raster.read_raster(path)
-        window = grid.data[0]
-        sl = (slice(t["row0"], t["row0"] + t["rows"]),
-              slice(t["col0"], t["col0"] + t["cols"]))
-        prob[sl] = window
-        valid[sl] = window != grid.nodata
-    return prob, valid, grid.pixel_size
+    return pipeline.read_mosaic(paths)
 
 
 def cmd_evaluate(args, argv) -> int:
@@ -373,22 +310,22 @@ def cmd_evaluate(args, argv) -> int:
         ref_dir = _require(args.reference, "reference directory")
         fp_path = _require_file(Path(ref_dir) / "footprints.json",
                                 "footprints")
-        prob, valid, pixel_size = _load_prediction_mosaic(Path(probs_dir))
+        mosaic = _load_prediction_mosaic(Path(probs_dir))
         footprints = synth.load_footprints(fp_path)
         t0 = time.perf_counter()
         report = evaluation.evaluate_probabilities(
-            prob, valid, footprints["rects"],
-            width=prob.shape[1], height=prob.shape[0],
-            pixel_size=pixel_size,
-            origin_x=footprints.get("origin_x", 0.0),
-            origin_y=footprints.get("origin_y", 0.0),
-            thresholds=args.thresholds, aoi_id=footprints.get("aoi_id", ""),
+            mosaic.data[0], mosaic.valid_mask(), footprints["rects"],
+            width=mosaic.width, height=mosaic.height,
+            pixel_size=mosaic.pixel_size, origin_x=mosaic.origin_x,
+            origin_y=mosaic.origin_y, thresholds=args.thresholds,
+            aoi_id=footprints.get("aoi_id", ""),
         )
         manifest.time("evaluate", t0)
         report_path.parent.mkdir(parents=True, exist_ok=True)
         evaluation.report_to_json(report, report_path)
         outputs = [report_path]
         if args.csv:
+            Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
             evaluation.report_to_csv([report], args.csv)
             outputs.append(Path(args.csv))
         manifest.data["inputs"] = _hash_paths([fp_path])
@@ -465,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile-size", type=int, default=cfg.tile_pixels)
     p.add_argument("--tile-fraction", type=float, default=cfg.tile_fraction)
     p.add_argument("--non-bu-rate", type=float, default=cfg.non_bu_rate)
-    p.add_argument("--chunk-size", type=int, default=cfg.chunk_size)
     p.add_argument("--batch-size", type=int, default=cfg.batch_size)
     p.add_argument("--divisor", type=float,
                    default=arch.normalization_divisor)

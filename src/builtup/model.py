@@ -111,8 +111,9 @@ class ArchitectureConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), "
                               f"got {self.dropout_rate}")
-        if self.normalization_divisor <= 0:
-            raise ConfigError("normalization_divisor must be positive")
+        if not 0 < self.normalization_divisor < math.inf:
+            raise ConfigError(f"normalization_divisor must be positive and "
+                              f"finite, got {self.normalization_divisor}")
 
     def to_dict(self) -> dict:
         """The fields by name; JSON writes block_filters as a list."""
@@ -619,6 +620,12 @@ def _check_header(parsed) -> None:
                           "integers")
 
 
+def _reject_constant(name: str):
+    """json parse_constant: NaN and Infinity are not JSON."""
+    raise FormatError(f"model header at offset 8 holds {name}, which is not "
+                      f"JSON")
+
+
 def read_model_header(path) -> dict:
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -634,7 +641,8 @@ def read_model_header(path) -> dict:
                               f"{hlen} at offset 4 runs past the end")
         header = f.read(hlen)
     try:
-        parsed = json.loads(header.decode("utf-8"))
+        parsed = json.loads(header.decode("utf-8"),
+                            parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"undecodable header at offset 8: {exc}") from exc
     if not isinstance(parsed, dict):
@@ -662,6 +670,10 @@ def load_model(path) -> Model:
             )
         f.seek(offset)
         flat = np.frombuffer(f.read(), dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise FormatError(f"non-finite parameter {flat[bad[0]]} at offset "
+                          f"{offset + 4 * bad[0]}")
     # every parameter array is read from the file, so none is initialised
     model = Model(arch, zone_id=hdr["zone_id"], seed=hdr["seed"],
                   epochs_trained=hdr["epochs_trained"])

@@ -1,4 +1,5 @@
-"""Per-zone training, tiled prediction and the zone model registry.
+"""Per-zone training, tiled prediction, its tile files and the zone model
+registry.
 
 The zone is rescaled once into a float32 array with a zero border of
 PATCH_MARGIN pixels: training gathers 5x5 patches from it, and prediction
@@ -76,14 +77,15 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import model as model_mod, raster, sampling
-from .errors import ConfigError, DegenerateClassError, RegistryError
+from .errors import (ConfigError, DegenerateClassError, FormatError,
+                     RegistryError)
 from .model import (TRAIN_SLICES, Model, build_model, inference_stack,
                     run_layers, train_step)
 from .nncore import AdamState, bce_loss
@@ -115,10 +117,9 @@ class TrainingRun:
             )
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ConfigError(
-                f"learning_rate must be > 0, got {self.learning_rate}"
-            )
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
 
 
 @dataclass
@@ -126,7 +127,6 @@ class SamplingConfig:
     tile_pixels: int = 256
     tile_fraction: float = 0.5
     non_bu_rate: float = 0.6
-    chunk_size: int = 200_000
     batch_size: int = 1024
     water_zone: bool = False
 
@@ -134,9 +134,6 @@ class SamplingConfig:
         # train-mode batch norm needs two samples per batch
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.chunk_size < self.batch_size:
-            raise ConfigError(f"chunk_size {self.chunk_size} must be >= "
-                              f"batch_size {self.batch_size}")
         if not 0.0 <= self.non_bu_rate <= 1.0:
             raise ConfigError(
                 f"non_bu_rate must be in [0, 1], got {self.non_bu_rate}"
@@ -319,7 +316,7 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
         for epoch in range(run.epochs):
             epoch_loss = 0.0
             for batch_idx in sampling.shuffle_minibatches(
-                train_idx.size, cfg.chunk_size, cfg.batch_size, train_rng
+                train_idx.size, cfg.batch_size, train_rng
             ):
                 idx = train_idx[batch_idx]
                 patches = raster.gather_patches(view, rows[idx], cols[idx])
@@ -430,6 +427,72 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
             if failed else
             TilePrediction(tile=t, prob=prob[window], valid=valid[window]))
     return predictions
+
+
+def write_tiles(predictions, composite: RasterGrid, out_dir: Path) -> list:
+    """Each ok tile's f32 probability raster (nodata -1) and u8 quantized
+    one (0..100, nodata 255) in out_dir; returns a manifest entry per tile."""
+    entries = []
+    for pred in predictions:
+        t = pred.tile
+        entry = {
+            "tile_row": t.tile_row, "tile_col": t.tile_col,
+            "row0": t.row0, "col0": t.col0, "rows": t.rows, "cols": t.cols,
+        }
+        if pred.ok:
+            stem = f"tile_{t.tile_row:03d}_{t.tile_col:03d}"
+            prob_grid = raster.make_grid(
+                pred.prob, "f32", -1.0, zone_id=composite.zone_id,
+                origin_x=composite.origin_x + t.col0 * composite.pixel_size,
+                origin_y=composite.origin_y + t.row0 * composite.pixel_size,
+                pixel_size=composite.pixel_size)
+            quant = raster.quantize_probability(pred.prob, pred.valid)
+            quant_grid = replace(prob_grid, data=quant[None], dtype="u8",
+                                 nodata=255.0)
+            prob_path = out_dir / f"{stem}_prob.ghsr"
+            quant_path = out_dir / f"{stem}_quant.ghsr"
+            raster.write_raster(prob_grid, prob_path)
+            raster.write_raster(quant_grid, quant_path)
+            entry.update(status="ok", prob=str(prob_path),
+                         quant=str(quant_path))
+        else:
+            entry.update(status="error", error=pred.error)
+        entries.append(entry)
+    return entries
+
+
+def read_mosaic(paths) -> RasterGrid:
+    """The probability tiles at paths, each placed by its own header, as one
+    f32 band with nodata -1; FormatError unless they are such bands of one
+    zone_id and pixel size, whole pixels apart, holding probabilities."""
+    headers = [raster.read_header(p) for p in paths]
+    zone_id, pixel = headers[0]["zone_id"], headers[0]["pixel_size"]
+    least = np.min([(h["origin_y"], h["origin_x"]) for h in headers], axis=0)
+    places = []
+    for path, h in zip(paths, headers):
+        # nan, and so off the grid, where an origin is not finite
+        offset = (np.array((h["origin_y"], h["origin_x"])) - least) / pixel
+        if ((h["dtype"], h["bands"], h["nodata"], h["zone_id"],
+             h["pixel_size"]) != ("f32", 1, -1.0, zone_id, pixel)
+                or not 0 < pixel < np.inf
+                or not (np.abs(offset - np.rint(offset)) <= 1e-6).all()):
+            raise FormatError(
+                f"tile {path} is not one f32 band, nodata -1, of zone "
+                f"{zone_id!r} at pixel size {pixel}, whole pixels from tile "
+                f"{paths[0]}")
+        r, c = np.rint(offset).astype(np.int64).tolist()
+        places.append((r, c, r + h["height"], c + h["width"]))
+    height, width = max(p[2] for p in places), max(p[3] for p in places)
+    data = np.full((1, height, width), -1.0, dtype=np.float32)
+    for path, (r0, c0, r1, c1) in zip(paths, places):  # one at a time
+        tile = raster.read_raster(path).data[0]
+        if not ((tile == -1.0) | ((tile >= 0.0) & (tile <= 1.0))).all():
+            raise FormatError(f"tile {path} holds a value that is neither "
+                              f"a probability nor -1")
+        data[0, r0:r1, c0:c1] = tile
+    return RasterGrid(width=width, height=height, bands=1, dtype="f32",
+                      nodata=-1.0, zone_id=zone_id, origin_x=float(least[1]),
+                      origin_y=float(least[0]), pixel_size=pixel, data=data)
 
 
 # -- registry ---------------------------------------------------------------

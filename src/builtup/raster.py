@@ -248,10 +248,12 @@ def tile_grid(height: int, width: int, tile_pixels: int,
 
 
 def quantize_probability(prob: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Probabilities [0,1] -> u8 0..100; invalid cells -> 255."""
+    """Probabilities [0,1] -> u8 0..100; invalid cells -> 255. A valid
+    probability outside [0, 1], or NaN, is a NumericError."""
     p = np.asarray(prob, dtype=np.float64)
     checked = p[valid]
-    if checked.size and (checked.min() < 0.0 or checked.max() > 1.0):
+    # written so that NaN, which fails every comparison, fails the check
+    if checked.size and not (checked.min() >= 0.0 and checked.max() <= 1.0):
         raise NumericError(
             f"probability outside [0,1]: min={checked.min()}, max={checked.max()}"
         )

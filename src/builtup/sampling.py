@@ -134,23 +134,16 @@ def sample_manifest(sample_set: SampleSet) -> dict:
     }
 
 
-def shuffle_minibatches(n_samples: int, chunk_size: int, batch_size: int,
+def shuffle_minibatches(n_samples: int, batch_size: int,
                         rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """One epoch of sample indices: a full shuffle grouped into staging
-    chunks, each chunk split into optimizer batches. Every index appears
-    exactly once.
+    """One epoch of sample indices: a full shuffle split into optimizer
+    batches. Every index appears exactly once.
 
-    A size-1 batch (the tail of a chunk, or a final chunk of one sample)
-    is merged into the batch before it, since train-mode batch norm needs
-    at least two samples."""
-    if chunk_size < batch_size:
-        raise ParameterError(
-            f"chunk_size {chunk_size} must be >= batch_size {batch_size}"
-        )
+    A size-1 tail batch is merged into the batch before it, since
+    train-mode batch norm needs at least two samples."""
     order = rng.permutation(n_samples)
-    starts = [b0 for c0 in range(0, n_samples, chunk_size)
-              for b0 in range(c0, min(c0 + chunk_size, n_samples), batch_size)]
-    ends = starts[1:] + [n_samples]
-    starts = [s for s, e in zip(starts, ends) if e - s > 1 or s == 0]
+    starts = list(range(0, n_samples, batch_size))
+    if len(starts) > 1 and n_samples - starts[-1] == 1:
+        starts.pop()
     for s, e in zip(starts, starts[1:] + [n_samples]):
         yield order[s:e]

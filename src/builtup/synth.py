@@ -19,33 +19,27 @@ from .raster import RasterGrid, make_grid, write_raster
 COMPOSITE_NODATA = -32768
 LABEL_NODATA = 255
 PLACEMENT_RETRIES = 200
+BUILDINGS_PER_CLUSTER = 14
+BUILDING_SIZE = (5, 11)  # min/max rectangle edge, pixels
+CLUSTER_SPREAD = 14.0  # pixel sigma of building centers
+BAND_BACKGROUND = (1600.0, 1800.0, 2000.0, 2800.0)
+BAND_BUILT_OFFSET = (2400.0, 2200.0, 2000.0, -1200.0)
 
 
 @dataclass(frozen=True)
 class SceneParams:
     size: int = 512  # zone edge, pixels
     clusters: int = 26
-    buildings_per_cluster: int = 14
-    building_size: tuple = (5, 11)  # min/max rectangle edge, pixels
-    cluster_spread: float = 14.0  # pixel sigma of building centers
-    band_background: tuple = (1600.0, 1800.0, 2000.0, 2800.0)
-    band_built_offset: tuple = (2400.0, 2200.0, 2000.0, -1200.0)
     noise_sigma: float = 200.0
     nodata_fraction: float = 0.02
     seed: int = 0
 
     def validate(self) -> None:
-        if self.size < 16:
-            raise GenerationError(f"zone size {self.size} too small")
-        if self.building_size[0] < 1 or self.building_size[1] < self.building_size[0]:
-            raise GenerationError(f"bad building size range {self.building_size}")
-        if self.size <= 2 * self.building_size[1]:
+        if self.size <= 2 * BUILDING_SIZE[1]:
             raise GenerationError(
                 f"zone size {self.size} too small for buildings up to "
-                f"{self.building_size[1]} pixels"
+                f"{BUILDING_SIZE[1]} pixels"
             )
-        if len(self.band_background) != 4 or len(self.band_built_offset) != 4:
-            raise GenerationError("band profiles must cover 4 bands")
         if not 0.0 <= self.nodata_fraction < 1.0:
             raise GenerationError(
                 f"nodata_fraction must be in [0, 1), got {self.nodata_fraction}"
@@ -63,16 +57,16 @@ class Zone:
 def _place_buildings(params: SceneParams, rng: np.random.Generator):
     """Clustered pixel-aligned rectangles [(r0, c0, r1, c1) half-open)."""
     size = params.size
-    lo, hi = params.building_size
+    lo, hi = BUILDING_SIZE
     rects = []
     for _ in range(params.clusters):
         cy, cx = rng.integers(hi, size - hi, size=2)
-        for _ in range(params.buildings_per_cluster):
+        for _ in range(BUILDINGS_PER_CLUSTER):
             ok = False
             for _ in range(PLACEMENT_RETRIES):
                 h = int(rng.integers(lo, hi + 1))
                 w = int(rng.integers(lo, hi + 1))
-                dy, dx = rng.normal(0.0, params.cluster_spread, size=2)
+                dy, dx = rng.normal(0.0, CLUSTER_SPREAD, size=2)
                 r0 = int(round(cy + dy - h / 2))
                 c0 = int(round(cx + dx - w / 2))
                 if 0 <= r0 and 0 <= c0 and r0 + h <= size and c0 + w <= size:
@@ -98,8 +92,8 @@ def synth_zone(params: SceneParams, zone_id: str = "A") -> Zone:
 
     bands = np.empty((4, size, size), dtype=np.float64)
     for b in range(4):
-        bands[b] = params.band_background[b]
-        bands[b][mask] += params.band_built_offset[b]
+        bands[b] = BAND_BACKGROUND[b]
+        bands[b][mask] += BAND_BUILT_OFFSET[b]
     bands += rng.normal(0.0, params.noise_sigma, size=bands.shape)
     composite = np.clip(np.rint(bands), 0, 32767).astype(np.int16)
 

@@ -3,19 +3,25 @@
 import argparse
 import json
 import struct
+from dataclasses import replace
 
 import pytest
 
-from builtup import cli, errors, pipeline
+from builtup import cli, errors, pipeline, raster, synth
 
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def load(path):
+    """Parse a JSON file the CLI wrote, failing on NaN and Infinity."""
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        return json.load(f, parse_constant=strict_constant)
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +134,6 @@ def manifest_not_json(pred, ref):
                                                 encoding="utf-8")
 
 
-def tile_without_row0(pred, ref):
-    info = load(pred / "predict_manifest.json")
-    del info["tiles"][1]["row0"]
-    (pred / "predict_manifest.json").write_text(json.dumps(info),
-                                                encoding="utf-8")
-
-
 def edit_tile(**fields):
     def damage(pred, ref):
         info = load(pred / "predict_manifest.json")
@@ -160,20 +159,39 @@ def fail_every_tile_without_pixel_size(pred, ref):
                                          encoding="utf-8")
 
 
+def shift_tile_header(origin_x=0.0, zone_id=None):
+    """Move tile 1's raster origin_x by origin_x metres, or relabel its
+    zone."""
+    def damage(pred, ref):
+        path = sorted(pred.glob("*_prob.ghsr"))[1]
+        grid = raster.read_raster(path)
+        raster.write_raster(replace(
+            grid, origin_x=grid.origin_x + origin_x,
+            zone_id=grid.zone_id if zone_id is None else zone_id), path)
+    return damage
+
+
+def nan_in_a_tile(pred, ref):
+    """A NaN probability would score as r NaN in the report."""
+    path = sorted(pred.glob("*_prob.ghsr"))[1]
+    grid = raster.read_raster(path)
+    grid.data[0, 3, 3] = float("nan")
+    raster.write_raster(grid, path)
+
+
 @pytest.mark.parametrize("damage, code, error_class", [
     (drop_a_tile, 3, "missing_input"),
     (list_no_tiles, 4, "format"),
     (corrupt_footprints, 4, "format"),
     (manifest_not_json, 4, "format"),
-    (tile_without_row0, 4, "format"),
-    (edit_tile(rows=31), 4, "format"),
-    (edit_tile(row0=-5), 4, "format"),
-    (edit_tile(cols=0), 4, "format"),
     (fail_every_tile, 10, "undefined_statistic"),
     (fail_every_tile_without_pixel_size, 10, "undefined_statistic"),
+    (shift_tile_header(origin_x=5.0), 4, "format"),
+    (shift_tile_header(zone_id="B"), 4, "format"),
+    (nan_in_a_tile, 4, "format"),
 ], ids=["missing_tile", "no_tiles", "corrupt_footprints", "manifest_not_json",
-        "tile_without_row0", "tile_rows_not_its_raster", "negative_row0",
-        "zero_cols", "no_ok_tile", "no_ok_tile_nor_pixel_size"])
+        "no_ok_tile", "no_ok_tile_nor_pixel_size", "tile_off_the_grid",
+        "tiles_of_two_zones", "nan_in_a_tile"])
 def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                                             error_class):
     _, data, model, _ = trained
@@ -209,12 +227,108 @@ def test_a_failed_tile_does_not_size_the_mosaic(trained, tmp_path):
     assert reports[0] == reports[1]
 
 
+def drop_row0(tile):
+    del tile["row0"]
+
+
+def nonsense_geometry(tile):
+    tile.update(row0=10 ** 12, col0=-1, rows=0, cols="x")
+
+
+@pytest.mark.parametrize("edit", [
+    drop_row0,
+    lambda tile: tile.update(rows=31),
+    lambda tile: tile.update(row0=-5),
+    lambda tile: tile.update(cols=0),
+    lambda tile: tile.update(row0=10 ** 12),
+    nonsense_geometry,
+], ids=["tile_without_row0", "tile_rows_not_its_raster", "negative_row0",
+        "zero_cols", "row0_1e12", "every_field"])
+def test_manifest_tile_geometry_is_not_read(trained, tmp_path, edit):
+    """Each tile raster's header places it, so row0/col0/rows/cols of the
+    ok entries, here edited on every one of them (row0 10**12 once ran
+    evaluate out of memory), leave the report byte-identical."""
+    _, data, model, _ = trained
+    pred = tmp_path / "pred"
+    assert run("predict", "--zone", "A", "--data", data, "--model", model,
+               "--out", pred, "--tile-size", 32) == 0
+    assert run("evaluate", "--probs", pred, "--reference", data / "A",
+               "--report", tmp_path / "honest.json") == 0
+    info = load(pred / "predict_manifest.json")
+    for tile in info["tiles"]:
+        if tile["status"] == "ok":
+            edit(tile)
+    (pred / "predict_manifest.json").write_text(json.dumps(info),
+                                                encoding="utf-8")
+    assert run("evaluate", "--probs", pred, "--reference", data / "A",
+               "--report", tmp_path / "edited.json") == 0
+    assert (tmp_path / "edited.json").read_bytes() == \
+        (tmp_path / "honest.json").read_bytes()
+
+
+def test_an_offset_zone_scores_as_at_the_origin(tmp_path):
+    """predict -> evaluate on a zone whose origin is (123.45, 678.9), with
+    footprints in its metres, reports what the same zone at the origin
+    does."""
+    zone = synth.synth_zone(synth.SceneParams(size=64, seed=3), zone_id="A")
+    data = tmp_path / "data"
+    synth.save_zone(zone, data / "origin")
+    dx, dy = 123.45, 678.9
+    synth.save_zone(synth.Zone(
+        zone_id="A",
+        composite=replace(zone.composite, origin_x=dx, origin_y=dy),
+        labels=replace(zone.labels, origin_x=dx, origin_y=dy),
+        footprints=[(x0 + dx, y0 + dy, x1 + dx, y1 + dy)
+                    for x0, y0, x1, y1 in zone.footprints]), data / "offset")
+    model = tmp_path / "A.ghsm"
+    assert run("train", "--zone", "origin", "--data", data, "--out", model,
+               "--epochs", 1) == 0
+    for name in ("origin", "offset"):
+        assert run("predict", "--zone", name, "--data", data, "--model",
+                   model, "--out", tmp_path / name, "--tile-size", 32) == 0
+        assert run("evaluate", "--probs", tmp_path / name, "--reference",
+                   data / name, "--report", tmp_path / f"{name}.json") == 0
+    assert load(data / "offset" / "footprints.json")["origin_x"] == dx
+    assert (tmp_path / "offset.json").read_bytes() == \
+        (tmp_path / "origin.json").read_bytes()
+
+
+def test_evaluate_creates_the_csv_directory(trained, predicted, tmp_path):
+    _, data, _, _ = trained
+    csv_path = tmp_path / "nodir" / "x.csv"
+    assert run("evaluate", "--probs", predicted, "--reference", data / "A",
+               "--report", tmp_path / "r.json", "--csv", csv_path) == 0
+    assert csv_path.read_text(encoding="utf-8").startswith("aoi_id,r,")
+
+
+def test_a_nan_parameter_is_a_format_error(trained, tmp_path):
+    """A GHSM with a NaN weight would map NaN probabilities; predict
+    refuses it and records the failure."""
+    _, data, model, _ = trained
+    raw = bytearray(model.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))
+    bad = tmp_path / "nan.ghsm"
+    bad.write_bytes(bytes(raw))
+    assert run("predict", "--zone", "A", "--data", data, "--model", bad,
+               "--out", tmp_path / "pred") == 4
+    info = load(tmp_path / "pred" / "predict_manifest.json")
+    assert info["status"] == "error" and info["error"]["class"] == "format"
+
+
+def test_the_model_header_is_strict_json(trained):
+    _, _, model, _ = trained
+    raw = model.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen], parse_constant=strict_constant)
+    assert header["arch"]["normalization_divisor"] == 10000.0
+
+
 # Every option of every subcommand, by dest. An option added or dropped is
 # a change to the CLI's surface, made here on purpose.
 OPTIONS = {
     "synth": ["clusters", "nodata_fraction", "noise_sigma", "out", "seed",
               "size", "zones"],
-    "train": ["batch_size", "chunk_size", "data", "divisor",
+    "train": ["batch_size", "data", "divisor",
               "early_stop_min_delta", "early_stop_patience", "epochs",
               "learning_rate", "non_bu_rate", "out", "preset", "registry",
               "seed", "tile_fraction", "tile_size", "validation_fraction",
@@ -234,7 +348,7 @@ def test_option_surface_is_pinned():
     dests = {name: sorted(a.dest for a in sub._actions if a.dest != "help")
              for name, sub in commands.choices.items()}
     assert dests == OPTIONS
-    assert sum(map(len, dests.values())) == 42
+    assert sum(map(len, dests.values())) == 41
 
 
 @pytest.fixture(scope="module")
@@ -415,7 +529,9 @@ def test_unusable_registries_are_registry_errors(trained, tmp_path, case):
     ("--batch-size", 1),
     ("--non-bu-rate", 5),
     ("--learning-rate", -1),
-    ("--chunk-size", 512),
+    ("--learning-rate", "inf"),
+    ("--divisor", "inf"),
+    ("--divisor", "nan"),
 ])
 def test_bad_training_arguments_are_config_errors(trained, tmp_path, flag,
                                                   value):

@@ -62,6 +62,9 @@ class TestBuild:
             ArchitectureConfig(patch_size=7).validate()
         with pytest.raises(ConfigError):
             ArchitectureConfig(bands=0).validate()
+        for divisor in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(ConfigError, match="finite"):
+                ArchitectureConfig(normalization_divisor=divisor).validate()
 
     def test_init_weights_within_bounds(self):
         net = build_model(PRESETS["desk"], seed=5)
@@ -389,6 +392,34 @@ class TestSerialization:
                          + raw[8 + hlen:])
         with pytest.raises(FormatError, match="payload"):
             load_model(path)
+
+    def test_a_non_finite_parameter_is_a_format_error(self, tmp_path):
+        """A NaN or infinite weight names the offset of its float."""
+        path = tmp_path / "m.ghsm"
+        save_model(self.trained_model(tmp_path), path)
+        raw = path.read_bytes()
+        offset = 8 + struct.unpack("<I", raw[4:8])[0] + 4 * 7
+        for value in (float("nan"), float("-inf")):
+            path.write_bytes(raw[:offset] + struct.pack("<f", value)
+                             + raw[offset + 4:])
+            with pytest.raises(FormatError, match=f"at offset {offset}$"):
+                load_model(path)
+
+    def test_nan_in_the_header_is_a_format_error(self, tmp_path):
+        """Python's json reads NaN and Infinity, which are not JSON."""
+        path = tmp_path / "m.ghsm"
+        save_model(self.trained_model(tmp_path), path)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<I", raw[4:8])[0]
+        for constant in (b"NaN", b"Infinity", b"-Infinity"):
+            text = raw[8:8 + hlen].replace(b'"normalization_divisor":10000.0',
+                                           b'"normalization_divisor":'
+                                           + constant)
+            assert text != raw[8:8 + hlen]
+            path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text
+                             + raw[8 + hlen:])
+            with pytest.raises(FormatError, match="not JSON"):
+                load_model(path)
 
     def test_loaded_model_forward_is_exact(self, tmp_path):
         net = self.trained_model(tmp_path)

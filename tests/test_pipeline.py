@@ -65,6 +65,24 @@ def test_mosaic_independent_of_tiling_and_workers(zone, net):
             assert got.tobytes() == reference.tobytes(), (tile, workers)
 
 
+def test_tiles_are_placed_by_their_headers(zone, net, tmp_path):
+    """read_mosaic of the tiles write_tiles wrote is the zone's mosaic at
+    the composite's origin; without the first tile row it starts a tile
+    lower."""
+    preds = predict_zone(net, zone.composite, 24)
+    entries = pipeline.write_tiles(preds, zone.composite, tmp_path)
+    whole = pipeline.read_mosaic([e["prob"] for e in entries])
+    comp = zone.composite
+    assert (whole.origin_x, whole.origin_y, whole.pixel_size,
+            whole.zone_id) == (comp.origin_x, comp.origin_y,
+                               comp.pixel_size, "A")
+    assert whole.data[0].tobytes() == mosaic(preds).tobytes()
+    lower = pipeline.read_mosaic([e["prob"] for e in entries
+                                  if e["tile_row"] > 0])
+    assert lower.origin_y == comp.origin_y + 24 * comp.pixel_size
+    assert lower.data[0].tobytes() == mosaic(preds)[24:].tobytes()
+
+
 def test_prediction_leaves_the_model_file_unchanged(zone, tmp_path):
     """predict_zone folds and composes the layers into a separate stack;
     the model's GHSM bytes, with non-trivial BatchNorm rows, are kept."""

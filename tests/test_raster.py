@@ -350,6 +350,12 @@ class TestQuantize:
         with pytest.raises(NumericError):
             quantize_probability(np.array([[1.5]]), np.array([[True]]))
 
+    def test_nan_raises(self):
+        """NaN fails both comparisons of a min/max range check."""
+        with pytest.raises(NumericError):
+            quantize_probability(np.array([[0.5, np.nan]]),
+                                 np.array([[True, True]]))
+
     def test_dequantize_error_bounded(self):
         rng = np.random.default_rng(10)
         p = rng.random((50, 50)).astype(np.float32)

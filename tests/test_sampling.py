@@ -183,59 +183,53 @@ class TestClassStats:
 
 class TestShuffleMinibatches:
     def test_batch_sizes(self):
-        batches = list(shuffle_minibatches(500, 200, 100,
+        batches = list(shuffle_minibatches(500, 100,
                                            np.random.default_rng(0)))
         assert [b.size for b in batches] == [100, 100, 100, 100, 100]
 
     def test_epoch_is_exact_partition(self):
-        batches = list(shuffle_minibatches(777, 300, 64,
+        batches = list(shuffle_minibatches(777, 64,
                                            np.random.default_rng(1)))
         joined = np.sort(np.concatenate(batches))
         np.testing.assert_array_equal(joined, np.arange(777))
 
     def test_epochs_reshuffle_same_multiset(self):
         rng = np.random.default_rng(2)
-        first = np.concatenate(list(shuffle_minibatches(100, 50, 10, rng)))
-        second = np.concatenate(list(shuffle_minibatches(100, 50, 10, rng)))
+        first = np.concatenate(list(shuffle_minibatches(100, 10, rng)))
+        second = np.concatenate(list(shuffle_minibatches(100, 10, rng)))
         assert not np.array_equal(first, second)
         np.testing.assert_array_equal(np.sort(first), np.sort(second))
 
-    def test_chunk_smaller_than_batch(self):
-        with pytest.raises(ParameterError):
-            list(shuffle_minibatches(10, 4, 8, np.random.default_rng(0)))
-
     def test_trailing_single_sample_joins_previous_batch(self):
-        batches = list(shuffle_minibatches(2049, 200_000, 1024,
+        batches = list(shuffle_minibatches(2049, 1024,
                                            np.random.default_rng(3)))
         assert [b.size for b in batches] == [1024, 1025]
 
     def test_final_single_sample_chunk_joins_previous_batch(self):
-        batches = list(shuffle_minibatches(2049, 1024, 512,
+        """The epoch's one-sample tail after several full batches joins
+        the last of them."""
+        batches = list(shuffle_minibatches(2049, 512,
                                            np.random.default_rng(4)))
         assert [b.size for b in batches] == [512, 512, 512, 513]
 
 
-def reference_minibatches(n_samples, chunk_size, batch_size, rng):
-    """Chunked batching without the size-1 merge."""
+def reference_minibatches(n_samples, batch_size, rng):
+    """Batching without the size-1 merge."""
     order = rng.permutation(n_samples)
-    for c0 in range(0, n_samples, chunk_size):
-        chunk = order[c0:c0 + chunk_size]
-        for b0 in range(0, chunk.size, batch_size):
-            yield chunk[b0:b0 + batch_size]
+    for b0 in range(0, n_samples, batch_size):
+        yield order[b0:b0 + batch_size]
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 3000), batch=st.integers(2, 600),
-       extra=st.integers(0, 900), seed=st.integers(0, 2**32 - 1))
-def test_minibatch_properties(n, batch, extra, seed):
-    chunk = batch + extra
-    batches = list(shuffle_minibatches(n, chunk, batch,
-                                       np.random.default_rng(seed)))
+       seed=st.integers(0, 2**32 - 1))
+def test_minibatch_properties(n, batch, seed):
+    batches = list(shuffle_minibatches(n, batch, np.random.default_rng(seed)))
     joined = np.concatenate(batches) if batches else np.empty(0, int)
     np.testing.assert_array_equal(np.sort(joined), np.arange(n))
     if n >= 2:
         assert min(b.size for b in batches) >= 2
-    reference = list(reference_minibatches(n, chunk, batch,
+    reference = list(reference_minibatches(n, batch,
                                            np.random.default_rng(seed)))
     if all(b.size != 1 for b in reference):
         assert len(batches) == len(reference)
