@@ -29,8 +29,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, model as model_mod, pipeline, raster, synth
-from .errors import (FormatError, MissingInputError, ToolkitError,
-                     UndefinedStatisticError)
+from .errors import (FormatError, GenerationError, MissingInputError,
+                     ToolkitError, UndefinedStatisticError)
 
 
 def _sha256(path) -> str:
@@ -135,6 +135,8 @@ def _zone_names(n: int):
 def cmd_synth(args, argv) -> int:
     out = Path(args.out)
     with Manifest("synth", argv, args, out / "synth_manifest.json") as manifest:
+        if args.zones < 1:
+            raise GenerationError(f"zones must be >= 1, got {args.zones}")
         params = synth.SceneParams(size=args.size, clusters=args.clusters,
                                    noise_sigma=args.noise_sigma,
                                    nodata_fraction=args.nodata_fraction,
@@ -154,10 +156,6 @@ def cmd_synth(args, argv) -> int:
     return 0
 
 
-def _arch_from_args(args) -> model_mod.ArchitectureConfig:
-    return model_mod.preset(args.preset, divisor=args.divisor)
-
-
 def cmd_train(args, argv) -> int:
     out = Path(args.out)
     with Manifest("train", argv, args,
@@ -172,7 +170,7 @@ def cmd_train(args, argv) -> int:
                     if args.registry else None)
         composite = raster.read_raster(comp_path)
         labels = raster.read_raster(label_path)
-        arch = _arch_from_args(args)
+        arch = model_mod.preset(args.preset, divisor=args.divisor)
         early = None
         if args.early_stop_patience is not None:
             early = pipeline.EarlyStopping(patience=args.early_stop_patience,
@@ -299,7 +297,7 @@ def _load_prediction_mosaic(probs_dir: Path) -> raster.RasterGrid:
     if not paths:
         raise UndefinedStatisticError(
             f"{manifest_path}: no tile was predicted, nothing to score")
-    return pipeline.read_mosaic(paths)
+    return pipeline.read_mosaic(paths, len(info["tiles"]))
 
 
 def cmd_evaluate(args, argv) -> int:

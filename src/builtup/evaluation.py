@@ -115,15 +115,14 @@ class ConfusionCounts:
     fp: int
     fn: int
     tn: int
-    threshold: float = float("nan")
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def confusion(predicted: np.ndarray, reference: np.ndarray, valid: np.ndarray,
-              threshold: float = float("nan")) -> ConfusionCounts:
+def confusion(predicted: np.ndarray, reference: np.ndarray,
+              valid: np.ndarray) -> ConfusionCounts:
     if predicted.shape != reference.shape or predicted.shape != valid.shape:
         raise ShapeError(
             f"grid shapes differ: {predicted.shape}, {reference.shape}, "
@@ -135,7 +134,7 @@ def confusion(predicted: np.ndarray, reference: np.ndarray, valid: np.ndarray,
     fp = int(np.count_nonzero(p & ~r))
     fn = int(np.count_nonzero(~p & r))
     tn = int(np.count_nonzero(~p & ~r))
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn, threshold=threshold)
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def accuracy_metrics(counts: ConfusionCounts) -> dict:
@@ -174,7 +173,7 @@ def evaluate_probabilities(prob: np.ndarray, valid: np.ndarray, rects,
     regression = regress_density(prob, density, valid)
     per_threshold = {}
     for t in thresholds:
-        counts = confusion(binarize(prob, t), reference, valid, threshold=t)
+        counts = confusion(binarize(prob, t), reference, valid)
         metrics = accuracy_metrics(counts)
         per_threshold[f"{t:g}"] = {
             "threshold": t,

@@ -8,52 +8,16 @@ central pixel:
     -> dense (hidden, tanh) -> dense (1, sigmoid)
 
 The layer table LAYERS spells this out, one row per layer, and is the only
-place it is spelled out: Model's passes are plain loops over its rows, each
-layer speaking nncore's one protocol. Spatial extent shrinks 5 -> 4 -> 3 ->
-2 -> 1 across the four convolutions, and the dense layers are 1x1
-convolutions applied per pixel. The network is therefore fully
-convolutional: an (h+4) x (w+4) window gives the h x w probabilities of its
-interior pixels in one pass, each equal to the probability of that pixel's
-5x5 patch.
+place it is spelled out: Model's passes are loops over its rows. Spatial
+extent shrinks 5 -> 4 -> 3 -> 2 -> 1 across the four convolutions, and the
+dense layers are 1x1 convolutions applied per pixel. The network is
+therefore fully convolutional: an (h+4) x (w+4) window gives the h x w
+probabilities of its interior pixels in one pass, each equal to the
+probability of that pixel's 5x5 patch.
 
-Prediction runs inference_stack(model) instead of Model.forward, which
-stays the reference. In inference mode dropout is the identity and
-BatchNorm an affine map, i.e. a linear 1x1 conv, and a linear valid conv
-followed by another valid conv is one valid conv of side k1 + k2 - 1, so
-the eight layers compose to four: conv1.conv2 (3x3, tanh),
-bn1.conv3.conv4 (3x3, tanh), bn2.dense1 (1x1, tanh) and dense2. This is
-exact in real arithmetic because no conv pads: every intermediate pixel
-comes from real inputs, and the only zero border is the one around the
-input, which the composed conv reads alike. Kernels are composed in
-float64 and cast once; the stack differs from Model.forward by float32
-rounding only.
-
-Training composes too. Its pass keeps BatchNorm and dropout where they
-are, with their statistics, masks and RNG stream, and composes each
-linear conv into the conv after it by the same rule (_compose, in the
-parameters' dtype): conv1.conv2 runs as one 3x3 conv on the 5x5
-patch, and conv3.conv4 as one 3x3 conv on the 3x3 map out of bn1/drop1,
-which is a dense layer. The layer list is built afresh for every pass
-and reaches backward through the pass's tape. The loss is the same
-function of the parameters, so each factor's gradient is the composed
-kernel's gradient pulled back through the bilinear composition
-(compose_convs_adjoint, the transpose of its Jacobian), once per step;
-in exact arithmetic this is the per-layer gradient, and in float64 it
-agrees with it to within a few roundings. Per paper patch the forward
-pass costs 467,968 multiply-adds instead of 1,540,608, and the composed
-first layer takes no input gradient.
-
-train_step runs each optimizer batch as TRAIN_SLICES contiguous row
-slices, which a caller may map onto threads. The layers from one BatchNorm
-to the next are one task per slice; each BatchNorm syncs the slices, its
-statistics and gradient sums being per-slice column sums added in slice
-order (synchronized BatchNorm). Dropout needs no sync: the caller draws
-every mask at the whole batch's shape before the slices run, and each
-slice applies its rows, so the RNG stream does not change. Each layer's
-weight gradient is the sum of the slices' in slice order, before one
-Adam step. The slice count is fixed, so results do not depend on the thread
-count. One slice is the unsliced pass over the composed layers bit for
-bit; two differ from it by the order of those sums only.
+Prediction runs inference_stack(model), and training runs train_step;
+each composes the layers by one rule, _compose. Model.forward stays the
+reference the inference stack is tested against.
 
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
 JSON header, then float32 little-endian parameter blobs in the order of
@@ -234,32 +198,10 @@ class Model:
             views.append(arrays)
         return views
 
-    # -- parameter bookkeeping -------------------------------------------
-
-    def _arrays(self, *groups) -> list:
-        return [getattr(layer, attr) for layer in self.layers
-                for group in groups for attr in getattr(layer, group)]
-
-    def trainable_arrays(self):
-        """Trainable parameter arrays in table order (views into params)."""
-        return self._arrays("param_names")
-
-    def non_trainable_arrays(self):
-        return self._arrays("state_names")
-
     def serialization_arrays(self):
         """All parameter blobs in the GHSM order."""
-        return self._arrays("param_names", "state_names")
-
-    def astype(self, dtype) -> "Model":
-        """Copy of the model with every parameter array cast to dtype."""
-        clone = Model(self.arch, self.zone_id, self.seed, self.epochs_trained,
-                      dtype=dtype)
-        clone.params[...] = self.params
-        for dst, src in zip(clone.non_trainable_arrays(),
-                            self.non_trainable_arrays()):
-            dst[...] = src
-        return clone
+        return [getattr(layer, attr) for layer in self.layers
+                for attr in layer.param_names + layer.state_names]
 
     # -- passes -----------------------------------------------------------
 
@@ -281,18 +223,8 @@ class Model:
 
     def forward_train(self, x: np.ndarray, rng: np.random.Generator,
                       slices: int = 1, run=map):
-        """Training pass: batch BN statistics and fresh dropout masks drawn
-        from rng, through _compose(self.layers), built afresh from the
-        current parameters for every pass.
-
-        Every dropout mask is drawn first, on the calling thread, in layer
-        order and at the whole batch's shape (_draw_masks), so rng's
-        stream does not depend on slices. The batch then runs as `slices`
-        contiguous row slices (slice_bounds), each applying its rows of
-        the masks. Each run of layers from one BatchNorm to the next is
-        one task per slice, mapped by run (map, or a thread pool's map);
-        each BatchNorm takes its statistics over the whole batch first.
-        One slice is the unsliced pass over the same layers bit for bit.
+        """Training pass over `slices` row slices, their tasks mapped by
+        run (map, or a thread pool's map); train_step describes the pass.
 
         Returns (probabilities shaped as in forward(), a tape for
         backward(): the pass's layer list and one list of layer caches per
@@ -520,13 +452,21 @@ def _compose(layers) -> list:
 
 
 def inference_stack(net: Model) -> list:
-    """The network's inference pass as few ConvLayers: dropout is the
-    identity, a BatchNorm is a linear 1x1 conv, and every linear conv is
-    composed into the conv after it. For the LAYERS table that gives
-    [conv1.conv2] 3x3 tanh, [bn1.conv3.conv4] 3x3 tanh, [bn2.dense1] 1x1
-    tanh and dense2. Kernels are composed in float64 and cast once to the
-    model's dtype; net is not modified, and the layers are read-only, so
-    threads may share them."""
+    """The network's inference pass as few ConvLayers.
+
+    In inference mode dropout is the identity and BatchNorm an affine map,
+    i.e. a linear 1x1 conv, and a linear valid conv followed by another
+    valid conv is one valid conv of side k1 + k2 - 1 (_compose). For the
+    LAYERS table the eight layers give four: conv1.conv2 3x3 tanh,
+    bn1.conv3.conv4 3x3 tanh, bn2.dense1 1x1 tanh and dense2, that is
+    27,904 instead of 37,504 multiply-adds per pixel (desk; paper 431,104
+    instead of 592,384). This is exact in real arithmetic because no conv
+    pads: every intermediate pixel comes from real inputs, and the only
+    zero border is the one around the input, which the composed conv reads
+    alike. Kernels are composed in float64 and cast once to the model's
+    dtype, so the stack differs from Model.forward by float32 rounding
+    only (at most 3e-7 on trained desk and paper models). net is not
+    modified, and the layers are read-only, so threads may share them."""
     layers = [_inference_conv(layer) for layer in net.layers
               if not isinstance(layer, Dropout)]
     dtype = net.params.dtype
@@ -554,10 +494,31 @@ def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
     """Forward/backward/Adam over one optimizer batch; returns the batch
     loss measured before the update.
 
-    The batch runs as TRAIN_SLICES row slices whose tasks run maps (map, or
-    a thread pool's map): the number of slices is fixed, so the result
-    does not depend on how many threads run them. Adam runs once, on the
-    gradient summed over the slices, its chunks mapped by run too."""
+    The pass keeps BatchNorm and dropout where they are, with their
+    statistics, masks and RNG stream, and runs the layers as _compose
+    gives them, built afresh from the current parameters: conv1.conv2 is
+    one 3x3 conv on the 5x5 patch, and conv3.conv4 one 3x3 conv on the
+    3x3 map out of bn1/drop1, which is a dense layer. Per paper patch the
+    forward pass costs 467,968 multiply-adds instead of 1,540,608, and the
+    composed first layer takes no input gradient. The loss is the same
+    function of the parameters, so each factor's gradient is the composed
+    kernel's gradient pulled back through the bilinear composition
+    (compose_convs_adjoint), once per step; in float64 this agrees with
+    the per-layer gradient to within a few roundings.
+
+    The batch runs as TRAIN_SLICES contiguous row slices (slice_bounds).
+    Every dropout mask is drawn first, on the calling thread, in layer
+    order and at the whole batch's shape (_draw_masks), and each slice
+    applies its rows, so rng's stream does not depend on the slices. The
+    layers from one BatchNorm to the next are one task per slice, mapped
+    by run (map, or a thread pool's map); each BatchNorm syncs the
+    slices, its statistics and gradient sums being per-slice column sums
+    added in slice order (synchronized BatchNorm). Each layer's weight
+    gradient is the sum of the slices' in slice order, before one Adam
+    step whose chunks run maps too. The slice count is fixed, so results
+    do not depend on the thread count. One slice is the unsliced pass
+    over the composed layers bit for bit; two differ from it by the order
+    of those sums only."""
     probs, caches = model.forward_train(patches, rng, TRAIN_SLICES, run)
     loss, dprobs = bce_loss(labels.astype(np.float32), probs[:, 0, 0])
     if not np.isfinite(loss):
@@ -626,20 +587,21 @@ def _reject_constant(name: str):
                       f"JSON")
 
 
-def read_model_header(path) -> dict:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if len(magic) < 4 or magic != GHSM_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at offset 0")
-        raw_len = f.read(4)
-        if len(raw_len) < 4:
-            raise FormatError("truncated header length at offset 4")
-        (hlen,) = struct.unpack("<I", raw_len)
-        size = os.fstat(f.fileno()).st_size
-        if 8 + hlen > size:  # checked before reading: hlen can be 4 GB
-            raise FormatError(f"truncated header at offset {size}: length "
-                              f"{hlen} at offset 4 runs past the end")
-        header = f.read(hlen)
+def _read_header(f) -> dict:
+    """The checked JSON header of the GHSM file open as f; f is left at
+    the first parameter blob."""
+    magic = f.read(4)
+    if len(magic) < 4 or magic != GHSM_MAGIC:
+        raise FormatError(f"bad magic {magic!r} at offset 0")
+    raw_len = f.read(4)
+    if len(raw_len) < 4:
+        raise FormatError("truncated header length at offset 4")
+    (hlen,) = struct.unpack("<I", raw_len)
+    size = os.fstat(f.fileno()).st_size
+    if 8 + hlen > size:  # checked before reading: hlen can be 4 GB
+        raise FormatError(f"truncated header at offset {size}: length "
+                          f"{hlen} at offset 4 runs past the end")
+    header = f.read(hlen)
     try:
         parsed = json.loads(header.decode("utf-8"),
                             parse_constant=_reject_constant)
@@ -653,22 +615,24 @@ def read_model_header(path) -> dict:
     return parsed
 
 
-def load_model(path) -> Model:
-    hdr = read_model_header(path)
-    arch = ArchitectureConfig.from_dict(hdr["arch"])
-    # checked before the model is allocated: a header can ask for terabytes
-    need = 4 * sum(count_params(arch))
+def read_model_header(path) -> dict:
     with open(path, "rb") as f:
-        f.seek(4)
-        (hlen,) = struct.unpack("<I", f.read(4))
-        offset = 8 + hlen
+        return _read_header(f)
+
+
+def load_model(path) -> Model:
+    with open(path, "rb") as f:
+        hdr = _read_header(f)
+        arch = ArchitectureConfig.from_dict(hdr["arch"])
+        # checked before the model is allocated: a header can ask for terabytes
+        need = 4 * sum(count_params(arch))
+        offset = f.tell()
         size = os.fstat(f.fileno()).st_size
         if size - offset != need:
             raise FormatError(
                 f"parameter payload of {size - offset} bytes at offset "
                 f"{offset}: expected {offset + need} bytes total"
             )
-        f.seek(offset)
         flat = np.frombuffer(f.read(), dtype="<f4")
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:

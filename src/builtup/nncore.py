@@ -1,32 +1,27 @@
 """Deterministic tensor/layer/optimizer kernel with exact analytic gradients.
 
-Layers operate on channels-last (N, H, W, C) numpy arrays and share one
-protocol:
+Layers operate on channels-last (N, H, W, C) numpy arrays. Every layer has
+an inference pass, forward(x) -> y, which never mutates layer state, so
+threads may share it. param_names and state_names name each layer's
+trainable arrays and its non-trainable statistics.
 
-    forward(x) -> y                        inference pass
-    forward_train(x, rng) -> (y, cache)    training pass
-    backward(dout, cache, input_grad=True) -> (dx, *grads)
-        one grad per param_names entry; with input_grad false dx is None
-        and is not computed (the first layer, whose input is data)
+Model's train pass runs a batch as contiguous row slices, possibly on
+several threads, and each layer's train mode takes the form that allows:
 
-param_names and state_names name each layer's trainable arrays and its
-non-trainable statistics. The layers are ConvLayer (a k x k convolution; a
-dense layer applied per pixel is its k = 1 case), BatchNorm and Dropout
-(no parameters; rng draws its keep flags). BatchNorm's epsilon and
-momentum, and AdamState's betas and epsilon, are class-level constants
-(BN_*, ADAM_*), not per-instance settings. Inference passes never mutate
-layer state, so they are safe to share across threads; the train-mode
-pass of BatchNorm updates its moving statistics.
-
-A training batch may run as contiguous row slices on several threads
-(synchronized BatchNorm). ConvLayer passes are per row. The two layers
-with a batch-wide train-mode quantity split their pass into one call for
-the whole batch, made by the caller, and calls per slice that only
-consume it:
-
-    BatchNorm  batch_statistics(xs) once, normalize(x, ...) per slice;
+    ConvLayer  forward_train(x) -> (y, cache) per slice, and
+               backward(dout, cache, input_grad=True) -> (dx, dkernel, dbias)
+    BatchNorm  batch_statistics(xs) once for the batch (it also updates
+               the moving statistics), normalize(x, ...) per slice;
                gradient_sums per slice, then input_gradient per slice
-    Dropout    draw(rng, shape) once, apply(x, draws[a:b]) per slice
+               from the batch's sums (synchronized BatchNorm)
+    Dropout    draw(rng, shape) once for the batch, apply(x, draws[a:b])
+               per slice, and backward(dout, mask) -> (dx,)
+
+A ConvLayer is a k x k convolution; a dense layer applied per pixel is its
+k = 1 case. With input_grad false a backward pass returns dx None and does
+not compute it (the first layer, whose input is data). BatchNorm's
+forward_train and backward are the one-slice compositions of its split
+passes.
 
 Every batch-wide BatchNorm quantity is a sum of per-slice column sums
 taken in slice order (ordered_sum), and every dropout mask is drawn at
@@ -63,13 +58,6 @@ from .errors import (
 KERNEL_SIZE = 2  # the network's convolutions; its dense layers are 1x1
 WEIGHT_INIT_BOUND = 0.1065
 PRED_CLIP = 1e-7
-
-BN_EPSILON = 1e-3
-BN_MOMENTUM = 0.99
-
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPSILON = 1e-8
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -157,7 +145,7 @@ class ConvLayer:
         y, _ = self.forward_train(x)
         return y
 
-    def forward_train(self, x: np.ndarray, rng=None):
+    def forward_train(self, x: np.ndarray):
         self._check_input(x)
         n, h, w, _ = x.shape
         ho, wo = h - self.kernel_size + 1, w - self.kernel_size + 1
@@ -210,8 +198,8 @@ class BatchNorm:
 
     param_names = ("gamma", "beta")
     state_names = ("moving_mean", "moving_var")
-    epsilon = BN_EPSILON
-    momentum = BN_MOMENTUM
+    epsilon = 1e-3
+    momentum = 0.99
 
     def __init__(self, gamma: np.ndarray, beta: np.ndarray,
                  moving_mean: np.ndarray, moving_var: np.ndarray):
@@ -280,7 +268,7 @@ class BatchNorm:
         y = (xhat * self.gamma + self.beta).reshape(x.shape)
         return y, (xhat, inv_std, x.shape, count)
 
-    def forward_train(self, x: np.ndarray, rng=None):
+    def forward_train(self, x: np.ndarray):
         return self.normalize(x, *self.batch_statistics([x]))
 
     def gradient_sums(self, dout: np.ndarray, cache):
@@ -339,9 +327,6 @@ class Dropout:
                                                   dtype=x.dtype)
         return x * mask, mask
 
-    def forward_train(self, x: np.ndarray, rng: np.random.Generator):
-        return self.apply(x, self.draw(rng, x.shape))
-
     def backward(self, dout: np.ndarray, mask, input_grad: bool = True):
         if not input_grad:
             return (None,)
@@ -385,9 +370,9 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-4
-    beta1: ClassVar[float] = ADAM_BETA1
-    beta2: ClassVar[float] = ADAM_BETA2
-    epsilon: ClassVar[float] = ADAM_EPSILON
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
 
     @classmethod
     def for_size(cls, n: int, learning_rate: float = 1e-4,

@@ -3,21 +3,10 @@ registry.
 
 The zone is rescaled once into a float32 array with a zero border of
 PATCH_MARGIN pixels: training gathers 5x5 patches from it, and prediction
-runs the fully-convolutional network over it once, in bands of
-PREDICT_BLOCK rows cut into square blocks of at most PREDICT_BLOCK x
-PREDICT_BLOCK output pixels with a 4-pixel halo, so the working set does
-not grow with the zone.
-
-Prediction does not run the model's eight layers. Each predict_zone call
-first builds model.inference_stack, four layers: conv1.conv2 (3x3, tanh),
-bn1.conv3.conv4 (3x3, tanh), bn2.dense1 (1x1, tanh) and dense2. The
-merge is exact in real arithmetic because every conv is valid: each
-intermediate pixel is computed from real inputs, and the only zero border
-is the one at the input, which the merged conv reads alike. That is 4
-passes and 2 im2col copies per block instead of 8 and 4, and 27,904 in
-place of 37,504 multiply-adds per pixel (desk; paper 431,104 in place of
-592,384). Probabilities differ from Model.forward, still the reference,
-by float32 rounding (at most 3e-7 on trained desk and paper models).
+runs model.inference_stack, which is fully convolutional, over it once, in
+bands of PREDICT_BLOCK rows cut into square blocks of at most
+PREDICT_BLOCK x PREDICT_BLOCK output pixels with a 4-pixel halo, so the
+working set does not grow with the zone.
 
 Every block starts at a multiple of PREDICT_BLOCK from the zone origin
 and tiles only slice the finished mosaic, so a pixel comes from the same
@@ -37,21 +26,6 @@ BLAS 474k -> 319k px/s (paper 74k -> 47k), 1-thread 412k -> 370k (paper
 93k). One thread also makes mosaics independent of the machine's thread
 setting: a threaded gemv splits dense2's rows between threads, which moves
 the rows that round differently.
-
-Training runs on one OpenBLAS thread as well and takes its parallelism
-from the batch instead: train_zone cuts every optimizer batch into
-model.TRAIN_SLICES row slices, run on min(usable CPUs, TRAIN_SLICES)
-threads, with BatchNorm statistics and gradients summed over the slices
-in slice order (synchronized BatchNorm; see Model.forward_train). Between
-GEMMs a step is numpy work (im2col copies, BatchNorm, dropout) that a
-second BLAS thread does not reach; slices run it on both cores. Each step
-runs conv1.conv2 and conv3.conv4 as one composed conv each and pulls
-their gradients back to the four layers once, on the same threads (see
-the model module). The slice count is fixed and every BLAS call
-single-threaded, so a trained model depends on neither the worker count
-nor the BLAS thread setting. The validation loss of each
-epoch runs the inference stack, in batches of at most PREDICT_BLOCK**2
-patches on the same threads.
 
 Why blocks of 64. Each pass allocates an im2col matrix and an output per
 layer; for a 64x64 block the largest is the second 3x3 layer's im2col,
@@ -77,7 +51,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -120,6 +94,11 @@ class TrainingRun:
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
+        early = self.early_stopping
+        if early is not None and (early.patience < 1
+                                  or not 0 <= early.min_delta < np.inf):
+            raise ConfigError(f"early stopping needs patience >= 1 and a "
+                              f"finite min_delta >= 0, got {early}")
 
 
 @dataclass
@@ -146,8 +125,7 @@ class TrainingHistory:
     validation_loss: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"train_loss": self.train_loss,
-                "validation_loss": self.validation_loss}
+        return asdict(self)
 
 
 def _stratified_split(labels: np.ndarray, fraction: float,
@@ -265,11 +243,15 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                cfg: SamplingConfig):
     """Two-stage sampling plus the full optimization loop for one zone.
 
-    Each optimizer batch runs as model.TRAIN_SLICES row slices on
-    train_workers() threads, and validation batches run on the same
-    threads, all with one OpenBLAS thread. The slice count is fixed and
-    each BLAS call single-threaded, so the model and history do not depend
-    on the worker count or on the process's BLAS thread setting.
+    Training runs on one OpenBLAS thread and takes its parallelism from
+    the batch instead: each optimizer batch runs as model.train_step's
+    TRAIN_SLICES row slices on train_workers() threads, and each epoch's
+    validation loss runs the inference stack on the same threads. Between
+    GEMMs a step is numpy work (im2col copies, BatchNorm, dropout) that a
+    second BLAS thread does not reach; slices run it on both cores. The
+    slice count is fixed and each BLAS call single-threaded, so the model
+    and history do not depend on the worker count or on the process's
+    BLAS thread setting.
 
     Returns (model, history, info) where info carries the sampling manifest
     and the selected tile windows.
@@ -461,10 +443,17 @@ def write_tiles(predictions, composite: RasterGrid, out_dir: Path) -> list:
     return entries
 
 
-def read_mosaic(paths) -> RasterGrid:
+def read_mosaic(paths, entries: int) -> RasterGrid:
     """The probability tiles at paths, each placed by its own header, as one
     f32 band with nodata -1; FormatError unless they are such bands of one
-    zone_id and pixel size, whole pixels apart, holding probabilities."""
+    zone_id and pixel size, whole pixels apart, holding probabilities, each
+    file as long as its header says.
+
+    entries is the number of tiles the prediction made, failed ones
+    included. A prediction's tiles cover its zone and fail by whole tile
+    rows, so honest tiles span at most entries times the largest one's
+    pixels; tiles that span more are a FormatError, raised before the
+    mosaic is allocated."""
     headers = [raster.read_header(p) for p in paths]
     zone_id, pixel = headers[0]["zone_id"], headers[0]["pixel_size"]
     least = np.min([(h["origin_y"], h["origin_x"]) for h in headers], axis=0)
@@ -480,9 +469,15 @@ def read_mosaic(paths) -> RasterGrid:
                 f"tile {path} is not one f32 band, nodata -1, of zone "
                 f"{zone_id!r} at pixel size {pixel}, whole pixels from tile "
                 f"{paths[0]}")
+        raster.check_payload_size(path, h)
         r, c = np.rint(offset).astype(np.int64).tolist()
         places.append((r, c, r + h["height"], c + h["width"]))
     height, width = max(p[2] for p in places), max(p[3] for p in places)
+    largest = max(h["height"] * h["width"] for h in headers)
+    if height * width > entries * largest:
+        raise FormatError(
+            f"tiles from {paths[0]} span {height} x {width} pixels, more "
+            f"than {entries} tiles of at most {largest} pixels cover")
     data = np.full((1, height, width), -1.0, dtype=np.float32)
     for path, (r0, c0, r1, c1) in zip(paths, places):  # one at a time
         tile = raster.read_raster(path).data[0]

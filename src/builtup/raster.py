@@ -151,18 +151,23 @@ def read_header(path) -> dict:
     }
 
 
+def check_payload_size(path, hdr: dict) -> int:
+    """The sample count of the payload hdr describes; FormatError unless
+    the file at path holds the header and exactly that payload."""
+    count = hdr["bands"] * hdr["height"] * hdr["width"]
+    expected = HEADER_SIZE + count * DTYPE_NUMPY[hdr["dtype"]].itemsize
+    size = os.path.getsize(path)
+    if size != expected:
+        raise FormatError(f"truncated payload at offset {size}: "
+                          f"expected {expected} bytes total")
+    return count
+
+
 def read_raster(path) -> RasterGrid:
     hdr = read_header(path)
     np_dtype = DTYPE_NUMPY[hdr["dtype"]]
-    count = hdr["bands"] * hdr["height"] * hdr["width"]
-    expected = count * np_dtype.itemsize
+    count = check_payload_size(path, hdr)
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size != HEADER_SIZE + expected:
-            raise FormatError(
-                f"truncated payload at offset {size}: "
-                f"expected {HEADER_SIZE + expected} bytes total"
-            )
         f.seek(HEADER_SIZE)
         # read into the array itself: no bytes object beside it
         data = np.fromfile(f, dtype=np_dtype, count=count).reshape(

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError, StatsError
+from .errors import ParameterError
 from .raster import PATCH_MARGIN, PATCH_SIZE, RasterGrid
 
 
@@ -111,26 +111,19 @@ def build_sample_set(label_grid: RasterGrid, valid_mask: np.ndarray,
     return sample_set
 
 
-def class_stats(sample_set: SampleSet) -> dict:
-    if len(sample_set) == 0:
-        raise StatsError("class_stats on an empty sample set")
-    n = len(sample_set)
-    bu = sample_set.built_up_count
-    return {"built_up": bu / n, "non_built_up": (n - bu) / n}
-
-
 def sample_manifest(sample_set: SampleSet) -> dict:
-    """Reproducibility record for a sampling pass."""
-    stats = class_stats(sample_set) if len(sample_set) else \
-        {"built_up": 0.0, "non_built_up": 0.0}
+    """Reproducibility record for a sampling pass; both class fractions
+    are 0 for an empty set."""
+    n, bu = len(sample_set), sample_set.built_up_count
     return {
         "zone_id": sample_set.zone_id,
         "seed": sample_set.seed,
         "non_bu_rate": sample_set.non_bu_rate,
-        "samples": len(sample_set),
-        "built_up": sample_set.built_up_count,
+        "samples": n,
+        "built_up": bu,
         "non_built_up": sample_set.non_built_up_count,
-        "fractions": stats,
+        "fractions": ({"built_up": bu / n, "non_built_up": (n - bu) / n}
+                      if n else {"built_up": 0.0, "non_built_up": 0.0}),
     }
 
 

@@ -44,6 +44,11 @@ class SceneParams:
             raise GenerationError(
                 f"nodata_fraction must be in [0, 1), got {self.nodata_fraction}"
             )
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise GenerationError(f"noise_sigma must be finite and >= 0, "
+                                  f"got {self.noise_sigma}")
+        if self.clusters < 0:
+            raise GenerationError(f"clusters must be >= 0, got {self.clusters}")
 
 
 @dataclass

@@ -159,16 +159,25 @@ def fail_every_tile_without_pixel_size(pred, ref):
                                          encoding="utf-8")
 
 
-def shift_tile_header(origin_x=0.0, zone_id=None):
-    """Move tile 1's raster origin_x by origin_x metres, or relabel its
-    zone."""
+def shift_tile_header(origin_x=0.0, origin_y=0.0, zone_id=None):
+    """Move tile 1's raster origin by (origin_x, origin_y) metres, or
+    relabel its zone."""
     def damage(pred, ref):
         path = sorted(pred.glob("*_prob.ghsr"))[1]
         grid = raster.read_raster(path)
         raster.write_raster(replace(
             grid, origin_x=grid.origin_x + origin_x,
+            origin_y=grid.origin_y + origin_y,
             zone_id=grid.zone_id if zone_id is None else zone_id), path)
     return damage
+
+
+def tall_tile_header(pred, ref):
+    """Tile 1's header claims 10**9 rows; its payload is untouched."""
+    path = sorted(pred.glob("*_prob.ghsr"))[1]
+    raw = bytearray(path.read_bytes())
+    raw[12:16] = struct.pack("<I", 10 ** 9)
+    path.write_bytes(bytes(raw))
 
 
 def nan_in_a_tile(pred, ref):
@@ -189,9 +198,12 @@ def nan_in_a_tile(pred, ref):
     (shift_tile_header(origin_x=5.0), 4, "format"),
     (shift_tile_header(zone_id="B"), 4, "format"),
     (nan_in_a_tile, 4, "format"),
+    (shift_tile_header(origin_y=1e13), 4, "format"),
+    (tall_tile_header, 4, "format"),
 ], ids=["missing_tile", "no_tiles", "corrupt_footprints", "manifest_not_json",
         "no_ok_tile", "no_ok_tile_nor_pixel_size", "tile_off_the_grid",
-        "tiles_of_two_zones", "nan_in_a_tile"])
+        "tiles_of_two_zones", "nan_in_a_tile", "tile_origin_y_1e13",
+        "tile_height_1e9"])
 def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                                             error_class):
     _, data, model, _ = trained
@@ -532,16 +544,40 @@ def test_unusable_registries_are_registry_errors(trained, tmp_path, case):
     ("--learning-rate", "inf"),
     ("--divisor", "inf"),
     ("--divisor", "nan"),
+    ("--early-stop-patience", 0),
+    ("--early-stop-patience", -1),
+    ("--early-stop-min-delta", "nan"),
+    ("--early-stop-min-delta", "inf"),
+    ("--early-stop-min-delta", -1),
 ])
 def test_bad_training_arguments_are_config_errors(trained, tmp_path, flag,
                                                   value):
     _, data, _, _ = trained
     out = tmp_path / "A.ghsm"
+    # min_delta is read only when early stopping is on
+    on = (["--early-stop-patience", 1] if flag == "--early-stop-min-delta"
+          else [])
     assert run("train", "--zone", "A", "--data", data, "--out", out,
-               "--epochs", 1, flag, value) == 5
+               "--epochs", 1, *on, flag, value) == 5
     assert load(tmp_path / "A.train_manifest.json")["error"]["class"] == \
         "config"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--noise-sigma", -1),
+    ("--noise-sigma", "nan"),
+    ("--noise-sigma", "inf"),
+    ("--clusters", -1),
+    ("--zones", 0),
+])
+def test_impossible_scenes_are_generation_errors(tmp_path, flag, value):
+    out = tmp_path / "data"
+    assert run("synth", "--out", out, "--size", 64, flag, value) == 11
+    info = load(out / "synth_manifest.json")
+    assert info["status"] == "error"
+    assert info["error"]["class"] == "generation"
+    assert not list(out.glob("*/composite.ghsr"))
 
 
 @pytest.mark.parametrize("thresholds", ["x", "", "0.2,", "1.5", "-0.1",

@@ -172,9 +172,9 @@ class TestAccuracyMetrics:
         predicted = np.array([True, True, False, False, True])
         reference = np.array([True, False, True, False, False])
         valid = np.array([True, True, True, True, False])
-        counts = confusion(predicted, reference, valid, threshold=0.5)
+        counts = confusion(predicted, reference, valid)
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
-        assert counts.total == 4 and counts.threshold == 0.5
+        assert counts.total == 4
 
 
 def test_binarize_threshold_is_inclusive():

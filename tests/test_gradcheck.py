@@ -6,6 +6,7 @@ import pytest
 from builtup.errors import ParameterError
 from builtup.model import ArchitectureConfig, build_model
 from builtup.nncore import BatchNorm, ConvLayer, bce_loss, init_uniform
+from model_arrays import copy_model, trainable_arrays
 
 SEEDS = list(range(20))
 
@@ -141,7 +142,7 @@ def full_stack_error(seed, slices=1):
     """BCE-through-the-whole-network check with a frozen dropout mask, the
     batch run as `slices` row slices."""
     rng = np.random.default_rng(seed)
-    net = build_model(TINY_ARCH, seed=seed).astype(np.float64)
+    net = copy_model(build_model(TINY_ARCH, seed=seed))
     x = rng.random((4, 5, 5, 3))
     y = (rng.random(4) < 0.5).astype(np.float64)
     mask_seed = seed + 1
@@ -158,7 +159,7 @@ def full_stack_error(seed, slices=1):
         val, _ = bce_loss(y, p[:, 0, 0])
         return val
 
-    params = net.trainable_arrays()
+    params = trainable_arrays(net)
     numeric = finite_difference(f, params)
     return max_relative_error(
         [grad], [np.concatenate([g.reshape(-1) for g in numeric])])

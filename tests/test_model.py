@@ -12,6 +12,7 @@ from builtup.errors import (ConfigError, FormatError, NumericError,
                             ShapeError, ToolkitError)
 from builtup.model import (
     ArchitectureConfig,
+    Model,
     PRESETS,
     build_model,
     compose_convs,
@@ -23,8 +24,9 @@ from builtup.model import (
     save_model,
     train_step,
 )
-from builtup.nncore import (AdamState, BatchNorm, ConvLayer, bce_loss,
-                            init_uniform)
+from builtup.nncore import (AdamState, BatchNorm, ConvLayer, Dropout,
+                            bce_loss, init_uniform)
+from model_arrays import copy_model, moving_statistics, trainable_arrays
 
 TINY = ArchitectureConfig(bands=2, block_filters=(3, 4), hidden_units=6)
 
@@ -81,11 +83,34 @@ class TestBuild:
             assert x.tobytes() == y.tobytes()
 
 
+# The public methods and properties of the layers and of Model. One added
+# or dropped is a change to the program's surface, made here on purpose: a
+# helper only tests call belongs in tests/.
+SURFACE = {
+    "ConvLayer": ["backward", "forward", "forward_train", "in_channels",
+                  "kernel_size", "out_channels"],
+    "BatchNorm": ["backward", "batch_statistics", "channels", "forward",
+                  "forward_train", "gradient_sums", "input_gradient",
+                  "normalize"],
+    "Dropout": ["apply", "backward", "draw", "forward"],
+    "Model": ["backward", "forward", "forward_train", "layers",
+              "serialization_arrays"],
+}
+
+
+def test_layer_and_model_surface_is_pinned():
+    surface = {cls.__name__: sorted(
+        name for name, value in vars(cls).items() if not name.startswith("_")
+        and (callable(value) or isinstance(value, property)))
+        for cls in (ConvLayer, BatchNorm, Dropout, Model)}
+    assert surface == SURFACE
+
+
 class TestFlatParams:
     """Every trainable array is a view into the one flat vector net.params."""
 
     def assert_views(self, net):
-        arrays = net.trainable_arrays()
+        arrays = trainable_arrays(net)
         np.testing.assert_array_equal(
             np.concatenate([a.reshape(-1) for a in arrays]), net.params
         )
@@ -101,7 +126,7 @@ class TestFlatParams:
         self.assert_views(load_model(path))
 
     def test_astype_float64(self):
-        net = build_model(TINY, seed=2).astype(np.float64)
+        net = copy_model(build_model(TINY, seed=2))
         assert net.params.dtype == np.float64
         self.assert_views(net)
 
@@ -154,8 +179,8 @@ class TestCountParams:
             hidden_units=int(rng.integers(1, 20)),
         )
         net = build_model(arch, seed=seed)
-        trainable = sum(a.size for a in net.trainable_arrays())
-        non_trainable = sum(a.size for a in net.non_trainable_arrays())
+        trainable = sum(a.size for a in trainable_arrays(net))
+        non_trainable = sum(a.size for a in moving_statistics(net))
         assert count_params(arch) == (trainable, non_trainable)
 
 
@@ -267,7 +292,7 @@ def test_pull_back_is_the_transpose_of_the_composition(arch, pair):
     compose_convs_adjoint, and d and G are random directions. The
     composition is bilinear in (k1, b1) and k2 and adds b2, so
     J d = compose(d1, (k2, db2)) + compose(first, (dk2, 0))."""
-    net = build_model(arch, seed=8).astype(np.float64)
+    net = copy_model(build_model(arch, seed=8))
     rng = np.random.default_rng(9)
     first, second = [(getattr(net, name).kernel, getattr(net, name).bias)
                      for name in pair]
@@ -313,11 +338,11 @@ class TestTrainStep:
         rng = np.random.default_rng(7)
         net = build_model(TINY, seed=4)
         x, y = self.separable_batch(rng)
-        snapshot = [a.copy() for a in net.trainable_arrays()]
+        snapshot = [a.copy() for a in trainable_arrays(net)]
         state = AdamState.for_size(net.params.size,
                                    learning_rate=0.0)
         train_step(net, x, y, state, np.random.default_rng(0))
-        for a, b in zip(net.trainable_arrays(), snapshot):
+        for a, b in zip(trainable_arrays(net), snapshot):
             assert np.array_equal(a, b)
 
     def test_fixed_seed_identical_loss_trajectory(self):

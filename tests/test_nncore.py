@@ -22,6 +22,13 @@ from builtup.nncore import (
 )
 
 
+def train_pass(layer, x, rng):
+    """(y, cache) of layer's train mode over one whole batch x."""
+    if isinstance(layer, Dropout):
+        return layer.apply(x, layer.draw(rng, x.shape))
+    return layer.forward_train(x)
+
+
 def make_conv(rng, cin, cout, activation="linear"):
     return ConvLayer(init_uniform(rng, (cout, cin, 2, 2), np.float64),
                      init_uniform(rng, (cout,), np.float64), activation)
@@ -180,7 +187,7 @@ class TestPassesKeepTheirInput:
         before = x.copy()
         layer.forward(x)
         assert x.tobytes() == before.tobytes()
-        layer.forward_train(x, np.random.default_rng(10))
+        train_pass(layer, x, np.random.default_rng(10))
         assert x.tobytes() == before.tobytes()
 
     def test_tanh_output_is_the_cached_activation(self):
@@ -200,7 +207,7 @@ class TestInputGradient:
         layer = self.LAYERS[name]()
         rng = np.random.default_rng(12)
         x = rng.random((4, 5, 5, 3)).astype(np.float32)
-        y, cache = layer.forward_train(x, rng)
+        y, cache = train_pass(layer, x, rng)
         dout = rng.standard_normal(y.shape).astype(np.float32)
         dx, *grads = layer.backward(dout, cache)
         skipped, *same = layer.backward(dout, cache, input_grad=False)
@@ -306,7 +313,7 @@ class TestDropout:
     def test_rate_zero_identity_both_modes(self):
         x = np.random.default_rng(0).random((4, 4))
         layer = Dropout(0.0)
-        y, mask = layer.forward_train(x, np.random.default_rng(1))
+        y, mask = train_pass(layer, x, np.random.default_rng(1))
         assert y is x and mask is None
         assert layer.forward(x) is x
         (dx,) = layer.backward(x, mask)
@@ -318,7 +325,7 @@ class TestDropout:
 
     def test_drop_fraction(self):
         x = np.ones(10 ** 6, dtype=np.float32)
-        y, mask = Dropout(0.1).forward_train(x, np.random.default_rng(9))
+        y, mask = train_pass(Dropout(0.1), x, np.random.default_rng(9))
         dropped = np.count_nonzero(y == 0.0) / x.size
         assert abs(dropped - 0.1) < 0.001
         (dx,) = Dropout(0.1).backward(x, mask)
@@ -327,8 +334,8 @@ class TestDropout:
     def test_mask_reproducible_from_seed(self):
         x = np.ones((100, 7), dtype=np.float32)
         layer = Dropout(0.3)
-        y1, _ = layer.forward_train(x, np.random.default_rng(42))
-        y2, _ = layer.forward_train(x, np.random.default_rng(42))
+        y1, _ = train_pass(layer, x, np.random.default_rng(42))
+        y2, _ = train_pass(layer, x, np.random.default_rng(42))
         assert np.array_equal(y1, y2)
 
     def test_expectation_preserved(self):
@@ -338,7 +345,7 @@ class TestDropout:
         trials = 800
         acc = np.zeros_like(x)
         for _ in range(trials):
-            y, _ = layer.forward_train(x, rng)
+            y, _ = train_pass(layer, x, rng)
             acc += y
         mean = acc / trials
         # per-unit MC sigma of the mean of inverted-dropout draws

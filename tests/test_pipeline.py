@@ -1,4 +1,5 @@
-"""Tiled prediction over a whole zone, and its 64x64 inference blocks.
+"""Tiled prediction over a whole zone, its 64x64 inference blocks, and
+the zone registry.
 
 predict_zone computes the zone once, in blocks aligned to the zone origin,
 and tiles only slice the result, so every tiling and worker count gives
@@ -14,12 +15,15 @@ also round differently at small row counts.
 """
 
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from builtup import pipeline
+from builtup.errors import RegistryError
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            inference_stack, run_layers, save_model)
 from builtup.nncore import bce_loss
@@ -28,6 +32,7 @@ from builtup.pipeline import (PREDICT_BLOCK, _infer_loss, _predict_padded,
 from builtup.raster import (PATCH_MARGIN, gather_patches, patch_view,
                             rescale_reflectance)
 from builtup.synth import SceneParams, synth_zone
+from model_arrays import copy_model
 
 SIZE = 64
 TINY = ArchitectureConfig(bands=2, block_filters=(3, 4), hidden_units=6)
@@ -68,19 +73,29 @@ def test_mosaic_independent_of_tiling_and_workers(zone, net):
 def test_tiles_are_placed_by_their_headers(zone, net, tmp_path):
     """read_mosaic of the tiles write_tiles wrote is the zone's mosaic at
     the composite's origin; without the first tile row it starts a tile
-    lower."""
+    lower. Failed bands fail whole tile rows: whichever rows remain, the
+    mosaic spans them, with -1 in the rows between."""
     preds = predict_zone(net, zone.composite, 24)
     entries = pipeline.write_tiles(preds, zone.composite, tmp_path)
-    whole = pipeline.read_mosaic([e["prob"] for e in entries])
+    whole = pipeline.read_mosaic([e["prob"] for e in entries], len(entries))
     comp = zone.composite
     assert (whole.origin_x, whole.origin_y, whole.pixel_size,
             whole.zone_id) == (comp.origin_x, comp.origin_y,
                                comp.pixel_size, "A")
     assert whole.data[0].tobytes() == mosaic(preds).tobytes()
     lower = pipeline.read_mosaic([e["prob"] for e in entries
-                                  if e["tile_row"] > 0])
+                                  if e["tile_row"] > 0], len(entries))
     assert lower.origin_y == comp.origin_y + 24 * comp.pixel_size
     assert lower.data[0].tobytes() == mosaic(preds)[24:].tobytes()
+    for n in (1, 2):
+        for kept in itertools.combinations(range(3), n):
+            part = pipeline.read_mosaic([e["prob"] for e in entries
+                                         if e["tile_row"] in kept],
+                                        len(entries))
+            want = mosaic(preds)[24 * kept[0]:24 * kept[-1] + 24].copy()
+            for row in set(range(kept[0], kept[-1])) - set(kept):
+                want[24 * (row - kept[0]):24 * (row - kept[0] + 1)] = -1.0
+            assert part.data[0].tobytes() == want.tobytes(), kept
 
 
 def test_prediction_leaves_the_model_file_unchanged(zone, tmp_path):
@@ -98,7 +113,7 @@ def test_prediction_leaves_the_model_file_unchanged(zone, tmp_path):
 
 def one_term_dense2(net):
     """A copy of net whose dense2 reads hidden unit 0 only."""
-    net = net.astype(np.float32)
+    net = copy_model(net, np.float32)
     net.dense2.kernel[:, 1:] = 0.0
     return net
 
@@ -197,7 +212,7 @@ def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
     loss = _infer_loss(stack, view, rows, cols, labels)
     assert max(sizes) <= PREDICT_BLOCK ** 2 and sum(sizes) == n
     patches = gather_patches(view, rows, cols).astype(np.float64)
-    probs = net.astype(np.float64).forward(patches)[:, 0, 0]
+    probs = copy_model(net).forward(patches)[:, 0, 0]
     reference, _ = bce_loss(labels.astype(np.float64), probs)
     assert abs(loss - reference) <= 1e-5
 
@@ -249,3 +264,34 @@ def test_one_blas_thread_restores_after_the_last_caller_and_on_error():
         assert get() == 2
     finally:
         put(before)
+
+
+ZONES = st.sampled_from(["A", "B", "C", "AB"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(calls=st.lists(st.tuples(ZONES, st.text(max_size=8), st.booleans()),
+                      max_size=12))
+def test_the_registry_holds_the_last_model_of_each_trained_zone(
+        tmp_path_factory, calls):
+    """After record(zone, path) calls, some followed by a save/load round
+    trip, model_path(z) is the last path recorded for z, a zone never
+    recorded is a RegistryError, and the saved JSON holds exactly the
+    recorded zones."""
+    path = tmp_path_factory.mktemp("registry") / "registry.json"
+    registry, last = pipeline.ZoneRegistry.load(path), {}
+    for zone, model_path, round_trip in calls:
+        registry.record(zone, model_path)
+        last[zone] = model_path
+        if round_trip:
+            registry.save(path)
+            registry = pipeline.ZoneRegistry.load(path)
+    registry.save(path)
+    assert set(json.loads(path.read_text(encoding="utf-8"))) == set(last)
+    for loaded in (registry, pipeline.ZoneRegistry.load(path)):
+        for zone in ["A", "B", "C", "AB"]:
+            if zone in last:
+                assert loaded.model_path(zone) == last[zone]
+            else:
+                with pytest.raises(RegistryError):
+                    loaded.model_path(zone)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from builtup import sampling
-from builtup.errors import ParameterError, StatsError
+from builtup.errors import ParameterError
 from builtup.raster import TileIndex, make_grid, tile_grid
 from builtup.sampling import (
     build_sample_set,
-    class_stats,
     patch_block_labels,
+    sample_manifest,
     select_training_tiles,
     shuffle_minibatches,
 )
@@ -155,12 +155,14 @@ class TestBuildSampleSet:
 
 
 class TestClassStats:
+    """The class fractions a sampling manifest records."""
+
     def test_fractions(self):
         s = sampling.SampleSet(zone_id="Z", rows=np.zeros(500, dtype=int),
                                cols=np.zeros(500, dtype=int),
                                labels=np.r_[np.ones(10), np.zeros(490)]
                                .astype(np.uint8), seed=0, non_bu_rate=0.6)
-        stats = class_stats(s)
+        stats = sample_manifest(s)["fractions"]
         assert stats["built_up"] == pytest.approx(0.02)
         assert stats["non_built_up"] == pytest.approx(0.98)
         assert stats["built_up"] + stats["non_built_up"] == pytest.approx(1.0)
@@ -170,15 +172,18 @@ class TestClassStats:
                                cols=np.zeros(4, dtype=int),
                                labels=np.ones(4, dtype=np.uint8),
                                seed=0, non_bu_rate=0.6)
-        assert class_stats(s) == {"built_up": 1.0, "non_built_up": 0.0}
+        assert sample_manifest(s)["fractions"] == {"built_up": 1.0,
+                                                   "non_built_up": 0.0}
 
     def test_empty_set(self):
         s = sampling.SampleSet(zone_id="Z", rows=np.empty(0, dtype=int),
                                cols=np.empty(0, dtype=int),
                                labels=np.empty(0, dtype=np.uint8),
                                seed=0, non_bu_rate=0.6)
-        with pytest.raises(StatsError):
-            class_stats(s)
+        manifest = sample_manifest(s)
+        assert manifest["samples"] == manifest["built_up"] == 0
+        assert manifest["fractions"] == {"built_up": 0.0,
+                                         "non_built_up": 0.0}
 
 
 class TestShuffleMinibatches:

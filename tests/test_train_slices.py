@@ -27,8 +27,9 @@ from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            compose_convs, compose_convs_adjoint, save_model,
                            slice_bounds, train_step)
 from builtup.nncore import (ADAM_CHUNK, AdamState, BatchNorm, ConvLayer,
-                            adam_step, bce_loss)
+                            Dropout, adam_step, bce_loss)
 from builtup.synth import SceneParams, synth_zone
+from model_arrays import copy_model, moving_statistics
 
 TINY = ArchitectureConfig(bands=2, block_filters=(3, 4), hidden_units=6)
 ARCHS = {"tiny": TINY, "desk": PRESETS["desk"], "paper": PRESETS["paper"]}
@@ -86,8 +87,10 @@ def reference_gradient(net, patches, labels, rng, layers=None):
     for layer, _ in layers:
         if isinstance(layer, BatchNorm):
             x, cache = reference_bn_forward_train(layer, x)
+        elif isinstance(layer, Dropout):
+            x, cache = layer.apply(x, layer.draw(rng, x.shape))
         else:
-            x, cache = layer.forward_train(x, rng)
+            x, cache = layer.forward_train(x)
         caches.append(cache)
     probs = x[..., 0]
     loss, dprobs = bce_loss(labels.astype(np.float32), probs[:, 0, 0])
@@ -150,7 +153,7 @@ def run_steps(step, arch, n, steps, dtype=np.float32, seed=0):
     """(net, losses) after `steps` optimizer steps of `step` on one batch."""
     net = build_model(arch, seed=seed)
     if dtype != np.float32:
-        net = net.astype(dtype)
+        net = copy_model(net, dtype)
     state = AdamState.for_size(net.params.size, learning_rate=1e-3,
                                dtype=dtype)
     x, y = batch(arch, n, seed + 1, dtype)
@@ -160,7 +163,7 @@ def run_steps(step, arch, n, steps, dtype=np.float32, seed=0):
 
 
 def state_arrays(net):
-    return [net.params] + net.non_trainable_arrays()
+    return [net.params] + moving_statistics(net)
 
 
 def test_slice_bounds_cover_the_batch_in_order():
@@ -196,19 +199,19 @@ def test_composed_step_matches_the_per_layer_reference_in_float64(name):
     (measured: at most 15, on paper)."""
     arch = ARCHS[name]
     n = 64 if name == "paper" else 256
-    net = build_model(arch, seed=0).astype(np.float64)
+    net = copy_model(build_model(arch, seed=0))
     state = AdamState.for_size(net.params.size, learning_rate=1e-3,
                                dtype=np.float64)
     x, y = batch(arch, n, 1, np.float64)
     rng = np.random.default_rng(2)
     for _ in range(3):
-        composed = net.astype(np.float64)
+        composed = copy_model(net)
         loss, grad = model_gradient(composed, x, y, copy.deepcopy(rng))
         ref_loss, ref_grad = reference_gradient(net, x, y, rng)
         assert_within_roundings(loss, ref_loss, 64)
         assert_within_roundings(grad, ref_grad, 1024)
-        for got, want in zip(composed.non_trainable_arrays(),
-                             net.non_trainable_arrays()):
+        for got, want in zip(moving_statistics(composed),
+                             moving_statistics(net)):
             assert_within_roundings(got, want, 64, scale=1)
         reference_adam_step(net.params, ref_grad, state)
 
@@ -240,12 +243,11 @@ def test_two_slices_match_one_in_float64(name, n, monkeypatch):
     if name == "paper" and n > 3:
         n //= 4  # a float64 paper step at 1024 rows takes ~0.5 s
     x, y = batch(arch, n, 1, np.float64)
-    two, one = (build_model(arch).astype(np.float64) for _ in range(2))
+    two, one = (copy_model(build_model(arch)) for _ in range(2))
     _, two_grad = model_gradient(two, x, y, np.random.default_rng(2), 2)
     _, one_grad = model_gradient(one, x, y, np.random.default_rng(2), 1)
     assert_within_roundings(two_grad, one_grad, 1024)
-    for got, want in zip(two.non_trainable_arrays(),
-                         one.non_trainable_arrays()):
+    for got, want in zip(moving_statistics(two), moving_statistics(one)):
         assert_within_roundings(got, want, 64, scale=1)
     assert model_mod.TRAIN_SLICES == 2
     _, two_losses = run_steps(train_step, arch, n, 5, np.float64)
