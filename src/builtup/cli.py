@@ -29,8 +29,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, model as model_mod, pipeline, raster, synth
-from .errors import (FormatError, GenerationError, MissingInputError,
-                     ToolkitError, UndefinedStatisticError)
+from .errors import (ConfigError, FormatError, GenerationError,
+                     MissingInputError, ToolkitError, UndefinedStatisticError)
 
 
 def _sha256(path) -> str:
@@ -173,8 +173,12 @@ def cmd_train(args, argv) -> int:
         arch = model_mod.preset(args.preset, divisor=args.divisor)
         early = None
         if args.early_stop_patience is not None:
-            early = pipeline.EarlyStopping(patience=args.early_stop_patience,
-                                           min_delta=args.early_stop_min_delta)
+            early = pipeline.EarlyStopping(patience=args.early_stop_patience)
+            if args.early_stop_min_delta is not None:
+                early.min_delta = args.early_stop_min_delta
+        elif args.early_stop_min_delta is not None:
+            raise ConfigError("--early-stop-min-delta needs "
+                              "--early-stop-patience")
         run = pipeline.TrainingRun(zone_id=args.zone, epochs=args.epochs,
                                    validation_fraction=args.validation_fraction,
                                    seed=args.seed,
@@ -405,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=arch.normalization_divisor)
     p.add_argument("--water-zone", action="store_true")
     p.add_argument("--early-stop-patience", type=int, default=None)
-    p.add_argument("--early-stop-min-delta", type=float,
-                   default=pipeline.EarlyStopping.min_delta)
+    p.add_argument("--early-stop-min-delta", type=float, default=None)
     p.add_argument("--registry", default=None)
     p.set_defaults(func=cmd_train)
 

@@ -15,9 +15,9 @@ therefore fully convolutional: an (h+4) x (w+4) window gives the h x w
 probabilities of its interior pixels in one pass, each equal to the
 probability of that pixel's 5x5 patch.
 
-Prediction runs inference_stack(model), and training runs train_step;
-each composes the layers by one rule, _compose. Model.forward stays the
-reference the inference stack is tested against.
+Maps and validation losses run inference_stack(model), the one inference
+pass, through run_layers; training runs train_step. Both compose the
+layers by one rule, _compose.
 
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
 JSON header, then float32 little-endian parameter blobs in the order of
@@ -213,22 +213,14 @@ class Model:
                 f"h, w >= 1, got {x.shape}"
             )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference pass: moving BN statistics, no dropout.
-
-        x is (N, h+4, w+4, bands); returns (N, h, w) probabilities, so a
-        batch of 5x5 patches gives (N, 1, 1)."""
-        self._check_input(x)
-        return run_layers(self.layers, x)
-
     def forward_train(self, x: np.ndarray, rng: np.random.Generator,
                       slices: int = 1, run=map):
         """Training pass over `slices` row slices, their tasks mapped by
         run (map, or a thread pool's map); train_step describes the pass.
 
-        Returns (probabilities shaped as in forward(), a tape for
-        backward(): the pass's layer list and one list of layer caches per
-        slice)."""
+        x is (N, h+4, w+4, bands). Returns ((N, h, w) probabilities, a
+        tape for backward(): the pass's layer list and one list of layer
+        caches per slice)."""
         self._check_input(x)
         layers = _compose(self.layers)
         masks = _draw_masks(layers, x.shape, rng)
@@ -349,8 +341,9 @@ def _draw_masks(layers, shape, rng: np.random.Generator) -> list:
 
 
 def run_layers(layers, x: np.ndarray) -> np.ndarray:
-    """Inference passes of layers in order; (N, h, w) from the last
-    layer's single output channel."""
+    """Forward passes of layers in order (inference_stack's); (N, h, w)
+    from the last layer's single output channel, so 5x5 patches give
+    (N, 1, 1)."""
     for layer in layers:
         x = layer.forward(x)
     return x[..., 0]
@@ -452,7 +445,8 @@ def _compose(layers) -> list:
 
 
 def inference_stack(net: Model) -> list:
-    """The network's inference pass as few ConvLayers.
+    """The network's inference pass, which makes the maps and the
+    validation losses through run_layers, as few ConvLayers.
 
     In inference mode dropout is the identity and BatchNorm an affine map,
     i.e. a linear 1x1 conv, and a linear valid conv followed by another
@@ -464,9 +458,10 @@ def inference_stack(net: Model) -> list:
     pads: every intermediate pixel comes from real inputs, and the only
     zero border is the one around the input, which the composed conv reads
     alike. Kernels are composed in float64 and cast once to the model's
-    dtype, so the stack differs from Model.forward by float32 rounding
-    only (at most 3e-7 on trained desk and paper models). net is not
-    modified, and the layers are read-only, so threads may share them."""
+    dtype, so the stack differs from running the layers one by one in that
+    dtype by float32 rounding only (at most 3e-7 on trained desk and paper
+    models). net is not modified, and the layers are read-only, so threads
+    may share them."""
     layers = [_inference_conv(layer) for layer in net.layers
               if not isinstance(layer, Dropout)]
     dtype = net.params.dtype

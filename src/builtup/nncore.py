@@ -1,7 +1,9 @@
 """Deterministic tensor/layer/optimizer kernel with exact analytic gradients.
 
-Layers operate on channels-last (N, H, W, C) numpy arrays. Every layer has
-an inference pass, forward(x) -> y, which never mutates layer state, so
+Layers operate on channels-last (N, H, W, C) numpy arrays. ConvLayer's
+forward(x) -> y is the inference pass: model.inference_stack folds the
+network into ConvLayers, BatchNorm becoming a 1x1 conv and Dropout, the
+identity in inference, left out. forward never mutates layer state, so
 threads may share it. param_names and state_names name each layer's
 trainable arrays and its non-trainable statistics.
 
@@ -20,8 +22,10 @@ several threads, and each layer's train mode takes the form that allows:
 A ConvLayer is a k x k convolution; a dense layer applied per pixel is its
 k = 1 case. With input_grad false a backward pass returns dx None and does
 not compute it (the first layer, whose input is data). BatchNorm's
-forward_train and backward are the one-slice compositions of its split
-passes.
+forward (its moving-statistics affine map), forward_train and backward
+are whole-batch forms, the last two the one-slice compositions of its
+split passes. The program runs none of them: tests compare against them,
+and the benchmark's tracer wraps them.
 
 Every batch-wide BatchNorm quantity is a sum of per-slice column sums
 taken in slice order (ordered_sum), and every dropout mask is drawn at
@@ -31,8 +35,8 @@ slice count, and one slice gives the bits of the unsliced pass.
 
 No pass writes its input. Epilogues run in place on arrays the pass
 allocated itself: a ConvLayer adds its bias to and takes tanh of its fresh
-GEMM output, which is also the activation its cache keeps, and BatchNorm's
-inference pass shifts its own scaled copy. This saves one full-size
+GEMM output, which is also the activation its cache keeps, and
+BatchNorm.forward shifts its own scaled copy. This saves one full-size
 temporary per layer and gives the same bits as the out-of-place forms.
 
 Parameters and activations are float32 in production; every routine is
@@ -192,8 +196,9 @@ class BatchNorm:
     """Per-channel batch normalization over the trailing axis.
 
     Train mode normalizes with batch statistics and nudges the moving
-    statistics by exponential momentum; inference uses the moving
-    statistics only.
+    statistics by exponential momentum. Inference uses the moving
+    statistics only, as the affine map that model.inference_stack folds
+    into the next conv.
     """
 
     param_names = ("gamma", "beta")
@@ -298,7 +303,8 @@ class BatchNorm:
 
 class Dropout:
     """Inverted dropout: train mode zeroes each unit with probability rate
-    and scales the kept ones by 1/(1-rate); inference is the identity."""
+    and scales the kept ones by 1/(1-rate). Inference is the identity, so
+    the inference pass leaves the layer out."""
 
     param_names = ()
     state_names = ()
@@ -307,9 +313,6 @@ class Dropout:
         if not 0.0 <= rate < 1.0:
             raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
 
     def draw(self, rng: np.random.Generator, shape):
         """The keep flags of a batch shaped `shape`, one uniform draw from

@@ -130,23 +130,19 @@ class TrainingHistory:
 
 def _stratified_split(labels: np.ndarray, fraction: float,
                       rng: np.random.Generator):
-    """Disjoint (train_idx, val_idx); the split is stratified per class."""
-    train_parts, val_parts = [], []
-    for cls in (0, 1):
-        idx = np.flatnonzero(labels == cls)
-        if idx.size == 0:
-            continue
-        idx = rng.permutation(idx)
-        n_val = int(np.floor(idx.size * fraction + 0.5))
-        n_val = min(n_val, idx.size - 1)  # keep at least one training sample
-        val_parts.append(idx[:n_val])
-        train_parts.append(idx[n_val:])
-    train_idx = np.concatenate(train_parts)
-    val_idx = np.concatenate(val_parts) if val_parts else \
-        np.empty(0, dtype=np.int64)
-    if val_idx.size == 0 and train_idx.size >= 2:
-        # tiny sets: keep one held-out sample so the validation loss exists
-        train_idx, val_idx = train_idx[1:], train_idx[:1]
+    """Disjoint sorted (train_idx, val_idx), stratified per class: each
+    class holds out round(size * fraction) of its samples and keeps at
+    least one for training."""
+    parts = [rng.permutation(idx) for idx in
+             (np.flatnonzero(labels == cls) for cls in (0, 1)) if idx.size]
+    n_val = [min(int(np.floor(p.size * fraction + 0.5)), p.size - 1)
+             for p in parts]
+    if sum(n_val) == 0 and labels.size >= 2:
+        # tiny sets: hold out one sample of the largest class, so the
+        # validation loss exists and, from 3 samples, both classes train
+        n_val[int(np.argmax([p.size for p in parts]))] = 1
+    train_idx = np.concatenate([p[n:] for p, n in zip(parts, n_val)])
+    val_idx = np.concatenate([p[:n] for p, n in zip(parts, n_val)])
     return np.sort(train_idx), np.sort(val_idx)
 
 
@@ -271,8 +267,7 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
         np.random.default_rng(s) for s in seeds.spawn(3)
     ]
     samples = sampling.build_sample_set(label_grid, valid, selected,
-                                        cfg.non_bu_rate, sample_rng,
-                                        seed=run.seed)
+                                        cfg.non_bu_rate, sample_rng)
     if samples.built_up_count == 0 or samples.non_built_up_count == 0:
         raise DegenerateClassError(
             f"zone {run.zone_id!r}: single-class training data "
@@ -321,7 +316,8 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                         break
 
     info = {
-        "sampling": sampling.sample_manifest(samples),
+        "sampling": {**sampling.sample_manifest(samples), "seed": run.seed,
+                     "non_bu_rate": cfg.non_bu_rate},
         "tiles_total": len(tiles),
         "tiles_selected": [(t.tile_row, t.tile_col) for t in selected],
         "train_samples": int(train_idx.size),

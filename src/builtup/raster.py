@@ -158,7 +158,7 @@ def check_payload_size(path, hdr: dict) -> int:
     expected = HEADER_SIZE + count * DTYPE_NUMPY[hdr["dtype"]].itemsize
     size = os.path.getsize(path)
     if size != expected:
-        raise FormatError(f"truncated payload at offset {size}: "
+        raise FormatError(f"truncated payload of {path} at offset {size}: "
                           f"expected {expected} bytes total")
     return count
 
@@ -179,7 +179,7 @@ def read_raster(path) -> RasterGrid:
                       pixel_size=hdr["pixel_size"], data=data)
 
 
-def rescale_reflectance(grid: RasterGrid, divisor: float = 10000.0):
+def rescale_reflectance(grid: RasterGrid, divisor: float):
     """Map integer reflectance to f32 in [0,1] by value/divisor, clamped,
     inside a zero border of PATCH_MARGIN pixels.
 

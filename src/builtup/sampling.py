@@ -44,8 +44,6 @@ class SampleSet:
     rows: np.ndarray  # (N,) patch center rows
     cols: np.ndarray  # (N,) patch center cols
     labels: np.ndarray  # (N,) uint8, 1 = built-up patch
-    seed: int
-    non_bu_rate: float
 
     def __len__(self) -> int:
         return self.rows.size
@@ -72,8 +70,8 @@ def patch_block_labels(labels: np.ndarray) -> np.ndarray:
 
 
 def build_sample_set(label_grid: RasterGrid, valid_mask: np.ndarray,
-                     tiles, non_bu_rate: float, rng: np.random.Generator,
-                     seed: int = 0) -> SampleSet:
+                     tiles, non_bu_rate: float,
+                     rng: np.random.Generator) -> SampleSet:
     """All built-up patches from the selected tiles plus a Bernoulli
     non_bu_rate draw of the non-built-up ones.
 
@@ -101,7 +99,7 @@ def build_sample_set(label_grid: RasterGrid, valid_mask: np.ndarray,
     cols = np.concatenate(cols_out) if cols_out else np.empty(0, dtype=np.int64)
     labs = np.concatenate(labels_out) if labels_out else np.empty(0, dtype=np.uint8)
     sample_set = SampleSet(zone_id=label_grid.zone_id, rows=rows, cols=cols,
-                           labels=labs, seed=seed, non_bu_rate=non_bu_rate)
+                           labels=labs)
     if sample_set.built_up_count == 0:
         warnings.warn(
             f"zone {label_grid.zone_id!r}: no built-up patches in the selected "
@@ -112,13 +110,11 @@ def build_sample_set(label_grid: RasterGrid, valid_mask: np.ndarray,
 
 
 def sample_manifest(sample_set: SampleSet) -> dict:
-    """Reproducibility record for a sampling pass; both class fractions
-    are 0 for an empty set."""
+    """The class counts and fractions of a sample set; both fractions are
+    0 for an empty set."""
     n, bu = len(sample_set), sample_set.built_up_count
     return {
         "zone_id": sample_set.zone_id,
-        "seed": sample_set.seed,
-        "non_bu_rate": sample_set.non_bu_rate,
         "samples": n,
         "built_up": bu,
         "non_built_up": sample_set.non_built_up_count,

@@ -1,9 +1,11 @@
-"""Model arrays the tests read or copy, outside the package: the program
-itself only serializes them (Model.serialization_arrays)."""
+"""Model arrays the tests read or copy, and the layer-by-layer inference
+reference, outside the package: the program itself only serializes the
+arrays (Model.serialization_arrays) and runs model.inference_stack."""
 
 import numpy as np
 
 from builtup.model import Model
+from builtup.nncore import Dropout
 
 
 def trainable_arrays(net):
@@ -28,3 +30,14 @@ def copy_model(net, dtype=np.float64):
                         net.serialization_arrays()):
         dst[...] = src
     return clone
+
+
+def layer_by_layer(net, x):
+    """The inference pass the stack folds, run one layer at a time:
+    every layer but Dropout (the identity in inference) through its own
+    forward, BatchNorm with its moving statistics. x is (N, h+4, w+4,
+    bands); returns (N, h, w)."""
+    for layer in net.layers:
+        if not isinstance(layer, Dropout):
+            x = layer.forward(x)
+    return x[..., 0]

@@ -188,6 +188,10 @@ def nan_in_a_tile(pred, ref):
     raster.write_raster(grid, path)
 
 
+# What the error message of a damage names, where that is pinned.
+NAMED_IN_ERROR = {tall_tile_header: "tile_000_001_prob.ghsr"}
+
+
 @pytest.mark.parametrize("damage, code, error_class", [
     (drop_a_tile, 3, "missing_input"),
     (list_no_tiles, 4, "format"),
@@ -218,6 +222,7 @@ def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                "--report", tmp_path / "r.json") == code
     info = load(tmp_path / "r.evaluate_manifest.json")
     assert info["status"] == "error" and info["error"]["class"] == error_class
+    assert NAMED_IN_ERROR.get(damage, "") in info["error"]["message"]
 
 
 def test_a_failed_tile_does_not_size_the_mosaic(trained, tmp_path):
@@ -536,27 +541,36 @@ def test_unusable_registries_are_registry_errors(trained, tmp_path, case):
         "class"] == "registry"
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--batch-size", 0),
-    ("--batch-size", 1),
-    ("--non-bu-rate", 5),
-    ("--learning-rate", -1),
-    ("--learning-rate", "inf"),
-    ("--divisor", "inf"),
-    ("--divisor", "nan"),
-    ("--early-stop-patience", 0),
-    ("--early-stop-patience", -1),
-    ("--early-stop-min-delta", "nan"),
-    ("--early-stop-min-delta", "inf"),
-    ("--early-stop-min-delta", -1),
-])
+# (flag, value, early-stopping patience passed with them)
+BAD_TRAINING_ARGUMENTS = [
+    ("--batch-size", 0, None),
+    ("--batch-size", 1, None),
+    ("--non-bu-rate", 5, None),
+    ("--learning-rate", -1, None),
+    ("--learning-rate", "inf", None),
+    ("--divisor", "inf", None),
+    ("--divisor", "nan", None),
+    ("--early-stop-patience", 0, None),
+    ("--early-stop-patience", -1, None),
+    ("--early-stop-min-delta", "nan", 1),
+    ("--early-stop-min-delta", "inf", 1),
+    ("--early-stop-min-delta", -1, 1),
+    # a min-delta without a patience would be ignored
+    ("--early-stop-min-delta", 0.01, None),
+    ("--early-stop-min-delta", "nan", None),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, patience", BAD_TRAINING_ARGUMENTS,
+    ids=[f"{flag}-{value}" + ("-without-patience" if patience is None and
+                              flag == "--early-stop-min-delta" else "")
+         for flag, value, patience in BAD_TRAINING_ARGUMENTS])
 def test_bad_training_arguments_are_config_errors(trained, tmp_path, flag,
-                                                  value):
+                                                  value, patience):
     _, data, _, _ = trained
     out = tmp_path / "A.ghsm"
-    # min_delta is read only when early stopping is on
-    on = (["--early-stop-patience", 1] if flag == "--early-stop-min-delta"
-          else [])
+    on = [] if patience is None else ["--early-stop-patience", patience]
     assert run("train", "--zone", "A", "--data", data, "--out", out,
                "--epochs", 1, *on, flag, value) == 5
     assert load(tmp_path / "A.train_manifest.json")["error"]["class"] == \

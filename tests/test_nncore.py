@@ -185,7 +185,8 @@ class TestPassesKeepTheirInput:
         layer = self.LAYERS[name]()
         x = np.random.default_rng(9).random((4, 5, 5, 3)).astype(np.float32)
         before = x.copy()
-        layer.forward(x)
+        if not isinstance(layer, Dropout):  # no inference pass of its own
+            layer.forward(x)
         assert x.tobytes() == before.tobytes()
         train_pass(layer, x, np.random.default_rng(10))
         assert x.tobytes() == before.tobytes()
@@ -310,18 +311,13 @@ class TestBatchNorm:
 
 
 class TestDropout:
-    def test_rate_zero_identity_both_modes(self):
+    def test_rate_zero_identity(self):
         x = np.random.default_rng(0).random((4, 4))
         layer = Dropout(0.0)
         y, mask = train_pass(layer, x, np.random.default_rng(1))
         assert y is x and mask is None
-        assert layer.forward(x) is x
         (dx,) = layer.backward(x, mask)
         assert dx is x
-
-    def test_infer_identity(self):
-        x = np.random.default_rng(2).random((5, 3))
-        assert Dropout(0.1).forward(x) is x
 
     def test_drop_fraction(self):
         x = np.ones(10 ** 6, dtype=np.float32)

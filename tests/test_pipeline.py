@@ -10,8 +10,8 @@ really depends on the row count: a (rows, hidden) @ (hidden, 1) gemv
 rounds a row by the call's size and the row's place in it. That test
 therefore reads dense2 from one hidden unit (`one_term_dense2`), whose dot
 product has one non-zero term and rounds alike at every size, and leaves
-the paper preset out, as the model's window test does: its wide GEMMs
-also round differently at small row counts.
+the paper preset out: its wide GEMMs also round differently at small row
+counts.
 """
 
 import itertools
@@ -32,7 +32,7 @@ from builtup.pipeline import (PREDICT_BLOCK, _infer_loss, _predict_padded,
 from builtup.raster import (PATCH_MARGIN, gather_patches, patch_view,
                             rescale_reflectance)
 from builtup.synth import SceneParams, synth_zone
-from model_arrays import copy_model
+from model_arrays import copy_model, layer_by_layer
 
 SIZE = 64
 TINY = ArchitectureConfig(bands=2, block_filters=(3, 4), hidden_units=6)
@@ -139,9 +139,9 @@ def test_mosaic_across_block_seams():
             assert got.tobytes() == reference.tobytes(), (arch, tile, workers)
 
 
-def failing_second_band(zone):
+def failing_second_band(zone, divisor):
     """A _predict_padded that raises for the band of zone rows 64-127."""
-    padded, _ = rescale_reflectance(zone)
+    padded, _ = rescale_reflectance(zone, divisor)
     second = padded[:, 64:128 + 2 * PATCH_MARGIN]
 
     def predict(net, window):
@@ -157,7 +157,8 @@ def test_a_failed_band_fails_only_the_tiles_it_covers(zone160, net,
                                                       monkeypatch, workers):
     clean = predict_zone(net, zone160, 37, workers=workers)
     monkeypatch.setattr(pipeline, "_predict_padded",
-                        failing_second_band(zone160))
+                        failing_second_band(
+                            zone160, net.arch.normalization_divisor))
     got = predict_zone(net, zone160, 37, workers=workers)
     assert [p.tile for p in got] == [p.tile for p in clean]
     for pred, ref in zip(got, clean):
@@ -191,7 +192,7 @@ def test_blocks_equal_one_pass_over_the_window(arch):
 def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
     """_infer_loss feeds the stack's first layer at most one prediction
     block of patches per call, and its loss is the model's inference-mode
-    loss, here against a float64 Model.forward."""
+    loss, here against the float64 layers run one by one."""
     net = build_model(PRESETS["desk"], seed=0)
     padded, _ = rescale_reflectance(zone.composite,
                                     net.arch.normalization_divisor)
@@ -212,9 +213,35 @@ def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
     loss = _infer_loss(stack, view, rows, cols, labels)
     assert max(sizes) <= PREDICT_BLOCK ** 2 and sum(sizes) == n
     patches = gather_patches(view, rows, cols).astype(np.float64)
-    probs = copy_model(net).forward(patches)[:, 0, 0]
+    probs = layer_by_layer(copy_model(net), patches)[:, 0, 0]
     reference, _ = bce_loss(labels.astype(np.float64), probs)
     assert abs(loss - reference) <= 1e-5
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.sampled_from([0, 1]), min_size=2, max_size=40)
+       .filter(lambda labels: 0 < sum(labels) < len(labels)),
+       fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stratified_split_keeps_both_classes_in_training(labels, fraction,
+                                                         seed):
+    """Train and validation indices are disjoint, sorted and cover every
+    sample; validation is never empty, and from 3 samples every class
+    keeps a training sample (with 2 of different classes one must be held
+    out). The seed fixes the split."""
+    labels = np.array(labels, dtype=np.uint8)
+    train, val = pipeline._stratified_split(labels, fraction,
+                                            np.random.default_rng(seed))
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(val) > 0)
+    assert np.array_equal(np.sort(np.concatenate([train, val])),
+                          np.arange(labels.size))
+    assert val.size >= 1
+    if labels.size >= 3:
+        assert set(labels[train].tolist()) == {0, 1}
+    again = pipeline._stratified_split(labels, fraction,
+                                       np.random.default_rng(seed))
+    assert train.tobytes() == again[0].tobytes()
+    assert val.tobytes() == again[1].tobytes()
 
 
 needs_openblas = pytest.mark.skipif(pipeline._OPENBLAS_THREADS is None,

@@ -94,8 +94,9 @@ class TestFormatErrors:
         write_raster(random_grid(np.random.default_rng(0), "u8"), path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
-        with pytest.raises(FormatError, match="offset"):
+        with pytest.raises(FormatError, match="offset") as exc:
             read_raster(path)
+        assert str(path) in str(exc.value)
 
     def test_bytes_after_the_payload(self, tmp_path):
         path = tmp_path / "bad.ghsr"

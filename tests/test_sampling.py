@@ -161,7 +161,7 @@ class TestClassStats:
         s = sampling.SampleSet(zone_id="Z", rows=np.zeros(500, dtype=int),
                                cols=np.zeros(500, dtype=int),
                                labels=np.r_[np.ones(10), np.zeros(490)]
-                               .astype(np.uint8), seed=0, non_bu_rate=0.6)
+                               .astype(np.uint8))
         stats = sample_manifest(s)["fractions"]
         assert stats["built_up"] == pytest.approx(0.02)
         assert stats["non_built_up"] == pytest.approx(0.98)
@@ -170,16 +170,14 @@ class TestClassStats:
     def test_all_built_up(self):
         s = sampling.SampleSet(zone_id="Z", rows=np.zeros(4, dtype=int),
                                cols=np.zeros(4, dtype=int),
-                               labels=np.ones(4, dtype=np.uint8),
-                               seed=0, non_bu_rate=0.6)
+                               labels=np.ones(4, dtype=np.uint8))
         assert sample_manifest(s)["fractions"] == {"built_up": 1.0,
                                                    "non_built_up": 0.0}
 
     def test_empty_set(self):
         s = sampling.SampleSet(zone_id="Z", rows=np.empty(0, dtype=int),
                                cols=np.empty(0, dtype=int),
-                               labels=np.empty(0, dtype=np.uint8),
-                               seed=0, non_bu_rate=0.6)
+                               labels=np.empty(0, dtype=np.uint8))
         manifest = sample_manifest(s)
         assert manifest["samples"] == manifest["built_up"] == 0
         assert manifest["fractions"] == {"built_up": 0.0,
