@@ -170,7 +170,8 @@ def cmd_train(args, argv) -> int:
                     if args.registry else None)
         composite = raster.read_raster(comp_path)
         labels = raster.read_raster(label_path)
-        arch = model_mod.preset(args.preset, divisor=args.divisor)
+        arch = replace(model_mod.preset(args.preset, divisor=args.divisor),
+                       bands=composite.bands)
         early = None
         if args.early_stop_patience is not None:
             early = pipeline.EarlyStopping(patience=args.early_stop_patience)
@@ -314,13 +315,17 @@ def cmd_evaluate(args, argv) -> int:
                                 "footprints")
         mosaic = _load_prediction_mosaic(Path(probs_dir))
         footprints = synth.load_footprints(fp_path)
+        aoi_id = footprints.get("aoi_id", "")
+        if aoi_id and aoi_id != mosaic.zone_id:
+            raise ConfigError(f"{fp_path} is the reference of zone {aoi_id!r}, "
+                              f"the tiles are of zone {mosaic.zone_id!r}")
         t0 = time.perf_counter()
         report = evaluation.evaluate_probabilities(
             mosaic.data[0], mosaic.valid_mask(), footprints["rects"],
             width=mosaic.width, height=mosaic.height,
             pixel_size=mosaic.pixel_size, origin_x=mosaic.origin_x,
             origin_y=mosaic.origin_y, thresholds=args.thresholds,
-            aoi_id=footprints.get("aoi_id", ""),
+            aoi_id=aoi_id,
         )
         manifest.time("evaluate", t0)
         report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -345,7 +350,7 @@ def cmd_inspect(args, argv) -> int:
     elif magic == model_mod.GHSM_MAGIC:
         header = model_mod.read_model_header(path)
     else:
-        raise FormatError(f"bad magic {magic!r} at offset 0")
+        raise FormatError(f"bad magic {magic!r} of {path} at offset 0")
     for key in sorted(header):
         print(f"{key}: {header[key]}")
     return 0

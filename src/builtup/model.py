@@ -31,6 +31,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -610,13 +611,24 @@ def _read_header(f) -> dict:
     return parsed
 
 
-def read_model_header(path) -> dict:
+@contextmanager
+def _open_model(path):
+    """The GHSM file at path, open for reading; a FormatError raised while
+    it is read names the file."""
     with open(path, "rb") as f:
+        try:
+            yield f
+        except FormatError as exc:
+            raise FormatError(f"model file {path}: {exc}") from exc
+
+
+def read_model_header(path) -> dict:
+    with _open_model(path) as f:
         return _read_header(f)
 
 
 def load_model(path) -> Model:
-    with open(path, "rb") as f:
+    with _open_model(path) as f:
         hdr = _read_header(f)
         arch = ArchitectureConfig.from_dict(hdr["arch"])
         # checked before the model is allocated: a header can ask for terabytes
@@ -629,10 +641,10 @@ def load_model(path) -> Model:
                 f"{offset}: expected {offset + need} bytes total"
             )
         flat = np.frombuffer(f.read(), dtype="<f4")
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise FormatError(f"non-finite parameter {flat[bad[0]]} at offset "
-                          f"{offset + 4 * bad[0]}")
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            raise FormatError(f"non-finite parameter {flat[bad[0]]} at "
+                              f"offset {offset + 4 * bad[0]}")
     # every parameter array is read from the file, so none is initialised
     model = Model(arch, zone_id=hdr["zone_id"], seed=hdr["seed"],
                   epochs_trained=hdr["epochs_trained"])

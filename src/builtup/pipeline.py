@@ -1,12 +1,12 @@
 """Per-zone training, tiled prediction, its tile files and the zone model
 registry.
 
-The zone is rescaled once into a float32 array with a zero border of
-PATCH_MARGIN pixels: training gathers 5x5 patches from it, and prediction
-runs model.inference_stack, which is fully convolutional, over it once, in
-bands of PREDICT_BLOCK rows cut into square blocks of at most
-PREDICT_BLOCK x PREDICT_BLOCK output pixels with a 4-pixel halo, so the
-working set does not grow with the zone.
+The zone is rescaled once into a channels-last float32 array, the
+network's layout, with a zero border of PATCH_MARGIN pixels: training
+gathers 5x5 patches from it, and prediction runs model.inference_stack,
+which is fully convolutional, over it once, in bands of PREDICT_BLOCK rows
+cut into square blocks of at most PREDICT_BLOCK x PREDICT_BLOCK output
+pixels with a 4-pixel halo, so the working set does not grow with the zone.
 
 Every block starts at a multiple of PREDICT_BLOCK from the zone origin
 and tiles only slice the finished mosaic, so a pixel comes from the same
@@ -213,10 +213,18 @@ def _one_blas_thread():
                 put(_blas_threads_before)
 
 
+def _check_bands(composite: RasterGrid,
+                 arch: model_mod.ArchitectureConfig) -> None:
+    """ConfigError unless the network reads the composite's band count."""
+    if composite.bands != arch.bands:
+        raise ConfigError(f"composite has {composite.bands} bands, model "
+                          f"expects {arch.bands}")
+
+
 # -- training ---------------------------------------------------------------
 
 
-def _infer_loss(stack, view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _infer_loss(stack, padded: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                 labels: np.ndarray, run=map) -> float:
     """Mean BCE over a sample subset in inference mode, from the layers of
     model.inference_stack (the pass that makes the maps), in batches of at
@@ -226,7 +234,7 @@ def _infer_loss(stack, view: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
     def batch_loss(b0: int) -> float:
         b1 = min(b0 + batch, rows.size)
-        patches = raster.gather_patches(view, rows[b0:b1], cols[b0:b1])
+        patches = raster.gather_patches(padded, rows[b0:b1], cols[b0:b1])
         loss, _ = bce_loss(labels[b0:b1].astype(np.float32),
                            run_layers(stack, patches)[:, 0, 0])
         return loss * (b1 - b0)
@@ -254,6 +262,7 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     """
     run.validate()
     cfg.validate()
+    _check_bands(composite, arch)
     padded, valid = raster.rescale_reflectance(
         composite, arch.normalization_divisor
     )
@@ -277,7 +286,6 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
 
     train_idx, val_idx = _stratified_split(samples.labels,
                                            run.validation_fraction, split_rng)
-    view = raster.patch_view(padded)
     rows, cols, labels = samples.rows, samples.cols, samples.labels
 
     net = build_model(arch, seed=run.seed, zone_id=run.zone_id)
@@ -296,12 +304,12 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                 train_idx.size, cfg.batch_size, train_rng
             ):
                 idx = train_idx[batch_idx]
-                patches = raster.gather_patches(view, rows[idx], cols[idx])
+                patches = raster.gather_patches(padded, rows[idx], cols[idx])
                 loss = train_step(net, patches, labels[idx], state,
                                   train_rng, run_tasks)
                 epoch_loss += loss * idx.size
             history.train_loss.append(epoch_loss / train_idx.size)
-            val_loss = _infer_loss(inference_stack(net), view, rows[val_idx],
+            val_loss = _infer_loss(inference_stack(net), padded, rows[val_idx],
                                    cols[val_idx], labels[val_idx], run_tasks)
             history.validation_loss.append(val_loss)
             net.epochs_trained = epoch + 1
@@ -329,11 +337,10 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
 # -- prediction -------------------------------------------------------------
 
 
-def _predict_padded(stack, padded_window: np.ndarray) -> np.ndarray:
-    """Probabilities for every center of a margin-2 padded (bands, H+4, W+4)
+def _predict_padded(stack, window: np.ndarray) -> np.ndarray:
+    """Probabilities for every center of a margin-2 padded (H+4, W+4, bands)
     window, in blocks of at most PREDICT_BLOCK x PREDICT_BLOCK output
     pixels, from the layers of model.inference_stack."""
-    window = padded_window.transpose(1, 2, 0)
     halo = 2 * PATCH_MARGIN
     h, w = window.shape[0] - halo, window.shape[1] - halo
     out = np.empty((h, w), dtype=np.float32)
@@ -369,9 +376,7 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
     of the zone arrays, so outputs do not depend on tile_pixels or workers. A failed band fails the tiles its rows
     overlap, each reporting the band's error; every other tile is produced.
     """
-    if composite.bands != net.arch.bands:
-        raise ConfigError(f"composite has {composite.bands} bands, model "
-                          f"expects {net.arch.bands}")
+    _check_bands(composite, net.arch)
     tiles = raster.tile_grid(composite.height, composite.width, tile_pixels)
     padded, valid = raster.rescale_reflectance(
         composite, net.arch.normalization_divisor
@@ -382,7 +387,7 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
     def run_band(r0: int) -> Optional[str]:
         try:  # the last band's slices end at the zone's edge
             prob[r0:r0 + PREDICT_BLOCK] = _predict_padded(
-                stack, padded[:, r0:r0 + PREDICT_BLOCK + 2 * PATCH_MARGIN])
+                stack, padded[r0:r0 + PREDICT_BLOCK + 2 * PATCH_MARGIN])
         except Exception as exc:  # noqa: BLE001 - per-tile isolation
             return f"{type(exc).__name__}: {exc}"
         return None

@@ -2,6 +2,8 @@
 
 The GHSR container is a minimal bit-exact raster format: a fixed 80-byte
 little-endian header followed by band-sequential row-major samples.
+RasterGrid keeps the file's band-first order; the rescaled zone is in the
+network's channels-last order, and every 5x5 patch is a window of it.
 
 Header layout (offsets in bytes):
     0   magic "GHSR" (4)
@@ -117,26 +119,30 @@ def write_raster(grid: RasterGrid, path) -> None:
 
 
 def read_header(path) -> dict:
-    """Parse the 80-byte GHSR header without touching the payload."""
+    """Parse the 80-byte GHSR header without touching the payload; each
+    FormatError names the file, as check_payload_size's does."""
     with open(path, "rb") as f:
         raw = f.read(HEADER_SIZE)
     if len(raw) < HEADER_SIZE:
         raise FormatError(
-            f"truncated header at offset {len(raw)}: need {HEADER_SIZE} bytes"
+            f"truncated header of {path} at offset {len(raw)}: need "
+            f"{HEADER_SIZE} bytes"
         )
     if raw[:4] != MAGIC:
-        raise FormatError(f"bad magic {raw[:4]!r} at offset 0")
+        raise FormatError(f"bad magic {raw[:4]!r} of {path} at offset 0")
     version, dcode, bands, width, height, nodata, ox, oy, psize = struct.unpack(
         "<HBBII dddd", raw[4:48]
     )
     if version != VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4")
+        raise FormatError(f"unsupported version {version} of {path} at "
+                          f"offset 4")
     if dcode not in DTYPE_NAMES:
-        raise FormatError(f"unknown dtype code {dcode} at offset 6")
+        raise FormatError(f"unknown dtype code {dcode} of {path} at offset 6")
     try:
         zone_id = raw[48:80].rstrip(b"\x00").decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"zone_id is not UTF-8 at offset 48: {exc}") from exc
+        raise FormatError(f"zone_id of {path} is not UTF-8 at offset 48: "
+                          f"{exc}") from exc
     return {
         "version": version,
         "dtype": DTYPE_NAMES[dcode],
@@ -183,34 +189,33 @@ def rescale_reflectance(grid: RasterGrid, divisor: float):
     """Map integer reflectance to f32 in [0,1] by value/divisor, clamped,
     inside a zero border of PATCH_MARGIN pixels.
 
-    Returns (padded, valid): padded is (bands, H+4, W+4) float32 with
-    nodata cells zeroed, valid the (H, W) validity mask.
+    Returns (padded, valid): padded is C-contiguous (H+4, W+4, bands)
+    float32, channels-last, with nodata cells zeroed; valid the (H, W) mask.
     """
     if divisor <= 0:
         raise ParameterError(f"divisor must be positive, got {divisor}")
     valid = grid.valid_mask()
     m = PATCH_MARGIN
-    padded = np.zeros((grid.bands, grid.height + 2 * m, grid.width + 2 * m),
+    padded = np.zeros((grid.height + 2 * m, grid.width + 2 * m, grid.bands),
                       dtype=np.float32)
-    interior = padded[:, m:m + grid.height, m:m + grid.width]
-    np.divide(grid.data, np.float32(divisor), out=interior, dtype=np.float32)
+    interior = padded[m:m + grid.height, m:m + grid.width]
+    for b, band in enumerate(grid.data):
+        np.divide(band, np.float32(divisor), out=interior[..., b],
+                  dtype=np.float32)
     np.clip(interior, 0.0, 1.0, out=interior)
-    interior[:, ~valid] = 0.0
+    interior[~valid] = 0.0
     return padded, valid
 
 
-def patch_view(padded: np.ndarray) -> np.ndarray:
-    """Sliding-window view over (bands, Hp, Wp): result (H, W, PATCH_SIZE,
-    PATCH_SIZE, bands)."""
+def gather_patches(padded: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """The (N, size, size, bands) patches of a rescaled (H+4, W+4, bands)
+    zone centred on zone pixels (rows, cols), padded[r:r+5, c:c+5], in one
+    C-contiguous copy; a patch row is size*bands floats from c*bands."""
+    hp, wp, bands = padded.shape
     win = np.lib.stride_tricks.sliding_window_view(
-        padded, (PATCH_SIZE, PATCH_SIZE), axis=(1, 2))
-    # win: (bands, H, W, size, size) -> (H, W, size, size, bands)
-    return win.transpose(1, 2, 3, 4, 0)
-
-
-def gather_patches(view: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Materialize (N, size, size, bands) float32 patches for given centers."""
-    return np.ascontiguousarray(view[rows, cols], dtype=np.float32)
+        padded.reshape(hp, wp * bands), (PATCH_SIZE, PATCH_SIZE * bands))
+    return win[rows, cols * bands].reshape(-1, PATCH_SIZE, PATCH_SIZE, bands)
 
 
 @dataclass(frozen=True)

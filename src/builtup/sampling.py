@@ -1,13 +1,14 @@
 """The two-stage tile/patch training sampler and epoch minibatching.
 
-Stage one picks a systematic subset of tiles (checkerboard parity at the
-default 50% fraction). Stage two keeps every patch whose 5x5 label block
-contains at least one built-up pixel and an independent Bernoulli draw of
-the non-built-up patches.
+Stage one picks a systematic subset of tiles by anti-diagonal (the
+checkerboard at the default 50% fraction). Stage two keeps every patch
+whose 5x5 label block contains at least one built-up pixel and an
+independent Bernoulli draw of the non-built-up patches.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
@@ -20,20 +21,22 @@ from .raster import PATCH_MARGIN, PATCH_SIZE, RasterGrid
 
 def select_training_tiles(tiles, fraction: float,
                           water_zone: bool = False) -> list:
-    """Systematic tile selection.
-
-    fraction 0.5 selects the (tile_row + tile_col) parity checkerboard;
-    other fractions take a systematic every-1/fraction pass in row-major
-    order (the first tile is always taken). Water-dominated zones keep all
+    """Systematic tile selection over the anti-diagonals k = tile_row +
+    tile_col: a diagonal is taken when floor(k * fraction) steps up from
+    floor((k - 1) * fraction), so diagonal 0 always is, fraction 0.5 is the
+    parity checkerboard, 1.0 takes every tile, and of the first K diagonals
+    floor((K - 1) * fraction) + 1 are taken. Water-dominated zones keep all
     tiles that contain valid data, ignoring the fraction.
     """
     if water_zone:
         return [t for t in tiles if not t.water_dominated]
     if not 0.0 < fraction <= 1.0:
         raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
-    if fraction == 0.5:
-        return [t for t in tiles if (t.tile_row + t.tile_col) % 2 == 0]
-    return [t for i, t in enumerate(tiles) if (i * fraction) % 1.0 < fraction]
+
+    def taken(k: int) -> bool:
+        return math.floor(k * fraction) > math.floor((k - 1) * fraction)
+
+    return [t for t in tiles if taken(t.tile_row + t.tile_col)]
 
 
 @dataclass

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from builtup import cli, errors, pipeline, raster, synth
+from builtup import cli, errors, model as model_mod, pipeline, raster, synth
 
 
 def run(*argv):
@@ -188,8 +188,15 @@ def nan_in_a_tile(pred, ref):
     raster.write_raster(grid, path)
 
 
+def bad_tile_magic(pred, ref):
+    """Tile 1 starts XXXX instead of GHSR."""
+    path = sorted(pred.glob("*_prob.ghsr"))[1]
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+
+
 # What the error message of a damage names, where that is pinned.
-NAMED_IN_ERROR = {tall_tile_header: "tile_000_001_prob.ghsr"}
+NAMED_IN_ERROR = {tall_tile_header: "tile_000_001_prob.ghsr",
+                  bad_tile_magic: "tile_000_001_prob.ghsr"}
 
 
 @pytest.mark.parametrize("damage, code, error_class", [
@@ -204,10 +211,11 @@ NAMED_IN_ERROR = {tall_tile_header: "tile_000_001_prob.ghsr"}
     (nan_in_a_tile, 4, "format"),
     (shift_tile_header(origin_y=1e13), 4, "format"),
     (tall_tile_header, 4, "format"),
+    (bad_tile_magic, 4, "format"),
 ], ids=["missing_tile", "no_tiles", "corrupt_footprints", "manifest_not_json",
         "no_ok_tile", "no_ok_tile_nor_pixel_size", "tile_off_the_grid",
         "tiles_of_two_zones", "nan_in_a_tile", "tile_origin_y_1e13",
-        "tile_height_1e9"])
+        "tile_height_1e9", "tile_magic_xxxx"])
 def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                                             error_class):
     _, data, model, _ = trained
@@ -448,6 +456,45 @@ def test_corrupt_headers_are_format_errors(trained, tmp_path, case):
         info = load(tmp_path / "pred" / "predict_manifest.json")
         assert info["status"] == "error"
         assert info["error"]["class"] == "format"
+        assert str(argv[argv.index("--model") + 1]) in info["error"]["message"]
+
+
+def test_train_sizes_the_network_for_the_composite_bands(trained, tmp_path):
+    """A 3-band zone trains a 3-band model, which a 4-band zone then does
+    not fit: a config error before any tile is predicted."""
+    _, data, _, _ = trained
+    zone = tmp_path / "three" / "A"
+    zone.mkdir(parents=True)
+    comp = raster.read_raster(data / "A" / "composite.ghsr")
+    raster.write_raster(replace(comp, bands=3, data=comp.data[:3]),
+                        zone / "composite.ghsr")
+    (zone / "labels.ghsr").write_bytes(
+        (data / "A" / "labels.ghsr").read_bytes())
+    model = tmp_path / "three.ghsm"
+    assert run("train", "--zone", "A", "--data", tmp_path / "three",
+               "--out", model, "--epochs", 1) == 0
+    assert model_mod.read_model_header(model)["arch"]["bands"] == 3
+    assert run("predict", "--zone", "A", "--data", data, "--model", model,
+               "--out", tmp_path / "pred") == 5
+    info = load(tmp_path / "pred" / "predict_manifest.json")
+    assert info["status"] == "error" and info["error"]["class"] == "config"
+
+
+def test_evaluate_refuses_another_zones_reference(trained, tmp_path):
+    """Synth zones share origin and pixel size, so only the footprints'
+    aoi_id tells B's tiles from A's: against A's reference they are a
+    config error, against B's they score."""
+    _, data, model, _ = trained
+    assert run("predict", "--zone", "B", "--data", data, "--model", model,
+               "--out", tmp_path / "pred") == 0
+    assert run("evaluate", "--probs", tmp_path / "pred", "--reference",
+               data / "A", "--report", tmp_path / "A.json") == 5
+    info = load(tmp_path / "A.evaluate_manifest.json")
+    assert info["status"] == "error" and info["error"]["class"] == "config"
+    assert not (tmp_path / "A.json").exists()
+    assert run("evaluate", "--probs", tmp_path / "pred", "--reference",
+               data / "B", "--report", tmp_path / "B.json") == 0
+    assert load(tmp_path / "B.json")["aoi_id"] == "B"
 
 
 def test_transfer_does_not_register_the_target(trained, tmp_path):

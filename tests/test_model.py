@@ -26,6 +26,7 @@ from builtup.model import (
 )
 from builtup.nncore import (AdamState, BatchNorm, ConvLayer, Dropout,
                             bce_loss, init_uniform)
+from builtup.raster import gather_patches
 from model_arrays import (copy_model, layer_by_layer, moving_statistics,
                           trainable_arrays)
 
@@ -240,9 +241,9 @@ class TestFullyConvolutional:
         bands = net.arch.bands
         window = np.random.default_rng(seed).random(
             (n, h + 4, w + 4, bands)).astype(np.float32)
-        patches = np.lib.stride_tricks.sliding_window_view(
-            window, (5, 5), axis=(1, 2))  # (n, h, w, bands, 5, 5)
-        patches = patches.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 5, 5, bands)
+        rows, cols = np.divmod(np.arange(h * w), w)
+        patches = np.concatenate([gather_patches(one, rows, cols)
+                                  for one in window])
         np.testing.assert_array_equal(
             infer(net, window), infer(net, patches).reshape(n, h, w))
 
@@ -407,16 +408,18 @@ class TestSerialization:
         raw = bytearray(path.read_bytes())
         raw[0] = ord("X")
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic") as exc:
             load_model(path)
+        assert str(path) in str(exc.value)
 
     def test_truncated_payload(self, tmp_path):
         net = self.trained_model(tmp_path)
         path = tmp_path / "m.ghsm"
         save_model(net, path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError, match="offset"):
+        with pytest.raises(FormatError, match="offset") as exc:
             load_model(path)
+        assert str(path) in str(exc.value)
 
     def test_a_huge_architecture_is_a_format_error(self, tmp_path):
         """The payload size is checked against the header's architecture
@@ -442,8 +445,10 @@ class TestSerialization:
         for value in (float("nan"), float("-inf")):
             path.write_bytes(raw[:offset] + struct.pack("<f", value)
                              + raw[offset + 4:])
-            with pytest.raises(FormatError, match=f"at offset {offset}$"):
+            with pytest.raises(FormatError,
+                               match=f"at offset {offset}$") as exc:
                 load_model(path)
+            assert str(path) in str(exc.value)
 
     def test_nan_in_the_header_is_a_format_error(self, tmp_path):
         """Python's json reads NaN and Infinity, which are not JSON."""
@@ -458,8 +463,9 @@ class TestSerialization:
             assert text != raw[8:8 + hlen]
             path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text
                              + raw[8 + hlen:])
-            with pytest.raises(FormatError, match="not JSON"):
+            with pytest.raises(FormatError, match="not JSON") as exc:
                 load_model(path)
+            assert str(path) in str(exc.value)
 
     def test_loaded_model_forward_is_exact(self, tmp_path):
         net = self.trained_model(tmp_path)

@@ -23,14 +23,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from builtup import pipeline
-from builtup.errors import RegistryError
+from builtup.errors import ConfigError, RegistryError
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            inference_stack, run_layers, save_model)
 from builtup.nncore import bce_loss
 from builtup.pipeline import (PREDICT_BLOCK, _infer_loss, _predict_padded,
                               predict_zone)
-from builtup.raster import (PATCH_MARGIN, gather_patches, patch_view,
-                            rescale_reflectance)
+from builtup.raster import PATCH_MARGIN, gather_patches, rescale_reflectance
 from builtup.synth import SceneParams, synth_zone
 from model_arrays import copy_model, layer_by_layer
 
@@ -142,7 +141,7 @@ def test_mosaic_across_block_seams():
 def failing_second_band(zone, divisor):
     """A _predict_padded that raises for the band of zone rows 64-127."""
     padded, _ = rescale_reflectance(zone, divisor)
-    second = padded[:, 64:128 + 2 * PATCH_MARGIN]
+    second = padded[64:128 + 2 * PATCH_MARGIN]
 
     def predict(net, window):
         if np.array_equal(window, second):
@@ -183,10 +182,20 @@ def test_blocks_equal_one_pass_over_the_window(arch):
     stack = inference_stack(one_term_dense2(build_model(arch, seed=3)))
     rng = np.random.default_rng(4)
     for h, w in itertools.product((1, 63, 64, 65, 130), repeat=2):
-        window = rng.random((arch.bands, h + 4, w + 4)).astype(np.float32)
-        whole = run_layers(stack, window.transpose(1, 2, 0)[None])[0]
+        window = rng.random((h + 4, w + 4, arch.bands), dtype=np.float32)
+        whole = run_layers(stack, window[None])[0]
         np.testing.assert_array_equal(_predict_padded(stack, window), whole,
                                       err_msg=f"{h}x{w}")
+
+
+def test_training_refuses_a_network_of_other_bands(zone):
+    """train_zone checks the composite's bands against arch before it
+    samples, as predict_zone does."""
+    arch = replace(PRESETS["desk"], bands=zone.composite.bands - 1)
+    with pytest.raises(ConfigError, match="bands"):
+        pipeline.train_zone(zone.composite, zone.labels, arch,
+                            pipeline.TrainingRun("A", epochs=1),
+                            pipeline.SamplingConfig())
 
 
 def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
@@ -196,7 +205,6 @@ def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
     net = build_model(PRESETS["desk"], seed=0)
     padded, _ = rescale_reflectance(zone.composite,
                                     net.arch.normalization_divisor)
-    view = patch_view(padded)
     rng = np.random.default_rng(0)
     n = 2 * PREDICT_BLOCK ** 2 + 123
     rows, cols = rng.integers(0, SIZE, n), rng.integers(0, SIZE, n)
@@ -210,9 +218,9 @@ def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
         return first(x)
 
     stack[0].forward = spy
-    loss = _infer_loss(stack, view, rows, cols, labels)
+    loss = _infer_loss(stack, padded, rows, cols, labels)
     assert max(sizes) <= PREDICT_BLOCK ** 2 and sum(sizes) == n
-    patches = gather_patches(view, rows, cols).astype(np.float64)
+    patches = gather_patches(padded, rows, cols).astype(np.float64)
     probs = layer_by_layer(copy_model(net), patches)[:, 0, 0]
     reference, _ = bce_loss(labels.astype(np.float64), probs)
     assert abs(loss - reference) <= 1e-5

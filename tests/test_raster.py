@@ -13,7 +13,6 @@ from builtup.raster import (
     PATCH_MARGIN,
     gather_patches,
     make_grid,
-    patch_view,
     quantize_probability,
     read_header,
     read_raster,
@@ -77,8 +76,9 @@ class TestFormatErrors:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="offset 0"):
+        with pytest.raises(FormatError, match="offset 0") as exc:
             read_raster(path)
+        assert str(path) in str(exc.value)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.ghsr"
@@ -86,8 +86,9 @@ class TestFormatErrors:
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match="version") as exc:
             read_raster(path)
+        assert str(path) in str(exc.value)
 
     def test_truncated_payload_names_offset(self, tmp_path):
         path = tmp_path / "bad.ghsr"
@@ -109,8 +110,9 @@ class TestFormatErrors:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad.ghsr"
         path.write_bytes(b"GHSR\x01\x00")
-        with pytest.raises(FormatError, match="truncated header"):
+        with pytest.raises(FormatError, match="truncated header") as exc:
             read_header(path)
+        assert str(path) in str(exc.value)
 
     def test_nodata_not_representable(self):
         with pytest.raises(FormatError, match="nodata"):
@@ -188,7 +190,7 @@ class TestRescale:
 
     def interior(self, padded):
         m = PATCH_MARGIN
-        return padded[:, m:-m, m:-m]
+        return padded[m:-m, m:-m]
 
     def test_divisor_maps_to_unit(self):
         out, _ = rescale_reflectance(self.grid([[[10000]]]), 10000.0)
@@ -204,7 +206,7 @@ class TestRescale:
         )
         assert not valid[0, 0] and valid[0, 1]
         assert self.interior(out)[0, 0, 0] == 0.0
-        assert self.interior(out)[0, 0, 1] == np.float32(0.5)
+        assert self.interior(out)[0, 1, 0] == np.float32(0.5)
 
     def test_bad_divisor(self):
         with pytest.raises(ParameterError):
@@ -212,8 +214,10 @@ class TestRescale:
 
 
 def pad(data, margin=PATCH_MARGIN):
-    """Zero border of margin pixels, as training and prediction pad a zone."""
-    return np.pad(data, ((0, 0), (margin, margin), (margin, margin)),
+    """The band-first (bands, H, W) data channels-last inside a zero border
+    of margin pixels, the layout rescale_reflectance gives a zone."""
+    return np.pad(data.transpose(1, 2, 0),
+                  ((margin, margin), (margin, margin), (0, 0)),
                   mode="constant")
 
 
@@ -221,30 +225,38 @@ def all_patches(data):
     """Every pixel's patch, row-major, through the production patch path."""
     h, w = data.shape[1:]
     rows, cols = np.divmod(np.arange(h * w), w)
-    return gather_patches(patch_view(pad(data)), rows, cols)
+    return gather_patches(pad(data), rows, cols)
 
 
 class TestPad:
     def test_margin_zero_identity(self):
+        """Without a border, the 3 x 4 centres of a 7 x 8 array are all it
+        has, and the first patch is its top-left 5 x 5 corner."""
         grid = random_grid(np.random.default_rng(1), "f32", h=7, w=8)
-        view = patch_view(pad(grid.data, margin=0))
-        assert view.shape == (3, 4, 5, 5, 3)
+        rows, cols = np.divmod(np.arange(3 * 4), 4)
+        patches = gather_patches(pad(grid.data, margin=0), rows, cols)
+        assert patches.shape == (12, 5, 5, 3)
         np.testing.assert_array_equal(
-            view[0, 0], grid.data[:, :5, :5].transpose(1, 2, 0)
+            patches[0], grid.data[:, :5, :5].transpose(1, 2, 0)
         )
+        with pytest.raises(IndexError):
+            gather_patches(pad(grid.data, margin=0), np.array([0]),
+                           np.array([4]))
 
     def test_dims_grow_by_two_margins(self):
         grid = random_grid(np.random.default_rng(2), "f32", h=10, w=10)
         padded = pad(grid.data)
-        assert padded.shape == (3, 14, 14)
-        assert np.all(padded[:, :2, :] == 0.0)
-        np.testing.assert_array_equal(padded[:, 2:-2, 2:-2], grid.data)
-        assert patch_view(padded).shape == (10, 10, 5, 5, 3)
+        assert padded.shape == (14, 14, 3)
+        assert np.all(padded[:2, :, :] == 0.0)
+        np.testing.assert_array_equal(padded[2:-2, 2:-2],
+                                      grid.data.transpose(1, 2, 0))
+        last = gather_patches(padded, np.array([9]), np.array([9]))
+        assert last.shape == (1, 5, 5, 3)
+        assert np.all(last[0, 3:] == 0.0) and np.all(last[0, :, 3:] == 0.0)
 
     def test_corner_patch_fully_defined_after_padding(self):
         grid = random_grid(np.random.default_rng(3), "f32", h=6, w=6)
-        first = gather_patches(patch_view(pad(grid.data)),
-                               np.array([0]), np.array([0]))
+        first = gather_patches(pad(grid.data), np.array([0]), np.array([0]))
         assert first.shape == (1, 5, 5, 3)
         assert first.dtype == np.float32 and first.flags.c_contiguous
 
@@ -274,7 +286,8 @@ class TestPatches:
     def test_unpadded_too_small(self):
         grid = random_grid(np.random.default_rng(7), "f32", h=4, w=4)
         with pytest.raises(ValueError):
-            patch_view(grid.data)
+            gather_patches(np.ascontiguousarray(grid.data.transpose(1, 2, 0)),
+                           np.array([0]), np.array([0]))
         # padded, even a one-pixel grid (a ragged last tile) has its patch
         one = grid.data[:, :1, :1]
         patch = all_patches(one)
@@ -292,6 +305,47 @@ class TestPatches:
                 np.testing.assert_array_equal(
                     patches[r, c], window.transpose(1, 2, 0)
                 )
+
+
+@st.composite
+def rescaled_zones(draw):
+    """An i16 zone of 1-4 bands and sides 1-12 with some nodata cells, a
+    divisor, and centres anywhere in it, the border included."""
+    bands, h, w = (draw(st.integers(1, 4)), draw(st.integers(1, 12)),
+                   draw(st.integers(1, 12)))
+    data = draw(hnp.arrays(np.int16, (bands, h, w),
+                           elements=st.sampled_from([-32768, -1, 0, 1, 4999,
+                                                     5000, 10000, 32767])))
+    divisor = draw(st.sampled_from([1.0, 3.0, 10000.0, 65535.0]))
+    n = draw(st.integers(1, 20))
+    rows = draw(hnp.arrays(np.int64, n, elements=st.integers(0, h - 1)))
+    cols = draw(hnp.arrays(np.int64, n, elements=st.integers(0, w - 1)))
+    return make_grid(data, "i16", -32768), divisor, rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rescaled_zones())
+def test_rescaled_zone_is_channels_last_and_patches_are_its_windows(case):
+    """rescale_reflectance is the band-first rescale (divide, clip, zero
+    nodata) transposed to C-contiguous (H+4, W+4, bands) float32, and
+    gather_patches(padded, r, c) is padded[r:r+5, c:c+5]."""
+    grid, divisor, rows, cols = case
+    padded, valid = rescale_reflectance(grid, divisor)
+    m = PATCH_MARGIN
+    reference = np.zeros((grid.bands, grid.height + 2 * m,
+                          grid.width + 2 * m), dtype=np.float32)
+    inner = reference[:, m:-m, m:-m]
+    np.divide(grid.data, np.float32(divisor), out=inner, dtype=np.float32)
+    np.clip(inner, 0.0, 1.0, out=inner)
+    inner[:, ~valid] = 0.0
+    assert padded.dtype == np.float32 and padded.flags.c_contiguous
+    assert padded.tobytes() == np.ascontiguousarray(
+        reference.transpose(1, 2, 0)).tobytes()
+    patches = gather_patches(padded, rows, cols)
+    assert patches.dtype == np.float32 and patches.flags.c_contiguous
+    assert patches.shape == (rows.size, 5, 5, grid.bands)
+    for patch, r, c in zip(patches, rows, cols):
+        np.testing.assert_array_equal(patch, padded[r:r + 5, c:c + 5])
 
 
 class TestTileGrid:

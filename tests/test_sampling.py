@@ -1,5 +1,7 @@
 """Tile selection, the two-stage patch sampler and epoch minibatches."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,13 @@ class TestSelectTiles:
         for fraction in (0.2, 0.5, 0.9, 1.0):
             assert len(select_training_tiles(tiles, fraction)) == 1
 
+    def test_quarter_of_a_four_by_four_grid_uses_every_column(self):
+        """Diagonals 0 and 4 of 7 at 0.25: 1 + 3 tiles, one per column (a
+        row-major every-4th pass took 4 tiles of column 0)."""
+        selected = select_training_tiles(self.make_tiles(4, 4), 0.25)
+        assert sorted((t.tile_row, t.tile_col) for t in selected) == [
+            (0, 0), (1, 3), (2, 2), (3, 1)]
+
     def test_water_zone_selects_all_valid(self):
         valid = np.zeros((20, 20), dtype=bool)
         valid[:10, :] = True  # top two tiles have data
@@ -58,6 +67,27 @@ class TestSelectTiles:
     def test_bad_fraction(self):
         with pytest.raises(ParameterError):
             select_training_tiles(self.make_tiles(2, 2), 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+       fraction=st.floats(0, 1, exclude_min=True))
+def test_tile_selection_is_systematic_over_anti_diagonals(rows, cols,
+                                                          fraction):
+    """A diagonal tile_row + tile_col is taken whole or not at all, the
+    first tile always; of the K diagonals floor((K - 1) * fraction) + 1 are
+    taken, every one at 1.0, and 0.5 is the parity checkerboard."""
+    tiles = tile_grid(rows * 10, cols * 10, 10)
+    selected = select_training_tiles(tiles, fraction)
+    diagonals = {t.tile_row + t.tile_col for t in selected}
+    assert (0, 0) in {(t.tile_row, t.tile_col) for t in selected}
+    assert len(selected) == sum(t.tile_row + t.tile_col in diagonals
+                                for t in tiles)
+    k = rows + cols - 1
+    assert len(diagonals) == math.floor((k - 1) * fraction) + 1
+    assert select_training_tiles(tiles, 1.0) == tiles
+    half = select_training_tiles(tiles, 0.5)
+    assert half == [t for t in tiles if (t.tile_row + t.tile_col) % 2 == 0]
 
 
 class TestBlockLabels:
