@@ -92,9 +92,9 @@ def regress_density(prob: np.ndarray, density: np.ndarray,
         )
     xc = x - x.mean()
     yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    sxy = float(xc @ yc)
+    # einsum, not a BLAS dot, which splits a long sum between its threads
+    sxx, syy, sxy = (float(np.einsum("i,i", a, b))
+                     for a, b in ((xc, xc), (yc, yc), (xc, yc)))
     slope = sxy / sxx
     return {
         "r": sxy / np.sqrt(sxx * syy),

@@ -22,7 +22,8 @@ layers by one rule, _compose.
 GHSM model file: magic "GHSM", u32 little-endian JSON header length, UTF-8
 JSON header, then float32 little-endian parameter blobs in the order of
 LAYERS. Kernels are laid out [out][in][kh][kw], so a dense layer's 1x1
-kernel is stored as its [out][in] weight matrix.
+kernel is stored as its [out][in] weight matrix. The header's arch holds
+ArchitectureConfig's fields and the network's constants (FIXED_ARCH).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import nncore
+from . import nncore, raster
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .nncore import (
     KERNEL_SIZE,
@@ -56,16 +57,12 @@ GHSM_VERSION = 1
 
 @dataclass(frozen=True)
 class ArchitectureConfig:
-    patch_size: int = 5
     bands: int = 4
     block_filters: tuple = (32, 64)
     hidden_units: int = 128
-    dropout_rate: float = 0.1
     normalization_divisor: float = 10000.0
 
     def validate(self) -> None:
-        if self.patch_size != 5:
-            raise ConfigError(f"patch_size must be 5, got {self.patch_size}")
         if self.bands < 1:
             raise ConfigError(f"bands must be >= 1, got {self.bands}")
         if len(self.block_filters) != 2 or min(self.block_filters) < 1:
@@ -73,9 +70,6 @@ class ArchitectureConfig:
                               f"got {self.block_filters}")
         if self.hidden_units < 1:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), "
-                              f"got {self.dropout_rate}")
         if not 0 < self.normalization_divisor < math.inf:
             raise ConfigError(f"normalization_divisor must be positive and "
                               f"finite, got {self.normalization_divisor}")
@@ -109,10 +103,9 @@ def preset(name: str, divisor: Optional[float] = None) -> ArchitectureConfig:
 
 
 # The network in forward order: (name, layer class, activation, input width,
-# output width, kernel size), widths named as in _layer_shapes(). Dropout
-# rows take their rate from ArchitectureConfig.dropout_rate. GHSM parameter
-# blobs follow this order, each layer's trainable arrays (param_names)
-# before its statistics (state_names).
+# output width, kernel size), widths named as in _layer_shapes(). GHSM
+# parameter blobs follow this order, each layer's trainable arrays
+# (param_names) before its statistics (state_names).
 LAYERS = (
     ("conv1", ConvLayer, "linear", "bands", "f_a", KERNEL_SIZE),
     ("conv2", ConvLayer, "tanh", "f_a", "f_a", KERNEL_SIZE),
@@ -157,7 +150,8 @@ class Model:
     optimizer updates the whole network in place, and backward() returns
     the gradient in the same layout. A new Model has zero
     conv kernels and identity BatchNorm (gamma 1, beta 0, moving mean
-    0, moving variance 1); build_model draws the initial weights.
+    0, moving variance 1); build_model draws the initial weights, and
+    pipeline.train_zone sets the BatchNorm statistics after each epoch.
     """
 
     def __init__(self, arch: ArchitectureConfig, zone_id: str = "",
@@ -176,7 +170,7 @@ class Model:
                 layer = BatchNorm(gamma, beta, np.zeros_like(beta),
                                   np.ones_like(beta))
             elif cls is Dropout:
-                layer = Dropout(arch.dropout_rate)
+                layer = Dropout()
             else:
                 layer = cls(*arrays, activation)
             setattr(self, name, layer)
@@ -207,7 +201,7 @@ class Model:
     # -- passes -----------------------------------------------------------
 
     def _check_input(self, x: np.ndarray) -> None:
-        m = self.arch.patch_size - 1
+        m = raster.PATCH_SIZE - 1
         if x.ndim != 4 or min(x.shape[1:3]) <= m or x.shape[3] != self.arch.bands:
             raise ShapeError(
                 f"input must be (N, h+{m}, w+{m}, {self.arch.bands}) with "
@@ -240,9 +234,7 @@ class Model:
                     if isinstance(layer, BatchNorm):
                         y, cache = layer.normalize(y, *stats)
                     elif isinstance(layer, Dropout):
-                        mask = masks[i]
-                        y, cache = layer.apply(
-                            y, None if mask is None else mask[a:b])
+                        y, cache = layer.apply(y, masks[i][a:b])
                     else:
                         y, cache = layer.forward_train(y)
                     caches[s].append(cache)
@@ -474,7 +466,7 @@ def build_model(arch: ArchitectureConfig, seed: int = 0,
                 zone_id: str = "") -> Model:
     """Initialize all layers; conv kernels and biases uniform on
     [-0.1065, 0.1065], drawn from a generator seeded with seed in table
-    order; BN at gamma=1, beta=0, moving mean 0 / var 1."""
+    order; BN at gamma=1, beta=0, moving mean 0 / var 1 (see Model)."""
     rng = np.random.default_rng(seed)
     model = Model(arch, zone_id=zone_id, seed=seed)
     for layer in model.layers:
@@ -526,10 +518,14 @@ def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
 
 # -- GHSM serialization ----------------------------------------------------
 
+# The network's constants, outside ArchitectureConfig, in every header.
+FIXED_ARCH = {"patch_size": raster.PATCH_SIZE, "dropout_rate": Dropout.rate}
+
+
 def _header_dict(model: Model) -> dict:
     return {
         "version": GHSM_VERSION,
-        "arch": model.arch.to_dict(),
+        "arch": {**model.arch.to_dict(), **FIXED_ARCH},
         "zone_id": model.zone_id,
         "seed": model.seed,
         "epochs_trained": model.epochs_trained,
@@ -564,7 +560,9 @@ def _has_type(value, kind) -> bool:
 
 
 def _check_header(parsed) -> None:
-    """FormatError unless the header has every field with its JSON type."""
+    """FormatError unless the header has every field with its JSON type
+    and its arch holds the network's constants (FIXED_ARCH) and values
+    ArchitectureConfig accepts."""
     for where, obj, types in (("", parsed, HEADER_TYPES),
                               ("arch.", parsed.get("arch"), ARCH_TYPES)):
         for key, kind in types.items():
@@ -575,6 +573,14 @@ def _check_header(parsed) -> None:
     if not all(_has_type(f, int) for f in parsed["arch"]["block_filters"]):
         raise FormatError("model header field arch.block_filters must hold "
                           "integers")
+    for key, value in FIXED_ARCH.items():
+        if parsed["arch"][key] != value:
+            raise FormatError(f"model header field arch.{key} must be "
+                              f"{value}, got {parsed['arch'][key]!r}")
+    try:
+        ArchitectureConfig.from_dict(parsed["arch"])
+    except ConfigError as exc:
+        raise FormatError(f"model header field arch: {exc}") from exc
 
 
 def _reject_constant(name: str):

@@ -12,10 +12,9 @@ several threads, and each layer's train mode takes the form that allows:
 
     ConvLayer  forward_train(x) -> (y, cache) per slice, and
                backward(dout, cache, input_grad=True) -> (dx, dkernel, dbias)
-    BatchNorm  batch_statistics(xs) once for the batch (it also updates
-               the moving statistics), normalize(x, ...) per slice;
-               gradient_sums per slice, then input_gradient per slice
-               from the batch's sums (synchronized BatchNorm)
+    BatchNorm  batch_statistics(xs) once for the batch, normalize(x, ...)
+               per slice; gradient_sums per slice, then input_gradient
+               per slice from the batch's sums (synchronized BatchNorm)
     Dropout    draw(rng, shape) once for the batch, apply(x, draws[a:b])
                per slice, and backward(dout, mask) -> (dx,)
 
@@ -195,16 +194,19 @@ class ConvLayer:
 class BatchNorm:
     """Per-channel batch normalization over the trailing axis.
 
-    Train mode normalizes with batch statistics and nudges the moving
-    statistics by exponential momentum. Inference uses the moving
-    statistics only, as the affine map that model.inference_stack folds
-    into the next conv.
+    Train mode normalizes with batch statistics and writes no layer state.
+    Inference uses moving_mean and moving_var only, as the affine map that
+    model.inference_stack folds into the next conv. Those are population
+    statistics, not a moving average: after each epoch
+    pipeline.train_zone sets them to the mean and variance of the layer's
+    inference-mode input over a fixed subset of the training samples
+    (Ioffe & Szegedy 2015, arXiv:1502.03167, Alg. 2), and a GHSM file
+    holds them as the layer's two statistics blobs.
     """
 
     param_names = ("gamma", "beta")
     state_names = ("moving_mean", "moving_var")
     epsilon = 1e-3
-    momentum = 0.99
 
     def __init__(self, gamma: np.ndarray, beta: np.ndarray,
                  moving_mean: np.ndarray, moving_var: np.ndarray):
@@ -241,8 +243,7 @@ class BatchNorm:
         return flat.sum(axis=0)
 
     def batch_statistics(self, xs, run=map):
-        """(mean, inv_std, count) of the batch whose row slices are xs, and
-        one update of the moving statistics.
+        """(mean, var, count) of the batch whose row slices are xs.
 
         Two passes, as np.mean and np.var make them: the mean, then the
         mean of squared deviations from it. Each pass sums per-slice column
@@ -260,15 +261,11 @@ class BatchNorm:
         mean = ordered_sum(run(self._column_sum, xs)) / count
         var = ordered_sum(
             run(lambda x: self._column_sum(x, center=mean), xs)) / count
-        m = self.momentum
-        dt = self.moving_mean.dtype
-        self.moving_mean = (m * self.moving_mean + (1.0 - m) * mean).astype(dt)
-        self.moving_var = (m * self.moving_var + (1.0 - m) * var).astype(dt)
-        inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=var.dtype))
-        return mean, inv_std, count
+        return mean, var, count
 
-    def normalize(self, x: np.ndarray, mean, inv_std, count: int):
+    def normalize(self, x: np.ndarray, mean, var, count: int):
         """(y, cache) of one slice, normalized with its batch's statistics."""
+        inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=var.dtype))
         xhat = (x.reshape(-1, self.channels) - mean) * inv_std
         y = (xhat * self.gamma + self.beta).reshape(x.shape)
         return y, (xhat, inv_std, x.shape, count)
@@ -308,24 +305,15 @@ class Dropout:
 
     param_names = ()
     state_names = ()
-
-    def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
+    rate = 0.1
 
     def draw(self, rng: np.random.Generator, shape):
         """The keep flags of a batch shaped `shape`, one uniform draw from
-        rng per unit; None at rate 0, which draws nothing."""
-        if self.rate == 0.0:
-            return None
+        rng per unit."""
         return rng.random(shape) >= self.rate
 
     def apply(self, x: np.ndarray, draws):
-        """(y, mask) of x under its rows of draw()'s keep flags; draws None
-        is the identity with mask None."""
-        if draws is None:
-            return x, None
+        """(y, mask) of x under its rows of draw()'s keep flags."""
         mask = draws.astype(x.dtype) / np.asarray(1.0 - self.rate,
                                                   dtype=x.dtype)
         return x * mask, mask
@@ -333,7 +321,7 @@ class Dropout:
     def backward(self, dout: np.ndarray, mask, input_grad: bool = True):
         if not input_grad:
             return (None,)
-        return (dout if mask is None else dout * mask,)
+        return (dout * mask,)
 
 
 def ordered_sum(arrays):

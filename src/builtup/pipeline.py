@@ -62,10 +62,12 @@ from .errors import (ConfigError, DegenerateClassError, FormatError,
                      RegistryError)
 from .model import (TRAIN_SLICES, Model, build_model, inference_stack,
                     run_layers, train_step)
-from .nncore import AdamState, bce_loss
+from .nncore import AdamState, BatchNorm, bce_loss
 from .raster import PATCH_MARGIN, RasterGrid, TileIndex
 
 PREDICT_BLOCK = 64  # output pixels per side of one inference block
+STATISTICS_SAMPLES = 4096  # training samples of BatchNorm's statistics
+STATISTICS_CHUNK = 1024  # patches per task of that pass: a default batch
 
 
 @dataclass
@@ -242,15 +244,50 @@ def _infer_loss(stack, padded: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return sum(run(batch_loss, range(0, rows.size, batch))) / rows.size
 
 
+def _set_statistics(net: Model, padded: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray, run=map) -> list:
+    """Set each BatchNorm's moving_mean and moving_var to the mean and
+    population variance of its inference-mode input over the samples at
+    (rows, cols), and return the inference stack they give.
+
+    Layer i of model.inference_stack ends where BatchNorm i begins, so its
+    first i + 1 layers give BatchNorm i's input; the stack is rebuilt once
+    each BatchNorm is set, so the next one sees its new statistics. The
+    samples run in chunks of STATISTICS_CHUNK patches, mapped by run, and
+    BatchNorm.batch_statistics, the train pass's own, sums the chunks'
+    column sums in chunk order."""
+    stack = inference_stack(net)
+    norms = [layer for layer in net.layers if isinstance(layer, BatchNorm)]
+    for i, bn in enumerate(norms):
+
+        def bn_input(a, layers=stack[:i + 1]):
+            chunk = slice(a, a + STATISTICS_CHUNK)
+            x = raster.gather_patches(padded, rows[chunk], cols[chunk])
+            for layer in layers:
+                x = layer.forward(x)
+            return x
+
+        xs = list(run(bn_input, range(0, rows.size, STATISTICS_CHUNK)))
+        mean, var, _ = bn.batch_statistics(xs, run)
+        bn.moving_mean[...], bn.moving_var[...] = mean, var
+        stack = inference_stack(net)
+    return stack
+
+
 def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                arch: model_mod.ArchitectureConfig, run: TrainingRun,
                cfg: SamplingConfig):
     """Two-stage sampling plus the full optimization loop for one zone.
 
+    After each epoch, before its validation loss, _set_statistics gives
+    each BatchNorm the population statistics of its inference-mode input
+    over STATISTICS_SAMPLES training samples, evenly spaced over the
+    training set, so no generator draws them.
+
     Training runs on one OpenBLAS thread and takes its parallelism from
     the batch instead: each optimizer batch runs as model.train_step's
     TRAIN_SLICES row slices on train_workers() threads, and each epoch's
-    validation loss runs the inference stack on the same threads. Between
+    statistics pass and validation loss run on the same threads. Between
     GEMMs a step is numpy work (im2col copies, BatchNorm, dropout) that a
     second BLAS thread does not reach; slices run it on both cores. The
     slice count is fixed and each BLAS call single-threaded, so the model
@@ -287,6 +324,8 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     train_idx, val_idx = _stratified_split(samples.labels,
                                            run.validation_fraction, split_rng)
     rows, cols, labels = samples.rows, samples.cols, samples.labels
+    n_stats = min(STATISTICS_SAMPLES, train_idx.size)
+    stats_idx = train_idx[np.arange(n_stats) * train_idx.size // n_stats]
 
     net = build_model(arch, seed=run.seed, zone_id=run.zone_id)
     state = AdamState.for_size(net.params.size,
@@ -309,7 +348,9 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                                   train_rng, run_tasks)
                 epoch_loss += loss * idx.size
             history.train_loss.append(epoch_loss / train_idx.size)
-            val_loss = _infer_loss(inference_stack(net), padded, rows[val_idx],
+            stack = _set_statistics(net, padded, rows[stats_idx],
+                                    cols[stats_idx], run_tasks)
+            val_loss = _infer_loss(stack, padded, rows[val_idx],
                                    cols[val_idx], labels[val_idx], run_tasks)
             history.validation_loss.append(val_loss)
             net.epochs_trained = epoch + 1

@@ -5,7 +5,7 @@ arrays (Model.serialization_arrays) and runs model.inference_stack."""
 import numpy as np
 
 from builtup.model import Model
-from builtup.nncore import Dropout
+from builtup.nncore import BatchNorm, Dropout
 
 
 def trainable_arrays(net):
@@ -41,3 +41,15 @@ def layer_by_layer(net, x):
         if not isinstance(layer, Dropout):
             x = layer.forward(x)
     return x[..., 0]
+
+
+def batchnorm_inputs(net, x):
+    """The input of each BatchNorm in layer_by_layer's pass, in table
+    order."""
+    inputs = []
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            inputs.append(x)
+        if not isinstance(layer, Dropout):
+            x = layer.forward(x)
+    return inputs

@@ -1,12 +1,13 @@
 """Density rasterization, regression and confusion metrics on known answers."""
 
 import csv
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from builtup import evaluation
+from builtup import evaluation, pipeline
 from builtup.errors import MetricError, ShapeError, UndefinedStatisticError
 from builtup.evaluation import (
     ConfusionCounts,
@@ -223,3 +224,26 @@ def test_report_to_csv_header_and_rows(tmp_path):
     assert rows[2] == ["B", "0.5", "2.0", "0.0", "1.0", "1.0", "1.0",
                        "", "", ""]
     assert len(rows) == 3
+
+
+@pytest.mark.skipif(pipeline._OPENBLAS_THREADS is None,
+                    reason="numpy does not bundle OpenBLAS")
+def test_regression_does_not_depend_on_the_blas_thread_count():
+    """evaluate runs on the process's BLAS threads, and a threaded BLAS
+    dot product splits a long sum between them: the regression's sums
+    must give the same bytes at 1 and 2 OpenBLAS threads (512 x 512
+    pixels)."""
+    rng = np.random.default_rng(7)
+    prob = rng.random((512, 512)).astype(np.float32)
+    density = np.clip(prob + 0.3 * rng.standard_normal(prob.shape), 0, 1)
+    valid = np.ones(prob.shape, dtype=bool)
+    get, put = pipeline._OPENBLAS_THREADS
+    before = get()
+    reports = []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            reports.append(regress_density(prob, density, valid))
+    finally:
+        put(before)
+    assert json.dumps(reports[0]) == json.dumps(reports[1])

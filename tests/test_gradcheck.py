@@ -10,8 +10,7 @@ from model_arrays import copy_model, trainable_arrays
 
 SEEDS = list(range(20))
 
-TINY_ARCH = ArchitectureConfig(bands=3, block_filters=(3, 4), hidden_units=5,
-                               dropout_rate=0.1)
+TINY_ARCH = ArchitectureConfig(bands=3, block_filters=(3, 4), hidden_units=5)
 
 
 def finite_difference(f, arrays, step: float = 1e-4):

@@ -66,9 +66,18 @@ class TestBuild:
         assert probs.shape == (64, 1, 1)
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
-    def test_invalid_arch(self):
-        with pytest.raises(ConfigError):
-            ArchitectureConfig(patch_size=7).validate()
+    def test_invalid_arch(self, tmp_path):
+        """The patch size is the network's constant: a GHSM header with
+        another is a format error."""
+        path = tmp_path / "m.ghsm"
+        save_model(build_model(TINY, seed=0), path)
+        raw = path.read_bytes()
+        text = raw.replace(b'"patch_size":5', b'"patch_size":7')
+        assert text != raw
+        path.write_bytes(text)
+        with pytest.raises(FormatError, match="patch_size must be 5") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
         with pytest.raises(ConfigError):
             ArchitectureConfig(bands=0).validate()
         for divisor in (float("inf"), float("nan"), 0.0):

@@ -8,7 +8,6 @@ from builtup import nncore
 from builtup.errors import (
     DegenerateBatchError,
     NumericError,
-    ParameterError,
     ShapeError,
 )
 from builtup.nncore import (
@@ -177,7 +176,7 @@ class TestPassesKeepTheirInput:
         "batchnorm": lambda: BatchNorm(
             np.full(3, 1.5, np.float32), np.full(3, 0.25, np.float32),
             np.full(3, 0.5, np.float32), np.full(3, 2.0, np.float32)),
-        "dropout": lambda: Dropout(0.5),
+        "dropout": Dropout,
     }
 
     @pytest.mark.parametrize("name", sorted(LAYERS))
@@ -286,14 +285,23 @@ class TestBatchNorm:
         assert np.abs(out.mean(axis=0)).max() < 1e-6
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-3
 
-    def test_moving_stats_momentum_update(self):
+    def test_train_mode_returns_the_moments_and_writes_no_state(self):
+        """batch_statistics gives the batch's mean and population variance
+        and leaves the moving statistics, which only the population pass
+        sets, as they were."""
         rng = np.random.default_rng(6)
         bn = self.make(3)
+        moving = bn.moving_mean, bn.moving_var
+        before = [a.copy() for a in moving]
         x = rng.standard_normal((32, 3))
-        mean, var = x.mean(axis=0), x.var(axis=0)
+        mean, var, count = bn.batch_statistics([x[:13], x[13:]])
+        np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(var, x.var(axis=0), rtol=1e-12)
+        assert count == 32
         bn.forward_train(x)
-        np.testing.assert_allclose(bn.moving_mean, 0.01 * mean, rtol=1e-9)
-        np.testing.assert_allclose(bn.moving_var, 0.99 + 0.01 * var, rtol=1e-9)
+        assert (bn.moving_mean, bn.moving_var) == moving
+        for got, want in zip(moving, before):
+            np.testing.assert_array_equal(got, want)
 
     def test_infer_uses_moving_stats_only(self):
         bn = self.make(2)
@@ -311,25 +319,17 @@ class TestBatchNorm:
 
 
 class TestDropout:
-    def test_rate_zero_identity(self):
-        x = np.random.default_rng(0).random((4, 4))
-        layer = Dropout(0.0)
-        y, mask = train_pass(layer, x, np.random.default_rng(1))
-        assert y is x and mask is None
-        (dx,) = layer.backward(x, mask)
-        assert dx is x
-
     def test_drop_fraction(self):
         x = np.ones(10 ** 6, dtype=np.float32)
-        y, mask = train_pass(Dropout(0.1), x, np.random.default_rng(9))
+        y, mask = train_pass(Dropout(), x, np.random.default_rng(9))
         dropped = np.count_nonzero(y == 0.0) / x.size
-        assert abs(dropped - 0.1) < 0.001
-        (dx,) = Dropout(0.1).backward(x, mask)
+        assert Dropout.rate == 0.1 and abs(dropped - 0.1) < 0.001
+        (dx,) = Dropout().backward(x, mask)
         np.testing.assert_array_equal(dx, y)
 
     def test_mask_reproducible_from_seed(self):
         x = np.ones((100, 7), dtype=np.float32)
-        layer = Dropout(0.3)
+        layer = Dropout()
         y1, _ = train_pass(layer, x, np.random.default_rng(42))
         y2, _ = train_pass(layer, x, np.random.default_rng(42))
         assert np.array_equal(y1, y2)
@@ -337,7 +337,7 @@ class TestDropout:
     def test_expectation_preserved(self):
         rng = np.random.default_rng(11)
         x = rng.random(2000).astype(np.float64)
-        layer = Dropout(0.1)
+        layer = Dropout()
         trials = 800
         acc = np.zeros_like(x)
         for _ in range(trials):
@@ -347,10 +347,6 @@ class TestDropout:
         # per-unit MC sigma of the mean of inverted-dropout draws
         sigma = x * np.sqrt(0.1 / 0.9 / trials)
         assert np.mean(np.abs(mean - x)) < 3.0 * np.mean(sigma)
-
-    def test_bad_rate(self):
-        with pytest.raises(ParameterError):
-            Dropout(1.0)
 
 
 class TestBceLoss:

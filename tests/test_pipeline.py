@@ -16,6 +16,7 @@ counts.
 
 import itertools
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +28,11 @@ from builtup.errors import ConfigError, RegistryError
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            inference_stack, run_layers, save_model)
 from builtup.nncore import bce_loss
-from builtup.pipeline import (PREDICT_BLOCK, _infer_loss, _predict_padded,
-                              predict_zone)
+from builtup.pipeline import (PREDICT_BLOCK, STATISTICS_CHUNK, _infer_loss,
+                              _predict_padded, _set_statistics, predict_zone)
 from builtup.raster import PATCH_MARGIN, gather_patches, rescale_reflectance
 from builtup.synth import SceneParams, synth_zone
-from model_arrays import copy_model, layer_by_layer
+from model_arrays import batchnorm_inputs, copy_model, layer_by_layer
 
 SIZE = 64
 TINY = ArchitectureConfig(bands=2, block_filters=(3, 4), hidden_units=6)
@@ -224,6 +225,44 @@ def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
     probs = layer_by_layer(copy_model(net), patches)[:, 0, 0]
     reference, _ = bce_loss(labels.astype(np.float64), probs)
     assert abs(loss - reference) <= 1e-5
+
+
+def test_batchnorm_statistics_are_the_moments_of_their_inference_input(
+        zone, monkeypatch):
+    """_set_statistics sets each BatchNorm's statistics to the mean and
+    population variance of its inference-mode input over the samples:
+    those of the float64 layers run one by one, bn2's input taken with
+    bn1's new statistics, to float32 rounding (the inputs are tanh
+    outputs, so the means are within 16 roundings of 1). It gathers at
+    most STATISTICS_CHUNK patches per task, maps its tasks by run, and
+    returns the stack of the new statistics."""
+    net = build_model(PRESETS["desk"], seed=0)
+    padded, _ = rescale_reflectance(zone.composite,
+                                    net.arch.normalization_divisor)
+    rng = np.random.default_rng(1)
+    n = 2 * STATISTICS_CHUNK + 77
+    rows, cols = rng.integers(0, SIZE, n), rng.integers(0, SIZE, n)
+    sizes = []
+
+    def spy(padded, rows, cols):
+        sizes.append(rows.size)
+        return gather_patches(padded, rows, cols)
+
+    monkeypatch.setattr(pipeline.raster, "gather_patches", spy)
+    with ThreadPoolExecutor(2) as pool:
+        stack = _set_statistics(net, padded, rows, cols, pool.map)
+    assert sizes == [STATISTICS_CHUNK, STATISTICS_CHUNK, 77] * 2
+    patches = gather_patches(padded, rows, cols).astype(np.float64)
+    inputs = batchnorm_inputs(copy_model(net), patches)
+    for bn, x in zip((net.bn1, net.bn2), inputs):
+        flat = x.reshape(-1, bn.channels)
+        np.testing.assert_allclose(bn.moving_mean, flat.mean(axis=0),
+                                   rtol=0, atol=16 * np.finfo(np.float32).eps)
+        np.testing.assert_allclose(bn.moving_var, flat.var(axis=0),
+                                   rtol=2e-5)
+    for got, want in zip(stack, inference_stack(net)):
+        np.testing.assert_array_equal(got.kernel, want.kernel)
+        np.testing.assert_array_equal(got.bias, want.bias)
 
 
 @settings(max_examples=300, deadline=None)
