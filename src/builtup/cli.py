@@ -61,6 +61,20 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
+def _writable(path, what: str, directory: bool = False) -> Path:
+    """path, unless an output cannot go there: a ConfigError naming it when
+    a directory (a file, if directory) holds its place, or a file holds
+    the place of a directory above it."""
+    p = Path(path)
+    if p.exists() and p.is_dir() != directory:
+        kind = "a directory" if p.is_dir() else "a file"
+        raise ConfigError(f"{what} {p} is {kind}")
+    for parent in p.parents:
+        if parent.exists() and not parent.is_dir():
+            raise ConfigError(f"{what} {p}: {parent} is a file")
+    return p
+
+
 class Manifest:
     """Accumulates the reproducibility record for one command.
 
@@ -133,7 +147,7 @@ def _zone_names(n: int):
 
 
 def cmd_synth(args, argv) -> int:
-    out = Path(args.out)
+    out = _writable(args.out, "--out", directory=True)
     with Manifest("synth", argv, args, out / "synth_manifest.json") as manifest:
         if args.zones < 1:
             raise GenerationError(f"zones must be >= 1, got {args.zones}")
@@ -158,20 +172,23 @@ def cmd_synth(args, argv) -> int:
 
 def cmd_train(args, argv) -> int:
     out = Path(args.out)
+    _writable(out.parent, "--out directory", directory=True)  # the manifest's
     with Manifest("train", argv, args,
                   out.parent / f"{out.stem}.train_manifest.json") as manifest:
+        _writable(out, "--out")
         zone_dir = _require(Path(args.data) / args.zone, "zone directory")
         comp_path = _require_file(zone_dir / "composite.ghsr",
                                   "composite raster")
         label_path = _require_file(zone_dir / "labels.ghsr", "label raster")
         manifest.data["inputs"] = _hash_paths([comp_path, label_path])
 
-        registry = (pipeline.ZoneRegistry.load(args.registry)
-                    if args.registry else None)
+        registry = None
+        if args.registry:
+            registry = pipeline.ZoneRegistry.load(args.registry)
+            _writable(args.registry, "--registry")
         composite = raster.read_raster(comp_path)
         labels = raster.read_raster(label_path)
-        arch = replace(model_mod.preset(args.preset, divisor=args.divisor),
-                       bands=composite.bands)
+        arch = replace(model_mod.preset(args.preset), bands=composite.bands)
         early = None
         if args.early_stop_patience is not None:
             early = pipeline.EarlyStopping(patience=args.early_stop_patience)
@@ -209,12 +226,13 @@ def cmd_train(args, argv) -> int:
         manifest.data["outputs"] = _hash_paths([out, history_path])
         if registry is not None:
             registry.record(args.zone, str(out))
+            Path(args.registry).parent.mkdir(parents=True, exist_ok=True)
             registry.save(args.registry)
     return 0
 
 
 def _predict_common(args, argv, command: str) -> int:
-    out_dir = Path(args.out)
+    out_dir = _writable(args.out, "--out", directory=True)
     with Manifest(command, argv, args,
                   out_dir / f"{command}_manifest.json") as manifest:
         zone_dir = _require(Path(args.data) / args.zone, "zone directory")
@@ -307,8 +325,12 @@ def _load_prediction_mosaic(probs_dir: Path) -> raster.RasterGrid:
 
 def cmd_evaluate(args, argv) -> int:
     report_path = Path(args.report)
+    _writable(report_path.parent, "--report directory", directory=True)
     with Manifest("evaluate", argv, args, report_path.parent
                   / f"{report_path.stem}.evaluate_manifest.json") as manifest:
+        _writable(report_path, "--report")
+        if args.csv:
+            _writable(args.csv, "--csv")
         probs_dir = _require(args.probs, "prediction directory")
         ref_dir = _require(args.reference, "reference directory")
         fp_path = _require_file(Path(ref_dir) / "footprints.json",
@@ -400,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS),
                    default="desk")
     run, cfg = pipeline.TrainingRun, pipeline.SamplingConfig
-    arch = model_mod.ArchitectureConfig
     p.add_argument("--epochs", type=int, default=run.epochs)
     p.add_argument("--seed", type=int, default=run.seed)
     p.add_argument("--validation-fraction", type=float,
@@ -410,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile-fraction", type=float, default=cfg.tile_fraction)
     p.add_argument("--non-bu-rate", type=float, default=cfg.non_bu_rate)
     p.add_argument("--batch-size", type=int, default=cfg.batch_size)
-    p.add_argument("--divisor", type=float,
-                   default=arch.normalization_divisor)
     p.add_argument("--water-zone", action="store_true")
     p.add_argument("--early-stop-patience", type=int, default=None)
     p.add_argument("--early-stop-min-delta", type=float, default=None)

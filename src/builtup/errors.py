@@ -25,15 +25,9 @@ class DegenerateBatchError(ShapeError):
     exit_code = 8
 
 
-class ParameterError(ToolkitError):
-    """An argument is outside its documented range."""
-
-    error_class = "parameter"
-    exit_code = 5
-
-
 class ConfigError(ToolkitError):
-    """An architecture or run configuration violates its invariants."""
+    """An architecture, run configuration or argument violates its
+    invariants."""
 
     error_class = "config"
     exit_code = 5

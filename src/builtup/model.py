@@ -33,8 +33,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -60,7 +59,6 @@ class ArchitectureConfig:
     bands: int = 4
     block_filters: tuple = (32, 64)
     hidden_units: int = 128
-    normalization_divisor: float = 10000.0
 
     def validate(self) -> None:
         if self.bands < 1:
@@ -70,9 +68,6 @@ class ArchitectureConfig:
                               f"got {self.block_filters}")
         if self.hidden_units < 1:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
-        if not 0 < self.normalization_divisor < math.inf:
-            raise ConfigError(f"normalization_divisor must be positive and "
-                              f"finite, got {self.normalization_divisor}")
 
     def to_dict(self) -> dict:
         """The fields by name; JSON writes block_filters as a list."""
@@ -93,13 +88,10 @@ PRESETS = {
 }
 
 
-def preset(name: str, divisor: Optional[float] = None) -> ArchitectureConfig:
+def preset(name: str) -> ArchitectureConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    cfg = PRESETS[name]
-    if divisor is not None:
-        cfg = replace(cfg, normalization_divisor=divisor)
-    return cfg
+    return PRESETS[name]
 
 
 # The network in forward order: (name, layer class, activation, input width,
@@ -519,7 +511,8 @@ def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
 # -- GHSM serialization ----------------------------------------------------
 
 # The network's constants, outside ArchitectureConfig, in every header.
-FIXED_ARCH = {"patch_size": raster.PATCH_SIZE, "dropout_rate": Dropout.rate}
+FIXED_ARCH = {"patch_size": raster.PATCH_SIZE, "dropout_rate": Dropout.rate,
+              "normalization_divisor": raster.REFLECTANCE_SCALE}
 
 
 def _header_dict(model: Model) -> dict:

@@ -52,9 +52,9 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateBatchError,
     NumericError,
-    ParameterError,
     ShapeError,
 )
 
@@ -90,7 +90,7 @@ class ConvLayer:
 
     def __init__(self, kernel: np.ndarray, bias: np.ndarray, activation: str):
         if activation not in ("linear", "tanh", "sigmoid"):
-            raise ParameterError(f"conv activation {activation!r} not supported")
+            raise ConfigError(f"conv activation {activation!r} not supported")
         if kernel.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
             raise ShapeError(f"kernel shape {kernel.shape} must be (out, in, k, k)")
         self.kernel = kernel

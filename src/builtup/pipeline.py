@@ -125,6 +125,7 @@ class SamplingConfig:
 class TrainingHistory:
     train_loss: list = field(default_factory=list)
     validation_loss: list = field(default_factory=list)
+    best_epoch: int = 0  # 1-based: the epoch the model holds
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -282,7 +283,9 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     After each epoch, before its validation loss, _set_statistics gives
     each BatchNorm the population statistics of its inference-mode input
     over STATISTICS_SAMPLES training samples, evenly spaced over the
-    training set, so no generator draws them.
+    training set, so no generator draws them. With early stopping the
+    model ends with the parameters and statistics of the epoch that last
+    improved the validation loss; without, with the last epoch's.
 
     Training runs on one OpenBLAS thread and takes its parallelism from
     the batch instead: each optimizer batch runs as model.train_step's
@@ -300,9 +303,7 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     run.validate()
     cfg.validate()
     _check_bands(composite, arch)
-    padded, valid = raster.rescale_reflectance(
-        composite, arch.normalization_divisor
-    )
+    padded, valid = raster.rescale_reflectance(composite)
     tiles = raster.tile_grid(composite.height, composite.width,
                              cfg.tile_pixels, valid_mask=valid)
     selected = sampling.select_training_tiles(tiles, cfg.tile_fraction,
@@ -332,6 +333,7 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                                learning_rate=run.learning_rate)
     history = TrainingHistory()
     best_val = np.inf
+    best = None  # the arrays of the best epoch, when early stopping
     stall = 0
     workers = train_workers()
     with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
@@ -353,16 +355,22 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
             val_loss = _infer_loss(stack, padded, rows[val_idx],
                                    cols[val_idx], labels[val_idx], run_tasks)
             history.validation_loss.append(val_loss)
-            net.epochs_trained = epoch + 1
 
             if run.early_stopping is not None:
                 if val_loss < best_val - run.early_stopping.min_delta:
-                    best_val = val_loss
+                    best_val, history.best_epoch = val_loss, epoch + 1
+                    best = [a.copy() for a in net.serialization_arrays()]
                     stall = 0
                 else:
                     stall += 1
                     if stall >= run.early_stopping.patience:
                         break
+    if best is None:
+        history.best_epoch = len(history.train_loss)
+    else:
+        for array, saved in zip(net.serialization_arrays(), best):
+            array[...] = saved
+    net.epochs_trained = history.best_epoch
 
     info = {
         "sampling": {**sampling.sample_manifest(samples), "seed": run.seed,
@@ -419,9 +427,7 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
     """
     _check_bands(composite, net.arch)
     tiles = raster.tile_grid(composite.height, composite.width, tile_pixels)
-    padded, valid = raster.rescale_reflectance(
-        composite, net.arch.normalization_divisor
-    )
+    padded, valid = raster.rescale_reflectance(composite)
     prob = np.empty(valid.shape, dtype=np.float32)
     stack = inference_stack(net)
 

@@ -4,6 +4,8 @@ The GHSR container is a minimal bit-exact raster format: a fixed 80-byte
 little-endian header followed by band-sequential row-major samples.
 RasterGrid keeps the file's band-first order; the rescaled zone is in the
 network's channels-last order, and every 5x5 patch is a window of it.
+Composites hold reflectance as integers times REFLECTANCE_SCALE, as
+Sentinel-2 products do; rescale_reflectance divides by it.
 
 Header layout (offsets in bytes):
     0   magic "GHSR" (4)
@@ -29,13 +31,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 
 MAGIC = b"GHSR"
 VERSION = 1
 HEADER_SIZE = 80
 PATCH_SIZE = 5
 PATCH_MARGIN = PATCH_SIZE // 2
+REFLECTANCE_SCALE = 10000.0
 
 DTYPE_CODES = {"u8": 1, "i16": 2, "f32": 3}
 DTYPE_NAMES = {code: name for name, code in DTYPE_CODES.items()}
@@ -185,22 +188,20 @@ def read_raster(path) -> RasterGrid:
                       pixel_size=hdr["pixel_size"], data=data)
 
 
-def rescale_reflectance(grid: RasterGrid, divisor: float):
-    """Map integer reflectance to f32 in [0,1] by value/divisor, clamped,
-    inside a zero border of PATCH_MARGIN pixels.
+def rescale_reflectance(grid: RasterGrid):
+    """Map integer reflectance to f32 in [0,1] by value/REFLECTANCE_SCALE,
+    clamped, inside a zero border of PATCH_MARGIN pixels.
 
     Returns (padded, valid): padded is C-contiguous (H+4, W+4, bands)
     float32, channels-last, with nodata cells zeroed; valid the (H, W) mask.
     """
-    if divisor <= 0:
-        raise ParameterError(f"divisor must be positive, got {divisor}")
     valid = grid.valid_mask()
     m = PATCH_MARGIN
     padded = np.zeros((grid.height + 2 * m, grid.width + 2 * m, grid.bands),
                       dtype=np.float32)
     interior = padded[m:m + grid.height, m:m + grid.width]
     for b, band in enumerate(grid.data):
-        np.divide(band, np.float32(divisor), out=interior[..., b],
+        np.divide(band, np.float32(REFLECTANCE_SCALE), out=interior[..., b],
                   dtype=np.float32)
     np.clip(interior, 0.0, 1.0, out=interior)
     interior[~valid] = 0.0
@@ -237,7 +238,7 @@ def tile_grid(height: int, width: int, tile_pixels: int,
     tiles without a single valid pixel are flagged water_dominated.
     """
     if tile_pixels < PATCH_SIZE:
-        raise ParameterError(
+        raise ConfigError(
             f"tile_pixels must be >= {PATCH_SIZE}, got {tile_pixels}"
         )
     tiles = []

@@ -3,7 +3,9 @@
 Stage one picks a systematic subset of tiles by anti-diagonal (the
 checkerboard at the default 50% fraction). Stage two keeps every patch
 whose 5x5 label block contains at least one built-up pixel and an
-independent Bernoulli draw of the non-built-up patches.
+independent Bernoulli draw of the others. The block decides only which
+patches are drawn: each sample is labelled by its centre pixel, the pixel
+the network classifies.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError
 from .raster import PATCH_MARGIN, PATCH_SIZE, RasterGrid
 
 
@@ -31,7 +33,7 @@ def select_training_tiles(tiles, fraction: float,
     if water_zone:
         return [t for t in tiles if not t.water_dominated]
     if not 0.0 < fraction <= 1.0:
-        raise ParameterError(f"fraction must be in (0, 1], got {fraction}")
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
 
     def taken(k: int) -> bool:
         return math.floor(k * fraction) > math.floor((k - 1) * fraction)
@@ -46,7 +48,7 @@ class SampleSet:
     zone_id: str
     rows: np.ndarray  # (N,) patch center rows
     cols: np.ndarray  # (N,) patch center cols
-    labels: np.ndarray  # (N,) uint8, 1 = built-up patch
+    labels: np.ndarray  # (N,) uint8, 1 = built-up centre pixel
 
     def __len__(self) -> int:
         return self.rows.size
@@ -75,8 +77,9 @@ def patch_block_labels(labels: np.ndarray) -> np.ndarray:
 def build_sample_set(label_grid: RasterGrid, valid_mask: np.ndarray,
                      tiles, non_bu_rate: float,
                      rng: np.random.Generator) -> SampleSet:
-    """All built-up patches from the selected tiles plus a Bernoulli
-    non_bu_rate draw of the non-built-up ones.
+    """All patches of the selected tiles whose label block holds a
+    built-up pixel, plus a Bernoulli non_bu_rate draw of the others, each
+    labelled by its centre pixel.
 
     Candidates are patch centers inside the tile windows whose center label
     is known and whose center pixel carries valid image data.
@@ -96,7 +99,7 @@ def build_sample_set(label_grid: RasterGrid, valid_mask: np.ndarray,
         r, c = np.nonzero(keep)
         rows_out.append(r + tile.row0)
         cols_out.append(c + tile.col0)
-        labels_out.append(bu[keep].astype(np.uint8))
+        labels_out.append((labels[sl][keep] == 1).astype(np.uint8))
 
     rows = np.concatenate(rows_out) if rows_out else np.empty(0, dtype=np.int64)
     cols = np.concatenate(cols_out) if cols_out else np.empty(0, dtype=np.int64)

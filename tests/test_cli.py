@@ -97,6 +97,24 @@ def test_maps_match_the_model_training_optimised(tmp_path):
     assert load(tmp_path / "A.json")["thresholds"]["0.5"]["kappa"] >= 0.65
 
 
+def test_early_stopping_keeps_the_best_epoch(trained, tmp_path):
+    """A min-delta of 1.0 stops training after epoch 2, which improves on
+    epoch 1 by less; the model is then epoch 1's, byte for byte the model
+    of a 1-epoch training, and the history names the epoch it holds."""
+    _, data, _, _ = trained
+    stopped, one = tmp_path / "stopped.ghsm", tmp_path / "one.ghsm"
+    assert run("train", "--zone", "A", "--data", data, "--out", stopped,
+               "--epochs", 4, "--early-stop-patience", 1,
+               "--early-stop-min-delta", 1.0, "--seed", 3) == 0
+    assert run("train", "--zone", "A", "--data", data, "--out", one,
+               "--epochs", 1, "--seed", 3) == 0
+    history = load(tmp_path / "stopped.history.json")
+    assert len(history["train_loss"]) == 2 and history["best_epoch"] == 1
+    assert load(tmp_path / "one.history.json")["best_epoch"] == 1
+    assert model_mod.read_model_header(stopped)["epochs_trained"] == 1
+    assert stopped.read_bytes() == one.read_bytes()
+
+
 def test_failed_tiles_are_recorded_in_the_manifest(trained, tmp_path,
                                                   monkeypatch):
     """A band that raises fails its tiles: predict still exits 0, and the
@@ -345,6 +363,63 @@ def test_evaluate_creates_the_csv_directory(trained, predicted, tmp_path):
     assert csv_path.read_text(encoding="utf-8").startswith("aoi_id,r,")
 
 
+OUTPUT_CASES = ["registry_in_a_new_directory", "train_out_is_a_directory",
+                "synth_out_is_a_file", "predict_out_is_a_file",
+                "report_under_a_file"]
+
+
+@pytest.mark.parametrize("case", OUTPUT_CASES)
+def test_outputs_are_made_or_refused_before_any_work(
+        trained, predicted, tmp_path, monkeypatch, capsys, case):
+    """A registry in a new directory is written, as --out and --csv are.
+    An output whose place a file or a directory holds is a config error
+    naming it, raised before the command's work (which here would fail),
+    with a manifest wherever the manifest's directory can exist."""
+    _, data, model, _ = trained
+    if case == "registry_in_a_new_directory":
+        registry, out = tmp_path / "nodir" / "reg.json", tmp_path / "A.ghsm"
+        assert run("train", "--zone", "A", "--data", data, "--out", out,
+                   "--epochs", 1, "--registry", registry) == 0
+        assert load(registry)["A"]["model_path"] == str(out)
+        return
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command's work ran")
+
+    for module, name in ((pipeline, "train_zone"), (pipeline, "predict_zone"),
+                         (synth, "synth_zone"),
+                         (cli, "_load_prediction_mosaic")):
+        monkeypatch.setattr(module, name, work)
+    taken = tmp_path / "taken"
+    argv, manifest = {
+        "train_out_is_a_directory": (
+            ["train", "--zone", "A", "--data", data, "--out", taken],
+            tmp_path / "taken.train_manifest.json"),
+        "synth_out_is_a_file": (["synth", "--out", taken], None),
+        "predict_out_is_a_file": (
+            ["predict", "--zone", "A", "--data", data, "--model", model,
+             "--out", taken], None),
+        "report_under_a_file": (
+            ["evaluate", "--probs", predicted, "--reference", data / "A",
+             "--report", taken / "r.json"], None),
+    }[case]
+    if case == "train_out_is_a_directory":
+        taken.mkdir()
+    else:
+        taken.write_text("kept", encoding="utf-8")
+    capsys.readouterr()
+    assert run(*argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and str(taken) in err
+    if manifest is not None:
+        assert load(manifest)["error"]["message"] == \
+            err[len("error[config]: "):].rstrip("\n")
+        assert not any(taken.iterdir())
+    else:
+        assert taken.read_text(encoding="utf-8") == "kept"
+        assert sorted(tmp_path.iterdir()) == [taken]
+
+
 def test_a_nan_parameter_is_a_format_error(trained, tmp_path):
     """A GHSM with a NaN weight would map NaN probabilities; predict
     refuses it and records the failure."""
@@ -372,10 +447,10 @@ def test_the_model_header_is_strict_json(trained):
 OPTIONS = {
     "synth": ["clusters", "nodata_fraction", "noise_sigma", "out", "seed",
               "size", "zones"],
-    "train": ["batch_size", "data", "divisor",
-              "early_stop_min_delta", "early_stop_patience", "epochs",
-              "learning_rate", "non_bu_rate", "out", "preset", "registry",
-              "seed", "tile_fraction", "tile_size", "validation_fraction",
+    "train": ["batch_size", "data", "early_stop_min_delta",
+              "early_stop_patience", "epochs", "learning_rate",
+              "non_bu_rate", "out", "preset", "registry", "seed",
+              "tile_fraction", "tile_size", "validation_fraction",
               "water_zone", "zone"],
     "predict": ["data", "model", "out", "tile_size", "zone"],
     "transfer": ["data", "out", "registry", "source_zone", "tile_size",
@@ -392,7 +467,7 @@ def test_option_surface_is_pinned():
     dests = {name: sorted(a.dest for a in sub._actions if a.dest != "help")
              for name, sub in commands.choices.items()}
     assert dests == OPTIONS
-    assert sum(map(len, dests.values())) == 41
+    assert sum(map(len, dests.values())) == 40
 
 
 @pytest.fixture(scope="module")
@@ -480,9 +555,10 @@ def test_corrupt_headers_are_format_errors(trained, tmp_path, case):
 
 @pytest.mark.parametrize("field, value", [("bands", 0), ("patch_size", 7),
                                           ("dropout_rate", 0.5),
+                                          ("normalization_divisor", 1.0),
                                           ("block_filters", [8])],
                          ids=["bands_0", "patch_size_7", "dropout_rate_0.5",
-                              "one_block_filter"])
+                              "normalization_divisor_1", "one_block_filter"])
 def test_a_damaged_arch_is_a_format_error_naming_the_file(
         trained, tmp_path, capsys, field, value):
     """A GHSM whose arch ArchitectureConfig refuses, or whose constants
@@ -641,8 +717,9 @@ BAD_TRAINING_ARGUMENTS = [
     ("--non-bu-rate", 5, None),
     ("--learning-rate", -1, None),
     ("--learning-rate", "inf", None),
-    ("--divisor", "inf", None),
-    ("--divisor", "nan", None),
+    ("--tile-fraction", 0, None),
+    ("--tile-fraction", 1.5, None),
+    ("--tile-size", 3, None),
     ("--early-stop-patience", 0, None),
     ("--early-stop-patience", -1, None),
     ("--early-stop-min-delta", "nan", 1),
@@ -712,7 +789,6 @@ def test_thresholds_parse_to_probabilities():
     (errors.MissingInputError, 3),
     (errors.FormatError, 4),
     (errors.ConfigError, 5),
-    (errors.ParameterError, 5),
     (errors.ShapeError, 6),
     (errors.NumericError, 7),
     (errors.DegenerateBatchError, 8),

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from builtup.errors import ParameterError
 from builtup.model import ArchitectureConfig, build_model
 from builtup.nncore import BatchNorm, ConvLayer, bce_loss, init_uniform
 from model_arrays import copy_model, trainable_arrays
@@ -19,7 +18,7 @@ def finite_difference(f, arrays, step: float = 1e-4):
     f must re-read the arrays on every call; arrays are restored afterwards.
     """
     if not 1e-6 <= step <= 1e-3:
-        raise ParameterError(f"step must be in [1e-6, 1e-3], got {step}")
+        raise ValueError(f"step must be in [1e-6, 1e-3], got {step}")
     grads = []
     for arr in arrays:
         g = np.zeros_like(arr, dtype=np.float64)

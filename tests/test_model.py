@@ -67,22 +67,25 @@ class TestBuild:
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_invalid_arch(self, tmp_path):
-        """The patch size is the network's constant: a GHSM header with
-        another is a format error."""
+        """The patch size and the reflectance scale are the network's
+        constants: a GHSM header with another is a format error."""
         path = tmp_path / "m.ghsm"
         save_model(build_model(TINY, seed=0), path)
         raw = path.read_bytes()
-        text = raw.replace(b'"patch_size":5', b'"patch_size":7')
-        assert text != raw
-        path.write_bytes(text)
-        with pytest.raises(FormatError, match="patch_size must be 5") as exc:
-            load_model(path)
-        assert str(path) in str(exc.value)
+        for field, good, bad in ((b"patch_size", b"5", b"7"),
+                                 (b"normalization_divisor", b"10000.0",
+                                  b"1.0")):
+            text = raw.replace(b'"%s":%s' % (field, good),
+                               b'"%s":%s' % (field, bad))
+            assert len(text) == len(raw) - len(good) + len(bad)
+            hlen = struct.unpack("<I", raw[4:8])[0] - len(good) + len(bad)
+            path.write_bytes(text[:4] + struct.pack("<I", hlen) + text[8:])
+            with pytest.raises(FormatError, match=f"{field.decode()} must be "
+                               f"{good.decode()}") as exc:
+                load_model(path)
+            assert str(path) in str(exc.value)
         with pytest.raises(ConfigError):
             ArchitectureConfig(bands=0).validate()
-        for divisor in (float("inf"), float("nan"), 0.0):
-            with pytest.raises(ConfigError, match="finite"):
-                ArchitectureConfig(normalization_divisor=divisor).validate()
 
     def test_init_weights_within_bounds(self):
         net = build_model(PRESETS["desk"], seed=5)

@@ -139,9 +139,9 @@ def test_mosaic_across_block_seams():
             assert got.tobytes() == reference.tobytes(), (arch, tile, workers)
 
 
-def failing_second_band(zone, divisor):
+def failing_second_band(zone):
     """A _predict_padded that raises for the band of zone rows 64-127."""
-    padded, _ = rescale_reflectance(zone, divisor)
+    padded, _ = rescale_reflectance(zone)
     second = padded[64:128 + 2 * PATCH_MARGIN]
 
     def predict(net, window):
@@ -157,8 +157,7 @@ def test_a_failed_band_fails_only_the_tiles_it_covers(zone160, net,
                                                       monkeypatch, workers):
     clean = predict_zone(net, zone160, 37, workers=workers)
     monkeypatch.setattr(pipeline, "_predict_padded",
-                        failing_second_band(
-                            zone160, net.arch.normalization_divisor))
+                        failing_second_band(zone160))
     got = predict_zone(net, zone160, 37, workers=workers)
     assert [p.tile for p in got] == [p.tile for p in clean]
     for pred, ref in zip(got, clean):
@@ -204,8 +203,7 @@ def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
     block of patches per call, and its loss is the model's inference-mode
     loss, here against the float64 layers run one by one."""
     net = build_model(PRESETS["desk"], seed=0)
-    padded, _ = rescale_reflectance(zone.composite,
-                                    net.arch.normalization_divisor)
+    padded, _ = rescale_reflectance(zone.composite)
     rng = np.random.default_rng(0)
     n = 2 * PREDICT_BLOCK ** 2 + 123
     rows, cols = rng.integers(0, SIZE, n), rng.integers(0, SIZE, n)
@@ -237,8 +235,7 @@ def test_batchnorm_statistics_are_the_moments_of_their_inference_input(
     most STATISTICS_CHUNK patches per task, maps its tasks by run, and
     returns the stack of the new statistics."""
     net = build_model(PRESETS["desk"], seed=0)
-    padded, _ = rescale_reflectance(zone.composite,
-                                    net.arch.normalization_divisor)
+    padded, _ = rescale_reflectance(zone.composite)
     rng = np.random.default_rng(1)
     n = 2 * STATISTICS_CHUNK + 77
     rows, cols = rng.integers(0, SIZE, n), rng.integers(0, SIZE, n)

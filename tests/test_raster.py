@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from builtup import raster
-from builtup.errors import (FormatError, NumericError, ParameterError,
+from builtup.errors import (ConfigError, FormatError, NumericError,
                             ToolkitError)
 from builtup.raster import (
     HEADER_SIZE,
     PATCH_MARGIN,
+    REFLECTANCE_SCALE,
     gather_patches,
     make_grid,
     quantize_probability,
@@ -193,24 +194,18 @@ class TestRescale:
         return padded[m:-m, m:-m]
 
     def test_divisor_maps_to_unit(self):
-        out, _ = rescale_reflectance(self.grid([[[10000]]]), 10000.0)
+        out, _ = rescale_reflectance(self.grid([[[10000]]]))
         assert self.interior(out)[0, 0, 0] == 1.0
 
     def test_clamps_above_one(self):
-        out, _ = rescale_reflectance(self.grid([[[12000]]]), 10000.0)
+        out, _ = rescale_reflectance(self.grid([[[12000]]]))
         assert self.interior(out)[0, 0, 0] == 1.0
 
     def test_nodata_masked_and_zeroed(self):
-        out, valid = rescale_reflectance(
-            self.grid([[[-32768, 5000]]]), 10000.0
-        )
+        out, valid = rescale_reflectance(self.grid([[[-32768, 5000]]]))
         assert not valid[0, 0] and valid[0, 1]
         assert self.interior(out)[0, 0, 0] == 0.0
         assert self.interior(out)[0, 1, 0] == np.float32(0.5)
-
-    def test_bad_divisor(self):
-        with pytest.raises(ParameterError):
-            rescale_reflectance(self.grid([[[1]]]), 0.0)
 
 
 def pad(data, margin=PATCH_MARGIN):
@@ -309,18 +304,17 @@ class TestPatches:
 
 @st.composite
 def rescaled_zones(draw):
-    """An i16 zone of 1-4 bands and sides 1-12 with some nodata cells, a
-    divisor, and centres anywhere in it, the border included."""
+    """An i16 zone of 1-4 bands and sides 1-12 with some nodata cells, and
+    centres anywhere in it, the border included."""
     bands, h, w = (draw(st.integers(1, 4)), draw(st.integers(1, 12)),
                    draw(st.integers(1, 12)))
     data = draw(hnp.arrays(np.int16, (bands, h, w),
                            elements=st.sampled_from([-32768, -1, 0, 1, 4999,
                                                      5000, 10000, 32767])))
-    divisor = draw(st.sampled_from([1.0, 3.0, 10000.0, 65535.0]))
     n = draw(st.integers(1, 20))
     rows = draw(hnp.arrays(np.int64, n, elements=st.integers(0, h - 1)))
     cols = draw(hnp.arrays(np.int64, n, elements=st.integers(0, w - 1)))
-    return make_grid(data, "i16", -32768), divisor, rows, cols
+    return make_grid(data, "i16", -32768), rows, cols
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,13 +323,14 @@ def test_rescaled_zone_is_channels_last_and_patches_are_its_windows(case):
     """rescale_reflectance is the band-first rescale (divide, clip, zero
     nodata) transposed to C-contiguous (H+4, W+4, bands) float32, and
     gather_patches(padded, r, c) is padded[r:r+5, c:c+5]."""
-    grid, divisor, rows, cols = case
-    padded, valid = rescale_reflectance(grid, divisor)
+    grid, rows, cols = case
+    padded, valid = rescale_reflectance(grid)
     m = PATCH_MARGIN
     reference = np.zeros((grid.bands, grid.height + 2 * m,
                           grid.width + 2 * m), dtype=np.float32)
     inner = reference[:, m:-m, m:-m]
-    np.divide(grid.data, np.float32(divisor), out=inner, dtype=np.float32)
+    np.divide(grid.data, np.float32(REFLECTANCE_SCALE), out=inner,
+              dtype=np.float32)
     np.clip(inner, 0.0, 1.0, out=inner)
     inner[:, ~valid] = 0.0
     assert padded.dtype == np.float32 and padded.flags.c_contiguous
@@ -381,7 +376,7 @@ class TestTileGrid:
                          (1, 0): True, (1, 1): True}
 
     def test_tile_smaller_than_patch(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             tile_grid(10, 10, 3)
 
 

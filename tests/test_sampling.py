@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from builtup import sampling
-from builtup.errors import ParameterError
+from builtup.errors import ConfigError
 from builtup.raster import TileIndex, make_grid, tile_grid
 from builtup.sampling import (
     build_sample_set,
@@ -65,7 +65,7 @@ class TestSelectTiles:
         assert {(t.tile_row, t.tile_col) for t in selected} == {(0, 0), (0, 1)}
 
     def test_bad_fraction(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             select_training_tiles(self.make_tiles(2, 2), 0.0)
 
 
@@ -126,13 +126,17 @@ class TestBuildSampleSet:
         return grid, valid, tiles, rng
 
     def test_every_built_up_patch_kept(self):
+        """The block rule draws; the centre pixel labels: (2, 1) is drawn
+        for the built-up pixel (2, 3) in its block, and is labelled 0."""
         grid, valid, tiles, rng = self.scenario()
         samples = build_sample_set(grid, valid, tiles, 0.6, rng)
         block = patch_block_labels(grid.data[0])
-        expected = set(zip(*np.nonzero(block)))
-        kept_bu = set(zip(samples.rows[samples.labels == 1],
-                          samples.cols[samples.labels == 1]))
-        assert kept_bu == expected
+        kept = set(zip(samples.rows.tolist(), samples.cols.tolist()))
+        assert set(zip(*np.nonzero(block))) <= kept
+        assert np.array_equal(samples.labels,
+                              grid.data[0][samples.rows, samples.cols])
+        assert block[2, 1] and (2, 1) in kept
+        assert samples.built_up_count == 3 * 3 + 1
 
     def test_non_built_up_keep_rate(self):
         rng = np.random.default_rng(8)
@@ -144,7 +148,7 @@ class TestBuildSampleSet:
         samples = build_sample_set(grid, valid, tiles, 0.6, rng)
         block = patch_block_labels(grid.data[0])
         candidates = int((~block).sum())
-        kept = samples.non_built_up_count
+        kept = len(samples) - int(block.sum())  # every block patch is kept
         sigma = np.sqrt(candidates * 0.6 * 0.4)
         assert abs(kept - 0.6 * candidates) < 3 * sigma
 
