@@ -221,8 +221,11 @@ def cmd_train(args, argv) -> int:
         with open(history_path, "w", encoding="utf-8") as f:
             json.dump(history.to_dict(), f, indent=2)
         manifest.data["training"] = info
-        manifest.data["final_train_loss"] = history.train_loss[-1]
-        manifest.data["final_validation_loss"] = history.validation_loss[-1]
+        # the losses of the epoch the saved model holds
+        kept = history.best_epoch - 1
+        manifest.data["best_epoch"] = history.best_epoch
+        manifest.data["final_train_loss"] = history.train_loss[kept]
+        manifest.data["final_validation_loss"] = history.validation_loss[kept]
         manifest.data["outputs"] = _hash_paths([out, history_path])
         if registry is not None:
             registry.record(args.zone, str(out))

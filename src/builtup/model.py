@@ -28,6 +28,7 @@ ArchitectureConfig's fields and the network's constants (FIXED_ARCH).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -205,12 +206,15 @@ class Model:
         """Training pass over `slices` row slices, their tasks mapped by
         run (map, or a thread pool's map); train_step describes the pass.
 
-        x is (N, h+4, w+4, bands). Returns ((N, h, w) probabilities, a
-        tape for backward(): the pass's layer list and one list of layer
-        caches per slice)."""
+        x is (N, h+4, w+4, bands); rng is a PCG64 generator, and the pass
+        moves it past the dropout masks' draws. Returns ((N, h, w)
+        probabilities, a tape for backward(): the pass's layer list and
+        one list of layer caches per slice)."""
         self._check_input(x)
-        layers = _compose(self.layers)
-        masks = _draw_masks(layers, x.shape, rng)
+        state = nncore.pcg64_state(rng)
+        layers = _compose(self.layers, run)
+        draws, drawn = _dropout_draws(layers, x.shape)
+        rng.bit_generator.state = nncore.pcg64_at(state, drawn).state
         bounds = slice_bounds(x.shape[0], slices)
         xs = [x[a:b] for a, b in bounds]
         caches = [[] for _ in bounds]
@@ -220,13 +224,15 @@ class Model:
                      if isinstance(head, BatchNorm) else None)
 
             def run_slice(s, lo=lo, hi=hi, stats=stats):
-                (a, b), y = bounds[s], xs[s]
+                (a, _), y = bounds[s], xs[s]
                 for i in range(lo, hi):
                     layer = layers[i][0]
                     if isinstance(layer, BatchNorm):
                         y, cache = layer.normalize(y, *stats)
                     elif isinstance(layer, Dropout):
-                        y, cache = layer.apply(y, masks[i][a:b])
+                        start, row = draws[i]
+                        y, cache = layer.apply(y, layer.keep_flags(
+                            state, start + a * row, y.shape))
                     else:
                         y, cache = layer.forward_train(y)
                     caches[s].append(cache)
@@ -246,9 +252,9 @@ class Model:
         the slices in slice order give each slice's BatchNorm input
         gradient in the next task. After the runs each layer's gradients
         are added over the slices once, in slice order, and written into
-        the flat vector: a composed layer's pulled back onto its two
-        factors by compose_convs_adjoint, whose tasks run maps, and any
-        other layer's as they are."""
+        the flat vector by the tasks of one map: a composed layer's pulled
+        back onto its two factors by compose_convs_adjoint's two tasks,
+        and every other layer's summed and written by one more task."""
         layers, caches = tape
         bounds = slice_bounds(dprobs.shape[0], len(caches))
         ds = [dprobs[a:b, ..., None] for a, b in bounds]
@@ -278,14 +284,17 @@ class Model:
                 bn_sums = [ordered_sum(c) for c in zip(*(c for _, c in done))]
         grad = np.empty_like(self.params)  # every trainable array is written
         out, table = self._layer_views(grad), self.layers
+        writes, plain = [], []  # plain: (view, its array per slice)
         for i, (_, pos) in enumerate(layers):
-            summed = [ordered_sum(g) for g in zip(*(g[i] for g in grads))]
-            pulled = (compose_convs_adjoint(
-                *[(table[p].kernel, table[p].bias) for p in pos], summed, run)
-                if len(pos) > 1 else [summed])
-            for p, factor_grads in zip(pos, pulled):
-                for view, g in zip(out[p], factor_grads):
-                    view[...] = g
+            if len(pos) > 1:
+                summed = [ordered_sum(g) for g in zip(*(g[i] for g in grads))]
+                writes += compose_convs_adjoint(
+                    *[(table[p].kernel, table[p].bias) for p in pos], summed,
+                    [out[p] for p in pos])
+            else:
+                plain += zip(out[pos[0]], zip(*(g[i] for g in grads)))
+        writes.append(functools.partial(_sum_into, plain))
+        list(run(lambda write: write(), writes))
         return grad
 
 
@@ -299,6 +308,8 @@ def _runs(layers) -> list:
 
 
 TRAIN_SLICES = 2  # row slices of every optimizer batch (train_step)
+COMPOSE_TASKS = 2  # output-channel tasks of compose_convs
+COMPOSE_SPLIT_MACS = 1 << 24  # the least composition compose_convs maps
 
 
 def slice_bounds(n: int, slices: int) -> list:
@@ -309,20 +320,25 @@ def slice_bounds(n: int, slices: int) -> list:
     return list(zip(edges, edges[1:]))
 
 
-def _draw_masks(layers, shape, rng: np.random.Generator) -> list:
-    """draw() of each Dropout of a train-mode layer list, in layer order
-    and at the whole batch's shape, None for every other layer. shape is
-    the input's (N, H, W, C); each ConvLayer shrinks H and W by k - 1 and
-    sets C."""
+def _dropout_draws(layers, shape):
+    """Where each Dropout of a train-mode layer list draws its keep flags
+    in the pass's stream, and the pass's total draws. The masks follow
+    each other in layer order, each a whole-batch draw in C order, so a
+    Dropout gets (start, units per batch row) and every other layer None.
+    shape is the input's (N, H, W, C); each ConvLayer shrinks H and W by
+    k - 1 and sets C."""
     n, h, w, c = shape
-    masks = []
+    draws, drawn = [], 0
     for layer, _ in layers:
         if isinstance(layer, ConvLayer):
             k = layer.kernel_size
             h, w, c = h - k + 1, w - k + 1, layer.out_channels
-        masks.append(layer.draw(rng, (n, h, w, c))
-                     if isinstance(layer, Dropout) else None)
-    return masks
+        if isinstance(layer, Dropout):
+            draws.append((drawn, h * w * c))
+            drawn += n * h * w * c
+        else:
+            draws.append(None)
+    return draws, drawn
 
 
 def run_layers(layers, x: np.ndarray) -> np.ndarray:
@@ -353,75 +369,109 @@ def _taps(kernel: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(kernel.transpose(2, 3, 1, 0))
 
 
-def compose_convs(first, second):
+def compose_convs(first, second, run=map):
     """(kernel, bias) of the valid conv `second` applied to the output of
     the linear valid conv `first`, both given as (kernel, bias): one valid
     conv of side k1 + k2 - 1, exact in real arithmetic. Tap (i1 + i2,
     j1 + j2) of the kernel sums the products of first's tap (i1, j1) and
     second's tap (i2, j2), in the order of (i2, j2). The kernel is an
     (out, in, k, k) view of its contiguous taps, so a ConvLayer's kernel
-    matrix is a reshape of it."""
+    matrix is a reshape of it.
+
+    The output channels are COMPOSE_TASKS tasks, and a task makes the
+    products of its taps of second with all of first's in one GEMM each:
+    an output element is the same dot products added in the same order
+    whatever the split. run (map, or a thread pool's map) maps the tasks
+    of a composition of at least COMPOSE_SPLIT_MACS multiply-adds (the
+    paper preset's conv3.conv4); a smaller one runs them in turn, since a
+    map costs about 0.1-0.3 ms."""
     (k1, b1), (k2, b2) = first, second
-    t1, t2 = _taps(k1), _taps(k2)
-    s1, s2 = len(t1), len(t2)
+    t1 = _taps(k1)
+    s1, s2 = len(t1), k2.shape[2]
     side = s1 + s2 - 1
-    taps = np.zeros((side, side, t1.shape[2], t2.shape[3]),
-                    dtype=np.result_type(t1, t2))
-    for i2, j2 in np.ndindex(s2, s2):
-        taps[i2:i2 + s1, j2:j2 + s1] += t1 @ t2[i2, j2]
-    return taps.transpose(3, 2, 0, 1), b2 + b1 @ t2.sum(axis=(0, 1))
+    rows = t1.reshape(-1, t1.shape[3])  # first's taps stacked, one GEMM
+    taps = np.zeros((side, side, t1.shape[2], k2.shape[0]),
+                    dtype=np.result_type(k1, k2))
+    tap_sums = np.empty((k2.shape[1], k2.shape[0]), dtype=taps.dtype)
+
+    def outputs(bounds):
+        cols = slice(*bounds)
+        t2 = _taps(k2[cols])
+        for i2, j2 in np.ndindex(s2, s2):
+            taps[i2:i2 + s1, j2:j2 + s1, :, cols] += (
+                rows @ t2[i2, j2]).reshape(s1, s1, t1.shape[2], t2.shape[3])
+        tap_sums[:, cols] = t2.sum(axis=(0, 1))
+
+    if rows.size * k2.shape[0] * s2 * s2 < COMPOSE_SPLIT_MACS:
+        run = map
+    list(run(outputs, slice_bounds(taps.shape[3], COMPOSE_TASKS)))
+    return taps.transpose(3, 2, 0, 1), b2 + b1 @ tap_sums
 
 
-def compose_convs_adjoint(first, second, grad, run=map):
-    """((dk1, db1), (dk2, db2)): the gradient grad = (dK, dB) of
-    compose_convs(first, second) pulled back to its factors, i.e. the
-    transpose of the composition's Jacobian at (first, second), exact in
-    real arithmetic. Per tap, in the (in, out) matrices of _taps:
+def compose_convs_adjoint(first, second, grad, out):
+    """Two tasks that write the gradient grad = (dK, dB) of
+    compose_convs(first, second), pulled back to its factors, into out =
+    ((dk1, db1), (dk2, db2)), arrays shaped like the factors' kernels and
+    biases: the transpose of the composition's Jacobian at (first,
+    second), exact in real arithmetic. Per tap, in the (in, out) matrices
+    of _taps:
 
         dk1[i1, j1] = sum over (i2, j2) of dK[i1 + i2, j1 + j2] k2[i2, j2]^T
         dk2[i2, j2] = b1 dB^T + sum over (i1, j1) of
                       k1[i1, j1]^T dK[i1 + i2, j1 + j2]
         db1 = (sum of k2's taps) dB,  db2 = dB
 
-    with the terms added in the order shown. dk1 and dk2 are one task of
-    run (map, or a thread pool's map) each."""
+    with the terms added in the order shown. The first task writes dk1
+    and db1, the second dk2 and db2; the caller runs them, and
+    Model.backward runs them in one map with its other layers' writes."""
     (k1, b1), (k2, _) = first, second
     dk, db = grad
-    t1, t2, dt = _taps(k1), _taps(k2), _taps(dk)
-    s1, s2 = len(t1), len(t2)
-    dtype = np.result_type(t1, t2, dt)
+    (dk1, db1), (dk2, db2) = out
+    dt = _taps(dk)
+    s1, s2 = k1.shape[2], k2.shape[2]
+    dtype = np.result_type(k1, k2, dk)
 
     def first_taps():
-        acc = np.zeros(t1.shape, dtype=dtype)
+        t2 = _taps(k2)
+        acc = np.zeros((s1, s1, *k1.shape[1::-1]), dtype=dtype)
         for i2, j2 in np.ndindex(s2, s2):
             acc += dt[i2:i2 + s1, j2:j2 + s1] @ t2[i2, j2].T
-        return acc
+        dk1[...] = acc.transpose(3, 2, 0, 1)
+        db1[...] = t2.sum(axis=(0, 1)) @ db
 
     def second_taps():
-        acc = np.empty(t2.shape, dtype=dtype)
+        t1 = _taps(k1)
+        acc = np.empty((s2, s2, *k2.shape[1::-1]), dtype=dtype)
         acc[...] = np.multiply.outer(b1, db)
         for i1, j1 in np.ndindex(s1, s1):
             acc += t1[i1, j1].T @ dt[i1:i1 + s2, j1:j1 + s2]
-        return acc
+        dk2[...] = acc.transpose(3, 2, 0, 1)
+        db2[...] = db
 
-    dt1, dt2 = run(lambda taps: taps(), (first_taps, second_taps))
-    return ((dt1.transpose(3, 2, 0, 1), t2.sum(axis=(0, 1)) @ db),
-            (dt2.transpose(3, 2, 0, 1), db))
+    return first_taps, second_taps
 
 
-def _compose(layers) -> list:
+def _sum_into(pairs) -> None:
+    """Write each (view, arrays) pair's sum of arrays, in their order,
+    into its view."""
+    for view, arrays in pairs:
+        view[...] = ordered_sum(arrays)
+
+
+def _compose(layers, run=map) -> list:
     """The composition rule of the train-mode pass and of inference_stack:
     each linear ConvLayer is composed into the ConvLayer after it
-    (compose_convs, in the kernels' dtype), and a composed layer that is
-    linear composes on. Returns (layer, positions in layers) per result,
-    in order; a layer that is not composed is the given object."""
+    (compose_convs, in the kernels' dtype, its tasks mapped by run), and a
+    composed layer that is linear composes on. Returns (layer, positions
+    in layers) per result, in order; a layer that is not composed is the
+    given object."""
     composed = []
     for i, layer in enumerate(layers):
         prev, pos = composed[-1] if composed else (None, ())
         if (isinstance(layer, ConvLayer) and isinstance(prev, ConvLayer)
                 and prev.activation == "linear"):
             kernel, bias = compose_convs((prev.kernel, prev.bias),
-                                         (layer.kernel, layer.bias))
+                                         (layer.kernel, layer.bias), run)
             composed[-1] = (ConvLayer(kernel, bias, layer.activation),
                             pos + (i,))
         else:
@@ -487,11 +537,15 @@ def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
     the per-layer gradient to within a few roundings.
 
     The batch runs as TRAIN_SLICES contiguous row slices (slice_bounds).
-    Every dropout mask is drawn first, on the calling thread, in layer
-    order and at the whole batch's shape (_draw_masks), and each slice
-    applies its rows, so rng's stream does not depend on the slices. The
-    layers from one BatchNorm to the next are one task per slice, mapped
-    by run (map, or a thread pool's map); each BatchNorm syncs the
+    rng must be a PCG64 generator (ConfigError otherwise). The dropout
+    masks are rng.random(shape) >= rate at the whole batch's shape, in
+    layer order (_dropout_draws); each slice's task draws its own rows of
+    them from a copy of rng's stream jumped to their place
+    (Dropout.keep_flags), and rng ends where the whole-batch draws leave
+    it, so rng's stream does not depend on the slices. The composed
+    kernels are COMPOSE_TASKS tasks each (compose_convs). The layers from
+    one BatchNorm to the next are one task per slice, mapped by run (map,
+    or a thread pool's map); each BatchNorm syncs the
     slices, its statistics and gradient sums being per-slice column sums
     added in slice order (synchronized BatchNorm). Each layer's weight
     gradient is the sum of the slices' in slice order, before one Adam

@@ -15,8 +15,8 @@ several threads, and each layer's train mode takes the form that allows:
     BatchNorm  batch_statistics(xs) once for the batch, normalize(x, ...)
                per slice; gradient_sums per slice, then input_gradient
                per slice from the batch's sums (synchronized BatchNorm)
-    Dropout    draw(rng, shape) once for the batch, apply(x, draws[a:b])
-               per slice, and backward(dout, mask) -> (dx,)
+    Dropout    keep_flags(state, skip, shape) and apply(x, keep) per
+               slice, and backward(dout, mask) -> (dx,)
 
 A ConvLayer is a k x k convolution; a dense layer applied per pixel is its
 k = 1 case. With input_grad false a backward pass returns dx None and does
@@ -27,16 +27,21 @@ split passes. The program runs none of them: tests compare against them,
 and the benchmark's tracer wraps them.
 
 Every batch-wide BatchNorm quantity is a sum of per-slice column sums
-taken in slice order (ordered_sum), and every dropout mask is drawn at
-the whole batch's shape before any slice runs, so a result does not
-depend on which thread ran a slice, rng's stream does not depend on the
-slice count, and one slice gives the bits of the unsliced pass.
+taken in slice order (ordered_sum). Every dropout mask is one whole-batch
+draw of rng.random(shape) >= rate, and each slice draws its own rows of it
+from the step's PCG64 stream, jumped to their place (pcg64_at), so a
+result does not depend on which thread ran a slice, rng's stream does not
+depend on the slice count, and one slice gives the bits of the unsliced
+pass.
 
 No pass writes its input. Epilogues run in place on arrays the pass
-allocated itself: a ConvLayer adds its bias to and takes tanh of its fresh
-GEMM output, which is also the activation its cache keeps, and
-BatchNorm.forward shifts its own scaled copy. This saves one full-size
-temporary per layer and gives the same bits as the out-of-place forms.
+allocated itself, with the operations of the out-of-place forms in the
+same order, so they give the same bits: a ConvLayer adds its bias to and
+takes tanh of its fresh GEMM output, which is also the activation its
+cache keeps, and the other epilogues (tanh's derivative, BatchNorm's
+normalization and gradients, dropout's mask, Adam's update) each
+work in one or two buffers of their own instead of a temporary per
+operation.
 
 Parameters and activations are float32 in production; every routine is
 dtype-generic so gradient checks can run the same code in float64.
@@ -45,6 +50,7 @@ dtype-generic so gradient checks can run the same code in float64.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import ClassVar
@@ -170,7 +176,9 @@ class ConvLayer:
         n, h, w, c = x_shape
         ho, wo = h - k + 1, w - k + 1
         if self.activation == "tanh":
-            dz = dout * (1.0 - a * a)
+            dz = a * a
+            np.subtract(1.0, dz, out=dz)
+            dz *= dout
         elif self.activation == "sigmoid":
             dz = dout * a * (1.0 - a)
         else:
@@ -181,7 +189,11 @@ class ConvLayer:
         dkernel = dw_mat.reshape(k, k, c, self.out_channels).transpose(3, 2, 0, 1)
         if not input_grad:
             return None, dkernel, dbias
-        dcols = dz_mat @ self._kernel_matrix().T
+        kernel_t = self._kernel_matrix().T
+        # with one output channel the product is an outer product, whose
+        # broadcast makes the same products faster than a K = 1 GEMM
+        dcols = (dz_mat * kernel_t if self.out_channels == 1
+                 else dz_mat @ kernel_t)
         if k == 1 or ho == wo == 1:  # each dx element has one term
             return dcols.reshape(x_shape), dkernel, dbias
         dcols = dcols.reshape(n, ho, wo, k * k * c)
@@ -266,9 +278,11 @@ class BatchNorm:
     def normalize(self, x: np.ndarray, mean, var, count: int):
         """(y, cache) of one slice, normalized with its batch's statistics."""
         inv_std = 1.0 / np.sqrt(var + np.asarray(self.epsilon, dtype=var.dtype))
-        xhat = (x.reshape(-1, self.channels) - mean) * inv_std
-        y = (xhat * self.gamma + self.beta).reshape(x.shape)
-        return y, (xhat, inv_std, x.shape, count)
+        xhat = x.reshape(-1, self.channels) - mean
+        xhat *= inv_std
+        y = xhat * self.gamma
+        y += self.beta
+        return y.reshape(x.shape), (xhat, inv_std, x.shape, count)
 
     def forward_train(self, x: np.ndarray):
         return self.normalize(x, *self.batch_statistics([x]))
@@ -281,14 +295,20 @@ class BatchNorm:
         xhat = cache[0]
         dflat = dout.reshape(-1, self.channels)
         dxhat = dflat * self.gamma
-        return (dxhat, ((dflat * xhat).sum(axis=0), dflat.sum(axis=0)),
-                (dxhat.sum(axis=0), (dxhat * xhat).sum(axis=0)))
+        product = dflat * xhat
+        dgamma = product.sum(axis=0)
+        np.multiply(dxhat, xhat, out=product)
+        return (dxhat, (dgamma, dflat.sum(axis=0)),
+                (dxhat.sum(axis=0), product.sum(axis=0)))
 
     def input_gradient(self, dxhat: np.ndarray, cache, dxhat_sum,
                        dxhat_xhat_sum) -> np.ndarray:
         """One slice's dx from its dxhat and its batch's column sums."""
         xhat, inv_std, shape, m = cache
-        dx = (inv_std / m) * (m * dxhat - dxhat_sum - xhat * dxhat_xhat_sum)
+        dx = m * dxhat
+        dx -= dxhat_sum
+        dx -= xhat * dxhat_xhat_sum
+        dx *= inv_std / m
         return dx.reshape(shape)
 
     def backward(self, dout: np.ndarray, cache, input_grad: bool = True):
@@ -298,30 +318,72 @@ class BatchNorm:
         return self.input_gradient(dxhat, cache, *sums), dgamma, dbeta
 
 
+DRAW_CHUNK = 1 << 16  # raw outputs per keep_flags draw (512 KB of uint64)
+
+
 class Dropout:
     """Inverted dropout: train mode zeroes each unit with probability rate
     and scales the kept ones by 1/(1-rate). Inference is the identity, so
-    the inference pass leaves the layer out."""
+    the inference pass leaves the layer out.
+
+    A batch's keep flags are rng.random(shape) >= rate on a PCG64
+    generator, one draw per unit in C order. Generator.random() is
+    (raw >> 11) * 2**-53 of one 64-bit output raw, so a unit is kept
+    exactly when raw >= KEEP_RAW, and keep_flags draws any run of rows
+    from the raw outputs alone."""
 
     param_names = ()
     state_names = ()
     rate = 0.1
+    KEEP_RAW = math.ceil(rate * 2 ** 53) << 11
 
-    def draw(self, rng: np.random.Generator, shape):
-        """The keep flags of a batch shaped `shape`, one uniform draw from
-        rng per unit."""
-        return rng.random(shape) >= self.rate
+    def keep_flags(self, state: dict, skip: int, shape):
+        """The keep flags of `shape` units drawn from the PCG64 stream at
+        state, `skip` outputs on: the rows of a whole-batch draw from
+        state that start `skip` units into it. The raw outputs come
+        DRAW_CHUNK at a time, so no full-size uint64 temporary is made."""
+        bit_generator = pcg64_at(state, skip)
+        keep = np.empty(math.prod(shape), dtype=bool)
+        for start in range(0, keep.size, DRAW_CHUNK):
+            chunk = keep[start:start + DRAW_CHUNK]
+            np.greater_equal(bit_generator.random_raw(chunk.size),
+                             self.KEEP_RAW, out=chunk)
+        return keep.reshape(shape)
 
-    def apply(self, x: np.ndarray, draws):
-        """(y, mask) of x under its rows of draw()'s keep flags."""
-        mask = draws.astype(x.dtype) / np.asarray(1.0 - self.rate,
-                                                  dtype=x.dtype)
+    def apply(self, x: np.ndarray, keep):
+        """(y, mask) of x under keep flags shaped like it."""
+        scale = (np.asarray(1.0, dtype=x.dtype)
+                 / np.asarray(1.0 - self.rate, dtype=x.dtype))
+        mask = np.multiply(keep, scale, dtype=x.dtype)
         return x * mask, mask
 
     def backward(self, dout: np.ndarray, mask, input_grad: bool = True):
         if not input_grad:
             return (None,)
         return (dout * mask,)
+
+
+def pcg64_state(rng: np.random.Generator) -> dict:
+    """rng's bit generator state; ConfigError unless it is a PCG64, the
+    stream Dropout.keep_flags can jump ahead in."""
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ConfigError(f"training needs a PCG64 generator, got "
+                          f"{type(rng.bit_generator).__name__}")
+    return rng.bit_generator.state
+
+
+def pcg64_at(state: dict, skip: int) -> np.random.PCG64:
+    """A new PCG64 where the stream at state is after `skip` 64-bit outputs
+    (O(log skip), O'Neill 2014). advance() clears the buffered 32-bit half
+    that a 32-bit draw leaves behind and a 64-bit draw does not touch, so
+    state's half is put back."""
+    bit_generator = np.random.PCG64(0)  # its seed is overwritten
+    bit_generator.state = state
+    bit_generator.advance(skip)
+    bit_generator.state = {**bit_generator.state,
+                           "has_uint32": state["has_uint32"],
+                           "uinteger": state["uinteger"]}
+    return bit_generator
 
 
 def ordered_sum(arrays):
@@ -372,7 +434,8 @@ class AdamState:
                    learning_rate=learning_rate)
 
 
-ADAM_CHUNK = 1 << 16  # parameters per Adam task (256 KB of float32)
+ADAM_CHUNK = 1 << 16  # parameters updated at a time (256 KB of float32)
+ADAM_TASKS = 2  # tasks of run per Adam step, each a run of whole chunks
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -380,8 +443,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     """One bias-corrected Adam update; params and state updated in place.
 
     The update is elementwise, so it runs in chunks of ADAM_CHUNK
-    parameters, mapped by run (map, or a thread pool's map), with the bits
-    of one whole-vector update."""
+    parameters with the bits of one whole-vector update. The chunks are
+    ADAM_TASKS contiguous runs, one task of run (map, or a thread pool's
+    map) each: a task per chunk would hand the interpreter lock between
+    threads for every chunk."""
     if params.shape != grads.shape:
         raise ShapeError(f"param/grad shape mismatch: {params.shape} vs {grads.shape}")
     finite = np.isfinite(grads)
@@ -391,16 +456,30 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     mhat_div, vhat_div = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    learning_rate = float(state.learning_rate)
 
-    def update(start: int) -> None:
-        chunk = slice(start, start + ADAM_CHUNK)
-        g, m, v = grads[chunk], state.m[chunk], state.v[chunk]
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        mhat = m / mhat_div
-        vhat = v / vhat_div
-        params[chunk] -= (state.learning_rate * mhat
-                          / (np.sqrt(vhat) + state.epsilon)).astype(params.dtype)
+    def update(starts) -> None:
+        # m += (1 - b1) (g - m); v += (1 - b2) (g g - v); params -=
+        # (lr m / mhat_div) / (sqrt(v / vhat_div) + eps), in two buffers
+        for start in starts:
+            chunk = slice(start, start + ADAM_CHUNK)
+            g, m, v = grads[chunk], state.m[chunk], state.v[chunk]
+            t = g - m
+            t *= 1.0 - b1
+            m += t
+            np.multiply(g, g, out=t)
+            t -= v
+            t *= 1.0 - b2
+            v += t
+            step = m / mhat_div
+            step *= learning_rate
+            np.divide(v, vhat_div, out=t)
+            np.sqrt(t, out=t)
+            t += state.epsilon
+            step /= t
+            params[chunk] -= step.astype(params.dtype, copy=False)
 
-    list(run(update, range(0, params.size, ADAM_CHUNK)))
+    starts = range(0, params.size, ADAM_CHUNK)
+    edges = [len(starts) * i // ADAM_TASKS for i in range(ADAM_TASKS + 1)]
+    list(run(update, [starts[a:b] for a, b in zip(edges, edges[1:])]))
     return params

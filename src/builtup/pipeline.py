@@ -291,11 +291,14 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     the batch instead: each optimizer batch runs as model.train_step's
     TRAIN_SLICES row slices on train_workers() threads, and each epoch's
     statistics pass and validation loss run on the same threads. Between
-    GEMMs a step is numpy work (im2col copies, BatchNorm, dropout) that a
-    second BLAS thread does not reach; slices run it on both cores. The
-    slice count is fixed and each BLAS call single-threaded, so the model
-    and history do not depend on the worker count or on the process's
-    BLAS thread setting.
+    GEMMs a step is numpy work (im2col copies, BatchNorm, dropout and its
+    mask draws) that a second BLAS thread does not reach; slices run it on
+    both cores, each drawing its own rows of the masks from the training
+    generator's PCG64 stream, and the composed kernels are split over the
+    same threads. The slice and task counts are fixed and each BLAS call
+    single-threaded, so the model, the history and the generator's stream
+    do not depend on the worker count or on the process's BLAS thread
+    setting.
 
     Returns (model, history, info) where info carries the sampling manifest
     and the selected tile windows.

@@ -1,10 +1,13 @@
-"""Model arrays the tests read or copy, and the layer-by-layer inference
-reference, outside the package: the program itself only serializes the
-arrays (Model.serialization_arrays) and runs model.inference_stack."""
+"""Model arrays the tests read or copy, the layer-by-layer inference
+reference, the whole-batch dropout draw and a pull-back that returns its
+arrays, outside the package: the program itself only serializes the
+arrays (Model.serialization_arrays), runs model.inference_stack, draws
+dropout masks slice by slice and writes pulled-back gradients into its
+flat gradient."""
 
 import numpy as np
 
-from builtup.model import Model
+from builtup.model import Model, compose_convs_adjoint
 from builtup.nncore import BatchNorm, Dropout
 
 
@@ -20,6 +23,23 @@ def moving_statistics(net):
     table order."""
     return [getattr(layer, attr) for layer in net.layers
             for attr in layer.state_names]
+
+
+def batch_keep_flags(rng, shape):
+    """Dropout's keep flags of a whole batch shaped `shape`, drawn with
+    rng.random: the draw whose rows the train pass's slices take from the
+    PCG64 stream (Dropout.keep_flags)."""
+    return rng.random(shape) >= Dropout.rate
+
+
+def pull_back(first, second, grad):
+    """((dk1, db1), (dk2, db2)) of compose_convs_adjoint, its two tasks run
+    in turn into fresh arrays."""
+    out = [tuple(np.empty_like(a) for a in factor)
+           for factor in (first, second)]
+    for task in compose_convs_adjoint(first, second, grad, out):
+        task()
+    return out
 
 
 def copy_model(net, dtype=np.float64):

@@ -100,7 +100,8 @@ def test_maps_match_the_model_training_optimised(tmp_path):
 def test_early_stopping_keeps_the_best_epoch(trained, tmp_path):
     """A min-delta of 1.0 stops training after epoch 2, which improves on
     epoch 1 by less; the model is then epoch 1's, byte for byte the model
-    of a 1-epoch training, and the history names the epoch it holds."""
+    of a 1-epoch training, and the history and the train manifest name
+    the epoch it holds, the manifest with that epoch's losses."""
     _, data, _, _ = trained
     stopped, one = tmp_path / "stopped.ghsm", tmp_path / "one.ghsm"
     assert run("train", "--zone", "A", "--data", data, "--out", stopped,
@@ -113,6 +114,11 @@ def test_early_stopping_keeps_the_best_epoch(trained, tmp_path):
     assert load(tmp_path / "one.history.json")["best_epoch"] == 1
     assert model_mod.read_model_header(stopped)["epochs_trained"] == 1
     assert stopped.read_bytes() == one.read_bytes()
+    manifest = load(tmp_path / "stopped.train_manifest.json")
+    assert manifest["best_epoch"] == 1
+    assert manifest["final_train_loss"] == history["train_loss"][0]
+    assert manifest["final_validation_loss"] == history["validation_loss"][0]
+    assert history["validation_loss"][1] != history["validation_loss"][0]
 
 
 def test_failed_tiles_are_recorded_in_the_manifest(trained, tmp_path,

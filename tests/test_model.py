@@ -16,7 +16,6 @@ from builtup.model import (
     PRESETS,
     build_model,
     compose_convs,
-    compose_convs_adjoint,
     count_params,
     inference_stack,
     load_model,
@@ -28,7 +27,7 @@ from builtup.nncore import (AdamState, BatchNorm, ConvLayer, Dropout,
                             bce_loss, init_uniform)
 from builtup.raster import gather_patches
 from model_arrays import (copy_model, layer_by_layer, moving_statistics,
-                          trainable_arrays)
+                          pull_back, trainable_arrays)
 
 TINY = ArchitectureConfig(bands=2, block_filters=(3, 4), hidden_units=6)
 
@@ -111,7 +110,7 @@ SURFACE = {
     "BatchNorm": ["backward", "batch_statistics", "channels", "forward",
                   "forward_train", "gradient_sums", "input_gradient",
                   "normalize"],
-    "Dropout": ["apply", "backward", "draw"],
+    "Dropout": ["apply", "backward", "keep_flags"],
     "Model": ["backward", "forward_train", "layers", "serialization_arrays"],
 }
 
@@ -332,7 +331,7 @@ def test_pull_back_is_the_transpose_of_the_composition(arch, pair):
     g = direction(compose_convs(first, second))
     ka, ba = compose_convs(d1, (second[0], d2[1]))
     kb, bb = compose_convs(first, (d2[0], np.zeros_like(d2[1])))
-    (dk1, db1), (dk2, db2) = compose_convs_adjoint(first, second, g)
+    (dk1, db1), (dk2, db2) = pull_back(first, second, g)
     assert dk1.shape == first[0].shape and dk2.shape == second[0].shape
     lhs = np.vdot(g[0], ka + kb) + np.vdot(g[1], ba + bb)
     rhs = sum(np.vdot(a, b) for a, b in zip((dk1, db1, dk2, db2), d1 + d2))

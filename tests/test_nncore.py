@@ -19,12 +19,13 @@ from builtup.nncore import (
     bce_loss,
     init_uniform,
 )
+from model_arrays import batch_keep_flags
 
 
 def train_pass(layer, x, rng):
     """(y, cache) of layer's train mode over one whole batch x."""
     if isinstance(layer, Dropout):
-        return layer.apply(x, layer.draw(rng, x.shape))
+        return layer.apply(x, batch_keep_flags(rng, x.shape))
     return layer.forward_train(x)
 
 

@@ -14,6 +14,7 @@ the worker count or on the BLAS thread setting.
 """
 
 import copy
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,14 +22,15 @@ import numpy as np
 import pytest
 
 from builtup import model as model_mod, pipeline
-from builtup.errors import DegenerateBatchError, NumericError
+from builtup.errors import ConfigError, DegenerateBatchError, NumericError
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
-                           compose_convs, compose_convs_adjoint, save_model,
-                           slice_bounds, train_step)
+                           compose_convs, save_model, slice_bounds,
+                           train_step)
 from builtup.nncore import (ADAM_CHUNK, AdamState, BatchNorm, ConvLayer,
                             Dropout, adam_step, bce_loss)
 from builtup.synth import SceneParams, synth_zone
-from model_arrays import copy_model, moving_statistics
+from model_arrays import (batch_keep_flags, copy_model, moving_statistics,
+                          pull_back)
 
 TINY = ArchitectureConfig(bands=2, block_filters=(3, 4), hidden_units=6)
 ARCHS = {"tiny": TINY, "desk": PRESETS["desk"], "paper": PRESETS["paper"]}
@@ -83,7 +85,7 @@ def reference_gradient(net, patches, labels, rng, layers=None):
         if isinstance(layer, BatchNorm):
             x, cache = reference_bn_forward_train(layer, x)
         elif isinstance(layer, Dropout):
-            x, cache = layer.apply(x, layer.draw(rng, x.shape))
+            x, cache = layer.apply(x, batch_keep_flags(rng, x.shape))
         else:
             x, cache = layer.forward_train(x)
         caches.append(cache)
@@ -104,8 +106,7 @@ def reference_gradient(net, patches, labels, rng, layers=None):
             grads[pos[0]] = layer_grads
             continue
         factors = [(table[i].kernel, table[i].bias) for i in pos]
-        for i, pulled in zip(pos, compose_convs_adjoint(*factors,
-                                                        layer_grads)):
+        for i, pulled in zip(pos, pull_back(*factors, layer_grads)):
             grads[i] = pulled
     return loss, np.concatenate([g.reshape(-1) for i in range(len(table))
                                  for g in grads[i]])
@@ -255,6 +256,69 @@ def test_a_step_draws_each_dropout_mask_once_at_the_batch_shape(slices,
     assert rng.bit_generator.state == expected.bit_generator.state
 
 
+def masks_drawn(rng, n, steps=1):
+    """rng after `steps` steps' whole-batch mask draws of TINY at batch n,
+    drawn with rng.random as the unsliced pass drew them."""
+    f_a, f_b = TINY.block_filters
+    for _ in range(steps):
+        batch_keep_flags(rng, (n, 3, 3, f_a))
+        batch_keep_flags(rng, (n, 1, 1, f_b))
+    return rng
+
+
+@pytest.mark.parametrize("n", [37, 2], ids=["37-rows", "2-rows"])
+@pytest.mark.parametrize("slices", [1, 2, 3])
+def test_a_step_keeps_a_pending_32_bit_half(slices, n, monkeypatch):
+    """A 32-bit draw, such as shuffle_minibatches' permutation, can leave
+    half of a 64-bit output buffered; random() does not touch it, so after
+    a step rng's whole state, buffer included, is that of the unsliced
+    draws. Three slices of 2 rows leave the first one empty."""
+    monkeypatch.setattr(model_mod, "TRAIN_SLICES", slices)
+    rng = np.random.default_rng(5)
+    rng.integers(0, 1000, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    expected = copy.deepcopy(rng)
+    net = build_model(TINY, seed=0)
+    x, y = batch(TINY, n, 1)
+    train_step(net, x, y, AdamState.for_size(net.params.size), rng)
+    expected = masks_drawn(expected, n)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("slices", [1, 2, 3, 5])
+def test_each_slice_draws_the_rows_of_the_whole_batch_draw(slices):
+    """Dropout.keep_flags at a slice's offset gives that slice's rows of
+    rng.random(shape) >= rate over the whole batch, also past an earlier
+    mask and with a pending 32-bit half."""
+    rng = np.random.default_rng(11)
+    rng.permutation(9)
+    state = rng.bit_generator.state
+    earlier, shape = 1000, (23, 3, 3, 7)
+    rng.random(earlier)
+    whole = batch_keep_flags(rng, shape)
+    row = whole[0].size
+    parts = [Dropout().keep_flags(state, earlier + a * row,
+                                  (b - a,) + shape[1:])
+             for a, b in slice_bounds(shape[0], slices)]
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+def test_keep_raw_is_the_exact_threshold_of_random():
+    """random() is (raw >> 11) * 2**-53, so raw >= KEEP_RAW must hold
+    exactly when random() >= rate: KEEP_RAW is the least such raw."""
+    top = Dropout.KEEP_RAW >> 11
+    assert Dropout.KEEP_RAW == top << 11
+    assert top * 2.0 ** -53 >= Dropout.rate > (top - 1) * 2.0 ** -53
+
+
+def test_a_generator_other_than_pcg64_is_a_config_error():
+    net = build_model(TINY, seed=0)
+    x, y = batch(TINY, 8, 1)
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ConfigError, match="PCG64"):
+        train_step(net, x, y, AdamState.for_size(net.params.size), rng)
+
+
 def test_an_empty_slice_changes_nothing(monkeypatch):
     """Three slices of a 2-row batch leave the first one empty."""
     monkeypatch.setattr(model_mod, "TRAIN_SLICES", 3)
@@ -297,24 +361,30 @@ def test_slices_on_threads_equal_slices_in_turn(name):
 
 
 def test_many_slices_on_more_threads_than_cores(monkeypatch):
-    """Eight slices on eight threads with a short switch interval: every
-    dropout mask is still drawn once, in layer order, and each slice
-    writes only its own caches and gradients, so the steps equal the
-    slices run in turn."""
+    """Eight slices on eight threads with a short switch interval: each
+    slice draws its own rows of every dropout mask and writes only its
+    own caches and gradients, so the steps equal the slices run in turn
+    and rng ends where the whole-batch draws leave it. Each task result
+    is waited for at most 60 s."""
     monkeypatch.setattr(model_mod, "TRAIN_SLICES", 8)
     in_turn, in_turn_losses = run_steps(train_step, TINY, 64, 3)
+    rngs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(8) as pool:
             def threaded(net, x, y, state, rng):
-                return train_step(net, x, y, state, rng, run=pool.map)
+                rngs.append(rng)
+                return train_step(net, x, y, state, rng,
+                                  run=functools.partial(pool.map, timeout=60))
 
             on_threads, losses = run_steps(threaded, TINY, 64, 3)
     finally:
         sys.setswitchinterval(interval)
     assert losses == in_turn_losses
     np.testing.assert_array_equal(on_threads.params, in_turn.params)
+    expected = masks_drawn(np.random.default_rng(2), 64, steps=3)
+    assert rngs[-1].bit_generator.state == expected.bit_generator.state
 
 
 def test_adam_chunks_on_threads_match_one_update():
