@@ -35,7 +35,15 @@ def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
     the extent are clipped with a warning.
 
     The fine grid is built one band of coarse rows at a time, of at most
-    RASTER_STRIP_CELLS fine cells, so memory does not grow with the zone.
+    RASTER_STRIP_CELLS fine cells, in one uint8 buffer that every band
+    reuses, so memory does not grow with the zone. A band clears only the
+    rectangles it drew, so pages that no footprint reaches are never
+    written and take no memory. A band is counted in two exact integer
+    passes: the sub fine rows of each coarse row are summed first, over an
+    outer axis so that numpy's inner loop runs along the band's full width,
+    and then the sub columns of each coarse cell are added. Each count's
+    dtype is the smallest unsigned type that holds its largest value, sub
+    for a row sum and sub^2 for a cell.
     """
     sub = int(round(pixel_size / FINE_RES))
     fw, fh = width * sub, height * sub
@@ -60,16 +68,26 @@ def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
     boxes = np.array(boxes, dtype=np.int64).reshape(-1, 4)
     density = np.empty((height, width), dtype=np.float64)
     band = max(1, RASTER_STRIP_CELLS // max(1, fw * sub))  # coarse rows
+    row_type = np.min_scalar_type(sub)
+    count_type = np.min_scalar_type(sub * sub)
+    buffer = np.zeros((min(band, height) * sub, fw), dtype=np.uint8)
     for g0 in range(0, height, band):
         g1 = min(g0 + band, height)
         f0, f1 = g0 * sub, g1 * sub
-        fine = np.zeros((f1 - f0, fw), dtype=bool)
+        fine = buffer[:f1 - f0]
         hits = (boxes[:, 0] < f1) & (boxes[:, 1] > f0)
-        for r0, r1, c0, c1 in boxes[hits].tolist():
-            fine[max(r0, f0) - f0:min(r1, f1) - f0, c0:c1] = True
-        counts = fine.reshape(g1 - g0, sub, width, sub).sum(axis=(1, 3),
-                                                           dtype=np.int64)
-        density[g0:g1] = counts / (sub * sub)
+        cuts = [(max(r0, f0) - f0, min(r1, f1) - f0, c0, c1)
+                for r0, r1, c0, c1 in boxes[hits].tolist()]
+        for r0, r1, c0, c1 in cuts:
+            fine[r0:r1, c0:c1] = 1
+        rows = fine.reshape(g1 - g0, sub, fw).sum(axis=1, dtype=row_type)
+        cells = rows.reshape(g1 - g0, width, sub)
+        counts = np.zeros((g1 - g0, width), dtype=count_type)
+        for j in range(sub):
+            counts += cells[:, :, j]
+        np.divide(counts, sub * sub, out=density[g0:g1])
+        for r0, r1, c0, c1 in cuts:
+            fine[r0:r1, c0:c1] = 0
     return density
 
 
@@ -128,13 +146,14 @@ def confusion(predicted: np.ndarray, reference: np.ndarray,
             f"grid shapes differ: {predicted.shape}, {reference.shape}, "
             f"{valid.shape}"
         )
-    p = predicted[valid].astype(bool)
-    r = reference[valid].astype(bool)
-    tp = int(np.count_nonzero(p & r))
-    fp = int(np.count_nonzero(p & ~r))
-    fn = int(np.count_nonzero(~p & r))
-    tn = int(np.count_nonzero(~p & ~r))
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    # valid pixels by mask rather than copied out; fp, fn and tn follow
+    # from tp and the marginal counts
+    p = predicted.astype(bool, copy=False) & valid
+    r = reference.astype(bool, copy=False) & valid
+    tp, pos, ref_pos, n = (int(np.count_nonzero(a))
+                           for a in (p & r, p, r, valid))
+    return ConfusionCounts(tp=tp, fp=pos - tp, fn=ref_pos - tp,
+                           tn=n - pos - ref_pos + tp)
 
 
 def accuracy_metrics(counts: ConfusionCounts) -> dict:

@@ -70,12 +70,10 @@ PRED_CLIP = 1e-7
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from
+    e = exp(-|z|), which cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def init_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
@@ -134,17 +132,22 @@ class ConvLayer:
 
         Row di of every k x k window is k*C contiguous values of the
         flattened input row, so the matrix is built from k row-run copies
-        rather than k*k per-offset slices. Where the windows do not overlap
-        (k = 1, or a kernel covering its whole h = w = k input, which is a
-        dense layer) the matrix is the input itself, reshaped.
+        rather than k*k per-offset slices. The (n, h, wo, k*C) view of those
+        runs is made by as_strided from the strides of the input seen as
+        (n, h, w*C): run j starts C values after run j - 1. Where the windows
+        do not overlap (k = 1, or a kernel covering its whole h = w = k
+        input, which is a dense layer) the matrix is the input itself,
+        reshaped.
         """
         k = self.kernel_size
         n, h, w, c = x.shape
         ho, wo = h - k + 1, w - k + 1
         if k == 1 or ho == wo == 1:
             return x.reshape(n * ho * wo, k * k * c)
-        runs = np.lib.stride_tricks.sliding_window_view(
-            x.reshape(n, h, w * c), k * c, axis=2)[:, :, ::c]  # (n, h, wo, kc)
+        rows = x.reshape(n, h, w * c)
+        sn, sh, sv = rows.strides
+        runs = np.lib.stride_tricks.as_strided(
+            rows, (n, h, wo, k * c), (sn, sh, c * sv, sv), writeable=False)
         cols = np.empty((n, ho, wo, k, k * c), dtype=x.dtype)
         for di in range(k):
             cols[:, :, :, di] = runs[:, di:di + ho]

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from builtup import evaluation, pipeline
 from builtup.errors import MetricError, ShapeError, UndefinedStatisticError
@@ -68,8 +70,9 @@ class TestRasterizeDensity:
 
 
 def full_grid_density(rects, width, height, sub=10):
-    """Brute-force reference: the whole fine grid at once, fine cell (r, c)
-    built when its centre (c + 0.5, r + 0.5) lies in a rectangle."""
+    """Brute-force reference at FINE_RES 1: the whole fine grid of sub x
+    sub cells per pixel at once, fine cell (r, c) built when its centre
+    (c + 0.5, r + 0.5) lies in a rectangle."""
     centres = np.arange(max(width, height) * sub) + 0.5
     fine = np.zeros((height * sub, width * sub), dtype=bool)
     for x0, y0, x1, y1 in rects:
@@ -83,23 +86,36 @@ class TestRasterizeDensityStrips:
     """The fine grid is built in bands of coarse rows; rectangles crossing
     band edges are split between bands without changing any density."""
 
-    @pytest.mark.parametrize("strip_cells", [1, 1400, 2100, 1 << 24])
-    def test_bands_equal_the_full_grid(self, monkeypatch, strip_cells):
-        # a coarse row of the 7x9 extent is 700 fine cells: bands of 1, 2
-        # and 3 coarse rows, and (the default) one band for the whole
-        monkeypatch.setattr(evaluation, "RASTER_STRIP_CELLS", strip_cells)
+    @pytest.mark.parametrize("pixel_size", [1, 3, 10, 20, 300])
+    @pytest.mark.parametrize("band_rows", [1, 2, 3, None])
+    def test_bands_equal_the_full_grid(self, monkeypatch, pixel_size,
+                                       band_rows):
+        """Bands of 1, 2 and 3 coarse rows of the 7x9 extent, and (None,
+        the default) one band for the whole, at pixel sizes whose counts
+        need uint8 (1, 3 and 10 m), uint16 (20 m: a full cell counts 400)
+        and uint32 (300 m: 90,000, and its row sums, up to 300, uint16)."""
+        assert evaluation.FINE_RES == 1.0
+        width, height, sub = 7, 9, pixel_size
+        if band_rows is not None:
+            monkeypatch.setattr(evaluation, "RASTER_STRIP_CELLS",
+                                band_rows * width * sub * sub)
         rng = np.random.default_rng(5)
-        width, height = 7, 9
         rects = []
         for _ in range(40):
-            x0, y0 = rng.uniform(0, 70), rng.uniform(0, 90)
-            rects.append((x0, y0, x0 + rng.uniform(0, 30),
-                          y0 + rng.uniform(0, 45)))
-        rects = [r for r in rects if r[2] <= 70 and r[3] <= 90]
-        assert any(int(y0 // 10) != int(y1 // 10) for _, y0, _, y1 in rects)
+            x0, y0 = rng.uniform(0, 7), rng.uniform(0, 9)
+            rects.append((x0, y0, x0 + rng.uniform(0, 3),
+                          y0 + rng.uniform(0, 4.5)))
+        rects = [r for r in rects if r[2] <= 7 and r[3] <= 9]
+        # coarse cell (1, 4) built whole by two overlapping rectangles
+        rects += [(4.0, 1.0, 4.75, 2.0), (4.25, 0.5, 5.0, 2.5)]
+        rects = [tuple(v * pixel_size for v in r) for r in rects]
+        assert any(int(y0 // pixel_size) != int(y1 // pixel_size)
+                   for _, y0, _, y1 in rects)
+        expected = full_grid_density(rects, width, height, sub)
+        assert expected[1, 4] == 1.0
         np.testing.assert_array_equal(
-            density(rects, width=width, height=height),
-            full_grid_density(rects, width, height))
+            density(rects, width=width, height=height, pixel_size=pixel_size),
+            expected)
 
     def test_clip_warning_with_several_bands(self, monkeypatch):
         monkeypatch.setattr(evaluation, "RASTER_STRIP_CELLS", 1)
@@ -176,6 +192,41 @@ class TestAccuracyMetrics:
         counts = confusion(predicted, reference, valid)
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
         assert counts.total == 4
+
+
+def four_mask_confusion(predicted, reference, valid):
+    """Reference counts: the valid pixels copied out, one mask per cell."""
+    p = predicted[valid].astype(bool)
+    r = reference[valid].astype(bool)
+    return tuple(int(np.count_nonzero(m))
+                 for m in (p & r, p & ~r, ~p & r, ~p & ~r))
+
+
+@st.composite
+def confusion_grids(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                  max_side=12))
+    dtype = draw(st.sampled_from([bool, np.uint8, np.float32]))
+    predicted = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 2)))
+    predicted = predicted.astype(dtype)
+    reference = draw(hnp.arrays(bool, shape))
+    valid = draw(hnp.arrays(bool, shape))
+    return predicted, reference, valid
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids=confusion_grids())
+@example(grids=(np.zeros(0, bool), np.zeros(0, bool), np.zeros(0, bool)))
+@example(grids=(np.ones((3, 4), bool), np.eye(3, 4, dtype=bool),
+                np.zeros((3, 4), bool)))
+def test_confusion_equals_the_four_mask_counts(grids):
+    """Also on empty grids, all-invalid masks and non-bool predictions,
+    whose nonzero values count as built up."""
+    counts = confusion(*grids)
+    assert (counts.tp, counts.fp, counts.fn, counts.tn) == \
+        four_mask_confusion(*grids)
+    assert all(type(v) is int for v in (counts.tp, counts.fp, counts.fn,
+                                         counts.tn))
 
 
 def test_binarize_threshold_is_inclusive():
