@@ -32,7 +32,8 @@ def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
     along rows. A fine cell counts as built when its center point lies in
     any rectangle (half-open [x0, x1) x [y0, y1)); the density of a coarse
     cell is the count of its built fine cells over sub^2. Footprints outside
-    the extent are clipped with a warning.
+    the extent are clipped with a warning. A pixel size that is not within
+    1e-6 of a whole number sub >= 1 of fine cells is a MetricError.
 
     The fine grid is built one band of coarse rows at a time, of at most
     RASTER_STRIP_CELLS fine cells, in one uint8 buffer that every band
@@ -46,6 +47,9 @@ def rasterize_density(rects, width: int, height: int, pixel_size: float = 10.0,
     for a row sum and sub^2 for a cell.
     """
     sub = int(round(pixel_size / FINE_RES))
+    if sub < 1 or abs(pixel_size / FINE_RES - sub) > 1e-6:
+        raise MetricError(f"pixel size {pixel_size} m is not a whole number "
+                          f"of {FINE_RES} m fine cells")
     fw, fh = width * sub, height * sub
     boxes = []
     clipped = False

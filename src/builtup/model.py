@@ -49,6 +49,7 @@ from .nncore import (
     adam_step,
     bce_loss,
     ordered_sum,
+    slice_bounds,
 )
 
 GHSM_MAGIC = b"GHSM"
@@ -310,14 +311,6 @@ def _runs(layers) -> list:
 TRAIN_SLICES = 2  # row slices of every optimizer batch (train_step)
 COMPOSE_TASKS = 2  # output-channel tasks of compose_convs
 COMPOSE_SPLIT_MACS = 1 << 24  # the least composition compose_convs maps
-
-
-def slice_bounds(n: int, slices: int) -> list:
-    """(start, stop) of `slices` contiguous row ranges covering n rows in
-    order; sizes differ by at most one, and ranges are empty when
-    slices > n."""
-    edges = [n * i // slices for i in range(slices + 1)]
-    return list(zip(edges, edges[1:]))
 
 
 def _dropout_draws(layers, shape):

@@ -437,6 +437,14 @@ class AdamState:
                    learning_rate=learning_rate)
 
 
+def slice_bounds(n: int, slices: int) -> list:
+    """(start, stop) of `slices` contiguous row ranges covering n rows in
+    order; sizes differ by at most one, and ranges are empty when
+    slices > n."""
+    edges = [n * i // slices for i in range(slices + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 ADAM_CHUNK = 1 << 16  # parameters updated at a time (256 KB of float32)
 ADAM_TASKS = 2  # tasks of run per Adam step, each a run of whole chunks
 
@@ -447,9 +455,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
     The update is elementwise, so it runs in chunks of ADAM_CHUNK
     parameters with the bits of one whole-vector update. The chunks are
-    ADAM_TASKS contiguous runs, one task of run (map, or a thread pool's
-    map) each: a task per chunk would hand the interpreter lock between
-    threads for every chunk."""
+    ADAM_TASKS contiguous runs (slice_bounds), one task of run (map, or a
+    thread pool's map) each: a task per chunk would hand the interpreter
+    lock between threads for every chunk."""
     if params.shape != grads.shape:
         raise ShapeError(f"param/grad shape mismatch: {params.shape} vs {grads.shape}")
     finite = np.isfinite(grads)
@@ -483,6 +491,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
             params[chunk] -= step.astype(params.dtype, copy=False)
 
     starts = range(0, params.size, ADAM_CHUNK)
-    edges = [len(starts) * i // ADAM_TASKS for i in range(ADAM_TASKS + 1)]
-    list(run(update, [starts[a:b] for a, b in zip(edges, edges[1:])]))
+    list(run(update, [starts[a:b] for a, b in
+                      slice_bounds(len(starts), ADAM_TASKS)]))
     return params

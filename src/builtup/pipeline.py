@@ -245,30 +245,22 @@ def _infer_loss(stack, padded: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return sum(run(batch_loss, range(0, rows.size, batch))) / rows.size
 
 
-def _set_statistics(net: Model, padded: np.ndarray, rows: np.ndarray,
-                    cols: np.ndarray, run=map) -> list:
+def _set_statistics(net: Model, patches: np.ndarray, run=map) -> list:
     """Set each BatchNorm's moving_mean and moving_var to the mean and
-    population variance of its inference-mode input over the samples at
-    (rows, cols), and return the inference stack they give.
+    population variance of its inference-mode input over patches, and
+    return the inference stack they give.
 
-    Layer i of model.inference_stack ends where BatchNorm i begins, so its
-    first i + 1 layers give BatchNorm i's input; the stack is rebuilt once
-    each BatchNorm is set, so the next one sees its new statistics. The
-    samples run in chunks of STATISTICS_CHUNK patches, mapped by run, and
-    BatchNorm.batch_statistics, the train pass's own, sums the chunks'
-    column sums in chunk order."""
+    Layer i of model.inference_stack ends where BatchNorm i begins, so one
+    sweep gives every input: layer i, rebuilt once BatchNorm i - 1 is set,
+    maps that BatchNorm's input (layer 0 the patches) to BatchNorm i's, in
+    views of STATISTICS_CHUNK rows mapped by run. BatchNorm.batch_statistics,
+    the train pass's own, sums the chunks' column sums in chunk order."""
     stack = inference_stack(net)
+    xs = [patches[a:a + STATISTICS_CHUNK]
+          for a in range(0, patches.shape[0], STATISTICS_CHUNK)]
     norms = [layer for layer in net.layers if isinstance(layer, BatchNorm)]
     for i, bn in enumerate(norms):
-
-        def bn_input(a, layers=stack[:i + 1]):
-            chunk = slice(a, a + STATISTICS_CHUNK)
-            x = raster.gather_patches(padded, rows[chunk], cols[chunk])
-            for layer in layers:
-                x = layer.forward(x)
-            return x
-
-        xs = list(run(bn_input, range(0, rows.size, STATISTICS_CHUNK)))
+        xs = list(run(stack[i].forward, xs))
         mean, var, _ = bn.batch_statistics(xs, run)
         bn.moving_mean[...], bn.moving_var[...] = mean, var
         stack = inference_stack(net)
@@ -283,9 +275,10 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     After each epoch, before its validation loss, _set_statistics gives
     each BatchNorm the population statistics of its inference-mode input
     over STATISTICS_SAMPLES training samples, evenly spaced over the
-    training set, so no generator draws them. With early stopping the
-    model ends with the parameters and statistics of the epoch that last
-    improved the validation loss; without, with the last epoch's.
+    training set, so no generator draws them; their patches are gathered
+    once, before the first epoch. With early stopping the model ends with
+    the parameters and statistics of the epoch that last improved the
+    validation loss; without, with the last epoch's.
 
     Training runs on one OpenBLAS thread and takes its parallelism from
     the batch instead: each optimizer batch runs as model.train_step's
@@ -330,6 +323,9 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     rows, cols, labels = samples.rows, samples.cols, samples.labels
     n_stats = min(STATISTICS_SAMPLES, train_idx.size)
     stats_idx = train_idx[np.arange(n_stats) * train_idx.size // n_stats]
+    stats_patches = raster.gather_patches(padded, rows[stats_idx],
+                                          cols[stats_idx])
+    val = rows[val_idx], cols[val_idx], labels[val_idx]
 
     net = build_model(arch, seed=run.seed, zone_id=run.zone_id)
     state = AdamState.for_size(net.params.size,
@@ -353,10 +349,8 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                                   train_rng, run_tasks)
                 epoch_loss += loss * idx.size
             history.train_loss.append(epoch_loss / train_idx.size)
-            stack = _set_statistics(net, padded, rows[stats_idx],
-                                    cols[stats_idx], run_tasks)
-            val_loss = _infer_loss(stack, padded, rows[val_idx],
-                                   cols[val_idx], labels[val_idx], run_tasks)
+            stack = _set_statistics(net, stats_patches, run_tasks)
+            val_loss = _infer_loss(stack, padded, *val, run_tasks)
             history.validation_loss.append(val_loss)
 
             if run.early_stopping is not None:

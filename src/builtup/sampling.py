@@ -28,12 +28,12 @@ def select_training_tiles(tiles, fraction: float,
     floor((k - 1) * fraction), so diagonal 0 always is, fraction 0.5 is the
     parity checkerboard, 1.0 takes every tile, and of the first K diagonals
     floor((K - 1) * fraction) + 1 are taken. Water-dominated zones keep all
-    tiles that contain valid data, ignoring the fraction.
+    tiles that contain valid data, whatever the (still checked) fraction.
     """
-    if water_zone:
-        return [t for t in tiles if not t.water_dominated]
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+    if water_zone:
+        return [t for t in tiles if not t.water_dominated]
 
     def taken(k: int) -> bool:
         return math.floor(k * fraction) > math.floor((k - 1) * fraction)

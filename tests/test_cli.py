@@ -231,6 +231,18 @@ def nan_in_a_tile(pred, ref):
     raster.write_raster(grid, path)
 
 
+def tiles_at_10_4_m(pred, ref):
+    """Every tile rewritten at 10.4 m pixels, its origin scaled to match:
+    the tiles are still whole pixels apart, but a pixel is no whole number
+    of the reference's 1 m fine cells."""
+    for path in pred.glob("*_prob.ghsr"):
+        grid = raster.read_raster(path)
+        scale = 10.4 / grid.pixel_size
+        raster.write_raster(replace(
+            grid, pixel_size=10.4, origin_x=grid.origin_x * scale,
+            origin_y=grid.origin_y * scale), path)
+
+
 def bad_tile_magic(pred, ref):
     """Tile 1 starts XXXX instead of GHSR."""
     path = sorted(pred.glob("*_prob.ghsr"))[1]
@@ -239,7 +251,8 @@ def bad_tile_magic(pred, ref):
 
 # What the error message of a damage names, where that is pinned.
 NAMED_IN_ERROR = {tall_tile_header: "tile_000_001_prob.ghsr",
-                  bad_tile_magic: "tile_000_001_prob.ghsr"}
+                  bad_tile_magic: "tile_000_001_prob.ghsr",
+                  tiles_at_10_4_m: "pixel size 10.4 m"}
 
 
 @pytest.mark.parametrize("damage, code, error_class", [
@@ -255,10 +268,11 @@ NAMED_IN_ERROR = {tall_tile_header: "tile_000_001_prob.ghsr",
     (shift_tile_header(origin_y=1e13), 4, "format"),
     (tall_tile_header, 4, "format"),
     (bad_tile_magic, 4, "format"),
+    (tiles_at_10_4_m, 10, "metric"),
 ], ids=["missing_tile", "no_tiles", "corrupt_footprints", "manifest_not_json",
         "no_ok_tile", "no_ok_tile_nor_pixel_size", "tile_off_the_grid",
         "tiles_of_two_zones", "nan_in_a_tile", "tile_origin_y_1e13",
-        "tile_height_1e9", "tile_magic_xxxx"])
+        "tile_height_1e9", "tile_magic_xxxx", "tiles_at_10_4_m"])
 def test_evaluate_damaged_inputs_exit_typed(trained, tmp_path, damage, code,
                                             error_class):
     _, data, model, _ = trained
@@ -716,39 +730,43 @@ def test_unusable_registries_are_registry_errors(trained, tmp_path, case):
         "class"] == "registry"
 
 
-# (flag, value, early-stopping patience passed with them)
+# (flag, value, the arguments passed with them)
+PATIENCE, WATER_ZONE = ("--early-stop-patience", 1), ("--water-zone",)
 BAD_TRAINING_ARGUMENTS = [
-    ("--batch-size", 0, None),
-    ("--batch-size", 1, None),
-    ("--non-bu-rate", 5, None),
-    ("--learning-rate", -1, None),
-    ("--learning-rate", "inf", None),
-    ("--tile-fraction", 0, None),
-    ("--tile-fraction", 1.5, None),
-    ("--tile-size", 3, None),
-    ("--early-stop-patience", 0, None),
-    ("--early-stop-patience", -1, None),
-    ("--early-stop-min-delta", "nan", 1),
-    ("--early-stop-min-delta", "inf", 1),
-    ("--early-stop-min-delta", -1, 1),
+    ("--batch-size", 0, ()),
+    ("--batch-size", 1, ()),
+    ("--non-bu-rate", 5, ()),
+    ("--learning-rate", -1, ()),
+    ("--learning-rate", "inf", ()),
+    ("--tile-fraction", 0, ()),
+    ("--tile-fraction", 1.5, ()),
+    # a water zone ignores the fraction's value, but not its range
+    ("--tile-fraction", 0, WATER_ZONE),
+    ("--tile-fraction", 7, WATER_ZONE),
+    ("--tile-size", 3, ()),
+    ("--early-stop-patience", 0, ()),
+    ("--early-stop-patience", -1, ()),
+    ("--early-stop-min-delta", "nan", PATIENCE),
+    ("--early-stop-min-delta", "inf", PATIENCE),
+    ("--early-stop-min-delta", -1, PATIENCE),
     # a min-delta without a patience would be ignored
-    ("--early-stop-min-delta", 0.01, None),
-    ("--early-stop-min-delta", "nan", None),
+    ("--early-stop-min-delta", 0.01, ()),
+    ("--early-stop-min-delta", "nan", ()),
 ]
 
 
 @pytest.mark.parametrize(
-    "flag, value, patience", BAD_TRAINING_ARGUMENTS,
-    ids=[f"{flag}-{value}" + ("-without-patience" if patience is None and
+    "flag, value, extra", BAD_TRAINING_ARGUMENTS,
+    ids=[f"{flag}-{value}" + ("-water-zone" if extra == WATER_ZONE else
+                              "-without-patience" if not extra and
                               flag == "--early-stop-min-delta" else "")
-         for flag, value, patience in BAD_TRAINING_ARGUMENTS])
+         for flag, value, extra in BAD_TRAINING_ARGUMENTS])
 def test_bad_training_arguments_are_config_errors(trained, tmp_path, flag,
-                                                  value, patience):
+                                                  value, extra):
     _, data, _, _ = trained
     out = tmp_path / "A.ghsm"
-    on = [] if patience is None else ["--early-stop-patience", patience]
     assert run("train", "--zone", "A", "--data", data, "--out", out,
-               "--epochs", 1, *on, flag, value) == 5
+               "--epochs", 1, *extra, flag, value) == 5
     assert load(tmp_path / "A.train_manifest.json")["error"]["class"] == \
         "config"
     assert not out.exists()

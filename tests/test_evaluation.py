@@ -68,6 +68,20 @@ class TestRasterizeDensity:
             out = rasterize_density([(0.0, 0.0, 10.0, 15.0)], 1, 1)
         assert out == [[1.0]]
 
+    @pytest.mark.parametrize("pixel_size", [10.4, 0.4])
+    def test_pixel_size_off_the_fine_grid_is_refused(self, pixel_size):
+        """Coarse cells are a whole number of fine cells wide: at 10.4 m
+        the footprint of pixel 100 would land in cell 104, and at 0.4 m
+        no fine cell would fit in a pixel."""
+        assert evaluation.FINE_RES == 1.0
+        with pytest.raises(MetricError, match=f"pixel size {pixel_size} m"):
+            rasterize_density([(1040.0, 0.0, 1050.4, 10.4)], 120, 1,
+                              pixel_size=pixel_size)
+
+    def test_pixel_size_within_1e6_of_whole_cells_is_kept(self):
+        assert density([(0.0, 0.0, 5.0, 10.0)],
+                       pixel_size=10.0 + 1e-7) == [[0.5]]
+
 
 def full_grid_density(rects, width, height, sub=10):
     """Brute-force reference at FINE_RES 1: the whole fine grid of sub x

@@ -27,7 +27,7 @@ from builtup import pipeline
 from builtup.errors import ConfigError, RegistryError
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            inference_stack, run_layers, save_model)
-from builtup.nncore import bce_loss
+from builtup.nncore import BatchNorm, bce_loss
 from builtup.pipeline import (PREDICT_BLOCK, STATISTICS_CHUNK, _infer_loss,
                               _predict_padded, _set_statistics, predict_zone)
 from builtup.raster import PATCH_MARGIN, gather_patches, rescale_reflectance
@@ -228,29 +228,30 @@ def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
 def test_batchnorm_statistics_are_the_moments_of_their_inference_input(
         zone, monkeypatch):
     """_set_statistics sets each BatchNorm's statistics to the mean and
-    population variance of its inference-mode input over the samples:
+    population variance of its inference-mode input over the patches:
     those of the float64 layers run one by one, bn2's input taken with
     bn1's new statistics, to float32 rounding (the inputs are tanh
-    outputs, so the means are within 16 roundings of 1). It gathers at
-    most STATISTICS_CHUNK patches per task, maps its tasks by run, and
-    returns the stack of the new statistics."""
+    outputs, so the means are within 16 roundings of 1). Each BatchNorm
+    sums chunks of at most STATISTICS_CHUNK rows, mapped by run, and the
+    pass returns the stack of the new statistics."""
     net = build_model(PRESETS["desk"], seed=0)
     padded, _ = rescale_reflectance(zone.composite)
     rng = np.random.default_rng(1)
     n = 2 * STATISTICS_CHUNK + 77
     rows, cols = rng.integers(0, SIZE, n), rng.integers(0, SIZE, n)
+    patches = gather_patches(padded, rows, cols)
     sizes = []
+    batch_statistics = BatchNorm.batch_statistics
 
-    def spy(padded, rows, cols):
-        sizes.append(rows.size)
-        return gather_patches(padded, rows, cols)
+    def spy(bn, xs, run=map):
+        sizes.append([x.shape[0] for x in xs])
+        return batch_statistics(bn, xs, run)
 
-    monkeypatch.setattr(pipeline.raster, "gather_patches", spy)
+    monkeypatch.setattr(BatchNorm, "batch_statistics", spy)
     with ThreadPoolExecutor(2) as pool:
-        stack = _set_statistics(net, padded, rows, cols, pool.map)
-    assert sizes == [STATISTICS_CHUNK, STATISTICS_CHUNK, 77] * 2
-    patches = gather_patches(padded, rows, cols).astype(np.float64)
-    inputs = batchnorm_inputs(copy_model(net), patches)
+        stack = _set_statistics(net, patches, pool.map)
+    assert sizes == [[STATISTICS_CHUNK, STATISTICS_CHUNK, 77]] * 2
+    inputs = batchnorm_inputs(copy_model(net), patches.astype(np.float64))
     for bn, x in zip((net.bn1, net.bn2), inputs):
         flat = x.reshape(-1, bn.channels)
         np.testing.assert_allclose(bn.moving_mean, flat.mean(axis=0),
@@ -260,6 +261,37 @@ def test_batchnorm_statistics_are_the_moments_of_their_inference_input(
     for got, want in zip(stack, inference_stack(net)):
         np.testing.assert_array_equal(got.kernel, want.kernel)
         np.testing.assert_array_equal(got.bias, want.bias)
+
+
+def test_statistics_samples_are_gathered_once_per_training(zone,
+                                                           monkeypatch):
+    """train_zone gathers the statistics samples' patches once, before the
+    first epoch, and every epoch's statistics pass sweeps that one array;
+    the pass itself gathers nothing."""
+    gathered, swept = [], []
+
+    def spy_gather(padded, rows, cols):
+        patches = gather_patches(padded, rows, cols)
+        gathered.append(patches)
+        return patches
+
+    set_statistics = pipeline._set_statistics
+
+    def spy_statistics(net, patches, *args):
+        swept.append(patches)
+        before = len(gathered)
+        stack = set_statistics(net, patches, *args)
+        assert len(gathered) == before
+        return stack
+
+    monkeypatch.setattr(pipeline.raster, "gather_patches", spy_gather)
+    monkeypatch.setattr(pipeline, "_set_statistics", spy_statistics)
+    pipeline.train_zone(zone.composite, zone.labels, PRESETS["desk"],
+                        pipeline.TrainingRun(zone_id="A", epochs=2),
+                        pipeline.SamplingConfig())
+    assert len(swept) == 2 and swept[0] is swept[1]
+    assert sum(patches is swept[0] for patches in gathered) == 1
+    assert gathered[0] is swept[0]
 
 
 @settings(max_examples=300, deadline=None)

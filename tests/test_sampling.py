@@ -65,8 +65,13 @@ class TestSelectTiles:
         assert {(t.tile_row, t.tile_col) for t in selected} == {(0, 0), (0, 1)}
 
     def test_bad_fraction(self):
-        with pytest.raises(ConfigError):
-            select_training_tiles(self.make_tiles(2, 2), 0.0)
+        """Refused also in a water zone, whose selection ignores the
+        fraction's value."""
+        for water_zone in (False, True):
+            for fraction in (0.0, 7.0):
+                with pytest.raises(ConfigError):
+                    select_training_tiles(self.make_tiles(2, 2), fraction,
+                                          water_zone=water_zone)
 
 
 @settings(max_examples=300, deadline=None)
