@@ -11,7 +11,7 @@ statuses, metric summaries), on success and on error. Exit codes, each the
     1  unexpected error         7  numeric error
     2  usage error              8  degenerate class/batch
     3  missing input            9  registry error
-    4  format error            10  stats/metric error
+    4  format error            10  undefined statistic/metric
     5  config error            11  generation error
 """
 
@@ -234,7 +234,8 @@ def cmd_train(args, argv) -> int:
     return 0
 
 
-def _predict_common(args, argv, command: str) -> int:
+def cmd_predict(args, argv) -> int:
+    command = args.command  # "predict" or "transfer"
     out_dir = _writable(args.out, "--out", directory=True)
     with Manifest(command, argv, args,
                   out_dir / f"{command}_manifest.json") as manifest:
@@ -282,14 +283,6 @@ def _predict_common(args, argv, command: str) -> int:
     return 0
 
 
-def cmd_predict(args, argv) -> int:
-    return _predict_common(args, argv, "predict")
-
-
-def cmd_transfer(args, argv) -> int:
-    return _predict_common(args, argv, "transfer")
-
-
 def _load_prediction_mosaic(probs_dir: Path) -> raster.RasterGrid:
     """pipeline.read_mosaic of the ok tiles of the prediction manifest in
     probs_dir, read from probs_dir whatever directory the prediction ran
@@ -297,7 +290,8 @@ def _load_prediction_mosaic(probs_dir: Path) -> raster.RasterGrid:
     manifest_path = None
     for name in ("predict_manifest.json", "transfer_manifest.json"):
         if (probs_dir / name).exists():
-            manifest_path = probs_dir / name
+            manifest_path = _require_file(probs_dir / name,
+                                          "prediction manifest")
             break
     if manifest_path is None:
         raise MissingInputError(
@@ -310,10 +304,9 @@ def _load_prediction_mosaic(probs_dir: Path) -> raster.RasterGrid:
             from exc
     if not isinstance(info, dict):
         raise FormatError(f"{manifest_path} is not a JSON object")
-    if not info.get("tiles"):
-        raise FormatError(
-            f"{manifest_path} lists no tiles (run status {info.get('status')!r})"
-        )
+    if not isinstance(info.get("tiles"), list) or not info["tiles"]:
+        raise FormatError(f"{manifest_path} has no list of tiles (run "
+                          f"status {info.get('status')!r})")
     for t in info["tiles"]:
         if not (isinstance(t, dict) and t.get("status") in ("ok", "error")
                 and (t["status"] != "ok" or isinstance(t.get("prob"), str))):
@@ -456,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tile-size", type=int, default=256)
-    p.set_defaults(func=cmd_transfer)
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against reference "
                                         "footprints")

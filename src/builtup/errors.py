@@ -2,7 +2,7 @@
 
 Every error carries a short machine-readable ``error_class`` that tags run
 manifests, and the ``exit_code`` the CLI returns for it (1 for an error with
-no more specific class).
+no more specific class). The program raises every class but the base.
 """
 
 
@@ -54,17 +54,11 @@ class DegenerateClassError(ToolkitError):
     exit_code = 8
 
 
-class StatsError(ToolkitError):
-    """Statistic requested on an empty collection."""
-
-    error_class = "stats"
-    exit_code = 10
-
-
-class UndefinedStatisticError(StatsError):
+class UndefinedStatisticError(ToolkitError):
     """Regression or correlation undefined (zero variance)."""
 
     error_class = "undefined_statistic"
+    exit_code = 10
 
 
 class MetricError(ToolkitError):

@@ -42,6 +42,7 @@ from . import nncore, raster
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .nncore import (
     KERNEL_SIZE,
+    TRAIN_SLICES,
     AdamState,
     BatchNorm,
     ConvLayer,
@@ -308,8 +309,6 @@ def _runs(layers) -> list:
     return list(zip(cuts, cuts[1:] + [len(layers)]))
 
 
-TRAIN_SLICES = 2  # row slices of every optimizer batch (train_step)
-COMPOSE_TASKS = 2  # output-channel tasks of compose_convs
 COMPOSE_SPLIT_MACS = 1 << 24  # the least composition compose_convs maps
 
 
@@ -371,7 +370,7 @@ def compose_convs(first, second, run=map):
     (out, in, k, k) view of its contiguous taps, so a ConvLayer's kernel
     matrix is a reshape of it.
 
-    The output channels are COMPOSE_TASKS tasks, and a task makes the
+    The output channels are TRAIN_SLICES tasks, and a task makes the
     products of its taps of second with all of first's in one GEMM each:
     an output element is the same dot products added in the same order
     whatever the split. run (map, or a thread pool's map) maps the tasks
@@ -397,7 +396,7 @@ def compose_convs(first, second, run=map):
 
     if rows.size * k2.shape[0] * s2 * s2 < COMPOSE_SPLIT_MACS:
         run = map
-    list(run(outputs, slice_bounds(taps.shape[3], COMPOSE_TASKS)))
+    list(run(outputs, slice_bounds(taps.shape[3], TRAIN_SLICES)))
     return taps.transpose(3, 2, 0, 1), b2 + b1 @ tap_sums
 
 
@@ -536,7 +535,7 @@ def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
     them from a copy of rng's stream jumped to their place
     (Dropout.keep_flags), and rng ends where the whole-batch draws leave
     it, so rng's stream does not depend on the slices. The composed
-    kernels are COMPOSE_TASKS tasks each (compose_convs). The layers from
+    kernels are TRAIN_SLICES tasks each (compose_convs). The layers from
     one BatchNorm to the next are one task per slice, mapped by run (map,
     or a thread pool's map); each BatchNorm syncs the
     slices, its statistics and gradient sums being per-slice column sums

@@ -437,6 +437,9 @@ class AdamState:
                    learning_rate=learning_rate)
 
 
+TRAIN_SLICES = 2  # row slices of an optimizer batch, tasks of a training map
+
+
 def slice_bounds(n: int, slices: int) -> list:
     """(start, stop) of `slices` contiguous row ranges covering n rows in
     order; sizes differ by at most one, and ranges are empty when
@@ -446,7 +449,6 @@ def slice_bounds(n: int, slices: int) -> list:
 
 
 ADAM_CHUNK = 1 << 16  # parameters updated at a time (256 KB of float32)
-ADAM_TASKS = 2  # tasks of run per Adam step, each a run of whole chunks
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -455,7 +457,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
     The update is elementwise, so it runs in chunks of ADAM_CHUNK
     parameters with the bits of one whole-vector update. The chunks are
-    ADAM_TASKS contiguous runs (slice_bounds), one task of run (map, or a
+    TRAIN_SLICES contiguous runs (slice_bounds), one task of run (map, or a
     thread pool's map) each: a task per chunk would hand the interpreter
     lock between threads for every chunk."""
     if params.shape != grads.shape:
@@ -492,5 +494,5 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
 
     starts = range(0, params.size, ADAM_CHUNK)
     list(run(update, [starts[a:b] for a, b in
-                      slice_bounds(len(starts), ADAM_TASKS)]))
+                      slice_bounds(len(starts), TRAIN_SLICES)]))
     return params

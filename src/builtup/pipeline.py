@@ -59,7 +59,7 @@ import numpy as np
 
 from . import model as model_mod, raster, sampling
 from .errors import (ConfigError, DegenerateClassError, FormatError,
-                     RegistryError)
+                     RegistryError, ShapeError)
 from .model import (TRAIN_SLICES, Model, build_model, inference_stack,
                     run_layers, train_step)
 from .nncore import AdamState, BatchNorm, bce_loss
@@ -93,6 +93,8 @@ class TrainingRun:
             )
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
@@ -299,6 +301,11 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     run.validate()
     cfg.validate()
     _check_bands(composite, arch)
+    size = (composite.height, composite.width)
+    if (label_grid.height, label_grid.width) != size:
+        raise ShapeError(f"label raster is {label_grid.height} x "
+                         f"{label_grid.width} pixels, the composite "
+                         f"{size[0]} x {size[1]}")
     padded, valid = raster.rescale_reflectance(composite)
     tiles = raster.tile_grid(composite.height, composite.width,
                              cfg.tile_pixels, valid_mask=valid)
@@ -333,7 +340,6 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     history = TrainingHistory()
     best_val = np.inf
     best = None  # the arrays of the best epoch, when early stopping
-    stall = 0
     workers = train_workers()
     with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
         # one worker runs the slices here, in turn
@@ -357,11 +363,9 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                 if val_loss < best_val - run.early_stopping.min_delta:
                     best_val, history.best_epoch = val_loss, epoch + 1
                     best = [a.copy() for a in net.serialization_arrays()]
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= run.early_stopping.patience:
-                        break
+                elif (epoch + 1 - history.best_epoch
+                      >= run.early_stopping.patience):
+                    break  # epochs since the best one, or since the start
     if best is None:
         history.best_epoch = len(history.train_loss)
     else:
@@ -385,17 +389,14 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
 
 def _predict_padded(stack, window: np.ndarray) -> np.ndarray:
     """Probabilities for every center of a margin-2 padded (H+4, W+4, bands)
-    window, in blocks of at most PREDICT_BLOCK x PREDICT_BLOCK output
-    pixels, from the layers of model.inference_stack."""
+    band window, H at most PREDICT_BLOCK, in blocks of at most
+    PREDICT_BLOCK columns, from the layers of model.inference_stack."""
     halo = 2 * PATCH_MARGIN
     h, w = window.shape[0] - halo, window.shape[1] - halo
     out = np.empty((h, w), dtype=np.float32)
-    for r0 in range(0, h, PREDICT_BLOCK):
-        r1 = min(r0 + PREDICT_BLOCK, h)
-        for c0 in range(0, w, PREDICT_BLOCK):
-            c1 = min(c0 + PREDICT_BLOCK, w)
-            out[r0:r1, c0:c1] = run_layers(
-                stack, window[None, r0:r1 + halo, c0:c1 + halo])[0]
+    for c0 in range(0, w, PREDICT_BLOCK):
+        c1 = min(c0 + PREDICT_BLOCK, w)
+        out[:, c0:c1] = run_layers(stack, window[None, :, c0:c1 + halo])[0]
     return out
 
 

@@ -49,6 +49,8 @@ class SceneParams:
                                   f"got {self.noise_sigma}")
         if self.clusters < 0:
             raise GenerationError(f"clusters must be >= 0, got {self.clusters}")
+        if self.seed < 0:
+            raise GenerationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -168,6 +168,18 @@ def list_no_tiles(pred, ref):
                                                 encoding="utf-8")
 
 
+def tiles_not_a_list(pred, ref):
+    info = load(pred / "predict_manifest.json")
+    info["tiles"] = 5
+    (pred / "predict_manifest.json").write_text(json.dumps(info),
+                                                encoding="utf-8")
+
+
+def manifest_is_a_directory(pred, ref):
+    (pred / "predict_manifest.json").unlink()
+    (pred / "predict_manifest.json").mkdir()
+
+
 def corrupt_footprints(pred, ref):
     (ref / "footprints.json").write_text('{"rects": [', encoding="utf-8")
 
@@ -258,6 +270,8 @@ NAMED_IN_ERROR = {tall_tile_header: "tile_000_001_prob.ghsr",
 @pytest.mark.parametrize("damage, code, error_class", [
     (drop_a_tile, 3, "missing_input"),
     (list_no_tiles, 4, "format"),
+    (tiles_not_a_list, 4, "format"),
+    (manifest_is_a_directory, 4, "format"),
     (corrupt_footprints, 4, "format"),
     (manifest_not_json, 4, "format"),
     (fail_every_tile, 10, "undefined_statistic"),
@@ -269,7 +283,8 @@ NAMED_IN_ERROR = {tall_tile_header: "tile_000_001_prob.ghsr",
     (tall_tile_header, 4, "format"),
     (bad_tile_magic, 4, "format"),
     (tiles_at_10_4_m, 10, "metric"),
-], ids=["missing_tile", "no_tiles", "corrupt_footprints", "manifest_not_json",
+], ids=["missing_tile", "no_tiles", "tiles_5", "manifest_directory",
+        "corrupt_footprints", "manifest_not_json",
         "no_ok_tile", "no_ok_tile_nor_pixel_size", "tile_off_the_grid",
         "tiles_of_two_zones", "nan_in_a_tile", "tile_origin_y_1e13",
         "tile_height_1e9", "tile_magic_xxxx", "tiles_at_10_4_m"])
@@ -744,6 +759,7 @@ BAD_TRAINING_ARGUMENTS = [
     ("--tile-fraction", 0, WATER_ZONE),
     ("--tile-fraction", 7, WATER_ZONE),
     ("--tile-size", 3, ()),
+    ("--seed", -1, ()),
     ("--early-stop-patience", 0, ()),
     ("--early-stop-patience", -1, ()),
     ("--early-stop-min-delta", "nan", PATIENCE),
@@ -772,12 +788,33 @@ def test_bad_training_arguments_are_config_errors(trained, tmp_path, flag,
     assert not out.exists()
 
 
+def test_labels_of_another_size_are_a_shape_error(trained, tmp_path):
+    """A 64 x 60 label raster beside a 64 x 64 composite is refused before
+    training, naming both sizes."""
+    _, data, _, _ = trained
+    zone = tmp_path / "data" / "A"
+    zone.mkdir(parents=True)
+    (zone / "composite.ghsr").write_bytes(
+        (data / "A" / "composite.ghsr").read_bytes())
+    labels = raster.read_raster(data / "A" / "labels.ghsr")
+    raster.write_raster(replace(labels, width=60, data=labels.data[..., :60]),
+                        zone / "labels.ghsr")
+    out = tmp_path / "A.ghsm"
+    assert run("train", "--zone", "A", "--data", tmp_path / "data", "--out",
+               out, "--epochs", 1) == 6
+    error = load(tmp_path / "A.train_manifest.json")["error"]
+    assert error["class"] == "shape"
+    assert "64 x 60" in error["message"] and "64 x 64" in error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--noise-sigma", -1),
     ("--noise-sigma", "nan"),
     ("--noise-sigma", "inf"),
     ("--clusters", -1),
     ("--zones", 0),
+    ("--seed", -1),
 ])
 def test_impossible_scenes_are_generation_errors(tmp_path, flag, value):
     out = tmp_path / "data"
@@ -818,7 +855,6 @@ def test_thresholds_parse_to_probabilities():
     (errors.DegenerateBatchError, 8),
     (errors.DegenerateClassError, 8),
     (errors.RegistryError, 9),
-    (errors.StatsError, 10),
     (errors.UndefinedStatisticError, 10),
     (errors.MetricError, 10),
     (errors.GenerationError, 11),

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from builtup import pipeline
-from builtup.errors import ConfigError, RegistryError
+from builtup.errors import ConfigError, RegistryError, ShapeError
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            inference_stack, run_layers, save_model)
 from builtup.nncore import BatchNorm, bce_loss
@@ -172,12 +172,31 @@ def test_a_failed_band_fails_only_the_tiles_it_covers(zone160, net,
     assert sum(not p.ok for p in got) == 3 * 5
 
 
+@pytest.mark.parametrize("size", [63, 64, 128, 130])
+def test_each_band_is_at_most_one_block_high(size, monkeypatch):
+    """predict_zone hands _predict_padded bands of at most PREDICT_BLOCK
+    output rows and their halo, whether or not the zone's height is a
+    multiple of PREDICT_BLOCK, and the bands cover the zone once."""
+    comp = synth_zone(SceneParams(size=size, seed=1), zone_id="A").composite
+    net = build_model(replace(TINY, bands=comp.bands), seed=0)
+    rows = []
+
+    def spy(stack, window):
+        rows.append(window.shape[0] - 2 * PATCH_MARGIN)
+        return _predict_padded(stack, window)
+
+    monkeypatch.setattr(pipeline, "_predict_padded", spy)
+    predict_zone(net, comp, 37)
+    assert max(rows) <= PREDICT_BLOCK and sum(rows) == size
+
+
 @pytest.mark.parametrize("arch", [TINY, PRESETS["desk"]],
                          ids=["tiny", "desk"])
 def test_blocks_equal_one_pass_over_the_window(arch):
-    """_predict_padded cuts a window into PREDICT_BLOCK-sided blocks with a
-    4-pixel halo; the result is one pass of the inference stack over the
-    whole window, bit for bit, at sides around and across the block size."""
+    """_predict_padded cuts a window into blocks of at most PREDICT_BLOCK
+    columns, its full height each, with a 4-pixel halo; the result is one
+    pass of the inference stack over the whole window, bit for bit, at
+    sides around and across the block size."""
     assert PREDICT_BLOCK == 64
     stack = inference_stack(one_term_dense2(build_model(arch, seed=3)))
     rng = np.random.default_rng(4)
@@ -196,6 +215,46 @@ def test_training_refuses_a_network_of_other_bands(zone):
         pipeline.train_zone(zone.composite, zone.labels, arch,
                             pipeline.TrainingRun("A", epochs=1),
                             pipeline.SamplingConfig())
+
+
+def test_training_refuses_labels_of_another_size(zone, monkeypatch):
+    """train_zone checks the label raster's size against the composite's
+    before it rescales the composite, and names both sizes."""
+    def fail(composite):
+        raise AssertionError("rescaled before the label check")
+
+    monkeypatch.setattr(pipeline.raster, "rescale_reflectance", fail)
+    labels = replace(zone.labels, width=SIZE - 4,
+                     data=zone.labels.data[..., :SIZE - 4])
+    with pytest.raises(ShapeError, match="64 x 60 pixels, the composite "
+                                         "64 x 64"):
+        pipeline.train_zone(zone.composite, labels, PRESETS["desk"],
+                            pipeline.TrainingRun("A", epochs=1),
+                            pipeline.SamplingConfig())
+
+
+def test_early_stopping_counts_epochs_since_the_best(zone, monkeypatch):
+    """Patience counts the epochs since the last improvement, so a later
+    improvement starts the count again: with patience 2, validation losses
+    that improve at epochs 1, 2 and 4 and stall at 3, 5 and 6 stop training
+    after epoch 6, and the model is that of a 4-epoch training."""
+    losses = iter([1.0, 0.9, 0.95, 0.8, 0.85, 0.86, 0.87])
+    monkeypatch.setattr(pipeline, "_infer_loss", lambda *args: next(losses))
+    arch = replace(TINY, bands=zone.composite.bands)
+    early = pipeline.EarlyStopping(patience=2)
+    net, history, _ = pipeline.train_zone(
+        zone.composite, zone.labels, arch,
+        pipeline.TrainingRun("A", epochs=7, early_stopping=early),
+        pipeline.SamplingConfig())
+    assert history.validation_loss == [1.0, 0.9, 0.95, 0.8, 0.85, 0.86]
+    assert history.best_epoch == net.epochs_trained == 4
+    monkeypatch.undo()
+    four, _, _ = pipeline.train_zone(zone.composite, zone.labels, arch,
+                                     pipeline.TrainingRun("A", epochs=4),
+                                     pipeline.SamplingConfig())
+    for got, want in zip(net.serialization_arrays(),
+                         four.serialization_arrays()):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_validation_loss_runs_the_inference_stack_in_bounded_batches(zone):
