@@ -83,7 +83,7 @@ class Manifest:
     RSS) and written to path, and the exception propagates."""
 
     def __init__(self, command: str, argv, args, path):
-        self.path = Path(path)
+        self.path = _writable(path, "manifest")
         self.data = {
             "command": command,
             "argv": list(argv),
@@ -151,6 +151,8 @@ def cmd_synth(args, argv) -> int:
     with Manifest("synth", argv, args, out / "synth_manifest.json") as manifest:
         if args.zones < 1:
             raise GenerationError(f"zones must be >= 1, got {args.zones}")
+        for zone_id in _zone_names(args.zones):
+            _writable(out / zone_id, "zone directory", directory=True)
         params = synth.SceneParams(size=args.size, clusters=args.clusters,
                                    noise_sigma=args.noise_sigma,
                                    nodata_fraction=args.nodata_fraction,
@@ -176,16 +178,17 @@ def cmd_train(args, argv) -> int:
     with Manifest("train", argv, args,
                   out.parent / f"{out.stem}.train_manifest.json") as manifest:
         _writable(out, "--out")
+        history_path = _writable(out.with_suffix(".history.json"), "history")
         zone_dir = _require(Path(args.data) / args.zone, "zone directory")
         comp_path = _require_file(zone_dir / "composite.ghsr",
                                   "composite raster")
         label_path = _require_file(zone_dir / "labels.ghsr", "label raster")
         manifest.data["inputs"] = _hash_paths([comp_path, label_path])
 
-        registry = None
-        if args.registry:
-            registry = pipeline.ZoneRegistry.load(args.registry)
+        if args.registry:  # read now, so a bad one is refused before work
+            pipeline.ZoneRegistry.load(args.registry)
             _writable(args.registry, "--registry")
+            _writable(f"{args.registry}.lock", "--registry lock")
         composite = raster.read_raster(comp_path)
         labels = raster.read_raster(label_path)
         arch = replace(model_mod.preset(args.preset), bands=composite.bands)
@@ -217,7 +220,6 @@ def cmd_train(args, argv) -> int:
         )
         out.parent.mkdir(parents=True, exist_ok=True)
         model_mod.save_model(net, out)
-        history_path = out.with_suffix(".history.json")
         with open(history_path, "w", encoding="utf-8") as f:
             json.dump(history.to_dict(), f, indent=2)
         manifest.data["training"] = info
@@ -227,10 +229,8 @@ def cmd_train(args, argv) -> int:
         manifest.data["final_train_loss"] = history.train_loss[kept]
         manifest.data["final_validation_loss"] = history.validation_loss[kept]
         manifest.data["outputs"] = _hash_paths([out, history_path])
-        if registry is not None:
-            registry.record(args.zone, str(out))
-            Path(args.registry).parent.mkdir(parents=True, exist_ok=True)
-            registry.save(args.registry)
+        if args.registry:
+            pipeline.ZoneRegistry.add(args.registry, args.zone, str(out))
     return 0
 
 
@@ -364,7 +364,8 @@ def cmd_inspect(args, argv) -> int:
     with open(path, "rb") as f:
         magic = f.read(4)
     if magic == raster.MAGIC:
-        header = raster.read_header(path)
+        header = {**vars(raster.read_header(path)), "version": raster.VERSION}
+        del header["data"]
     elif magic == model_mod.GHSM_MAGIC:
         header = model_mod.read_model_header(path)
     else:

@@ -208,39 +208,45 @@ class Model:
         """Training pass over `slices` row slices, their tasks mapped by
         run (map, or a thread pool's map); train_step describes the pass.
 
-        x is (N, h+4, w+4, bands); rng is a PCG64 generator, and the pass
-        moves it past the dropout masks' draws. Returns ((N, h, w)
+        x is (N, h+4, w+4, bands); rng is a PCG64 generator. The masks
+        follow each other in its stream, each a whole-batch draw in C
+        order. A slice's task reads a mask's units per batch row from the
+        array it masks, draws from its first row's place in the mask, and
+        counts the whole mask's draws; each run starts at the count of the
+        one before, and rng ends past all of them. Returns ((N, h, w)
         probabilities, a tape for backward(): the pass's layer list and
         one list of layer caches per slice)."""
         self._check_input(x)
         state = nncore.pcg64_state(rng)
         layers = _compose(self.layers, run)
-        draws, drawn = _dropout_draws(layers, x.shape)
-        rng.bit_generator.state = nncore.pcg64_at(state, drawn).state
         bounds = slice_bounds(x.shape[0], slices)
         xs = [x[a:b] for a, b in bounds]
         caches = [[] for _ in bounds]
+        drawn = 0  # the draws of the masks before the run
         for lo, hi in _runs(layers):
             head = layers[lo][0]
             stats = (head.batch_statistics(xs, run)
                      if isinstance(head, BatchNorm) else None)
 
-            def run_slice(s, lo=lo, hi=hi, stats=stats):
+            def run_slice(s, lo=lo, hi=hi, stats=stats, start=drawn):
                 (a, _), y = bounds[s], xs[s]
                 for i in range(lo, hi):
                     layer = layers[i][0]
                     if isinstance(layer, BatchNorm):
                         y, cache = layer.normalize(y, *stats)
                     elif isinstance(layer, Dropout):
-                        start, row = draws[i]
+                        row = math.prod(y.shape[1:])  # units per batch row
                         y, cache = layer.apply(y, layer.keep_flags(
                             state, start + a * row, y.shape))
+                        start += x.shape[0] * row
                     else:
                         y, cache = layer.forward_train(y)
                     caches[s].append(cache)
-                return y
+                return y, start
 
-            xs = list(run(run_slice, range(len(bounds))))
+            xs, starts = zip(*run(run_slice, range(len(bounds))))
+            drawn = starts[0]
+        rng.bit_generator.state = nncore.pcg64_at(state, drawn).state
         return np.concatenate(xs)[..., 0], (layers, caches)
 
     def backward(self, dprobs: np.ndarray, tape, run=map) -> np.ndarray:
@@ -310,27 +316,6 @@ def _runs(layers) -> list:
 
 
 COMPOSE_SPLIT_MACS = 1 << 24  # the least composition compose_convs maps
-
-
-def _dropout_draws(layers, shape):
-    """Where each Dropout of a train-mode layer list draws its keep flags
-    in the pass's stream, and the pass's total draws. The masks follow
-    each other in layer order, each a whole-batch draw in C order, so a
-    Dropout gets (start, units per batch row) and every other layer None.
-    shape is the input's (N, H, W, C); each ConvLayer shrinks H and W by
-    k - 1 and sets C."""
-    n, h, w, c = shape
-    draws, drawn = [], 0
-    for layer, _ in layers:
-        if isinstance(layer, ConvLayer):
-            k = layer.kernel_size
-            h, w, c = h - k + 1, w - k + 1, layer.out_channels
-        if isinstance(layer, Dropout):
-            draws.append((drawn, h * w * c))
-            drawn += n * h * w * c
-        else:
-            draws.append(None)
-    return draws, drawn
 
 
 def run_layers(layers, x: np.ndarray) -> np.ndarray:
@@ -531,20 +516,20 @@ def train_step(model: Model, patches: np.ndarray, labels: np.ndarray,
     The batch runs as TRAIN_SLICES contiguous row slices (slice_bounds).
     rng must be a PCG64 generator (ConfigError otherwise). The dropout
     masks are rng.random(shape) >= rate at the whole batch's shape, in
-    layer order (_dropout_draws); each slice's task draws its own rows of
-    them from a copy of rng's stream jumped to their place
-    (Dropout.keep_flags), and rng ends where the whole-batch draws leave
-    it, so rng's stream does not depend on the slices. The composed
-    kernels are TRAIN_SLICES tasks each (compose_convs). The layers from
-    one BatchNorm to the next are one task per slice, mapped by run (map,
-    or a thread pool's map); each BatchNorm syncs the
-    slices, its statistics and gradient sums being per-slice column sums
-    added in slice order (synchronized BatchNorm). Each layer's weight
-    gradient is the sum of the slices' in slice order, before one Adam
-    step whose chunks run maps too. The slice count is fixed, so results
-    do not depend on the thread count. One slice is the unsliced pass
-    over the composed layers bit for bit; two differ from it by the order
-    of those sums only."""
+    layer order. Each slice's task places its rows of a mask by the shape
+    of the array it masks (forward_train) and draws them from a copy of
+    rng's stream jumped to their place (Dropout.keep_flags); rng ends
+    where the whole-batch draws leave it, so rng's stream does not depend
+    on the slices. The composed kernels are TRAIN_SLICES tasks each
+    (compose_convs). The layers from one BatchNorm to the next are one
+    task per slice, mapped by run (map, or a thread pool's map); each
+    BatchNorm syncs the slices, its statistics and gradient sums being
+    per-slice column sums added in slice order (synchronized BatchNorm).
+    Each layer's weight gradient is the sum of the slices' in slice order,
+    before one Adam step whose chunks run maps too. The slice count is
+    fixed, so results do not depend on the thread count. One slice is the
+    unsliced pass over the composed layers bit for bit; two differ from it
+    by the order of those sums only."""
     probs, caches = model.forward_train(patches, rng, TRAIN_SLICES, run)
     loss, dprobs = bce_loss(labels.astype(np.float32), probs[:, 0, 0])
     if not np.isfinite(loss):

@@ -45,6 +45,7 @@ and change its mosaics.
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import glob
 import json
 import os
@@ -420,8 +421,9 @@ def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
     of the call without modifying net and shared read-only by the workers,
     in zone-aligned bands of PREDICT_BLOCK rows run in parallel on the
     workers with one OpenBLAS thread; each tile's prob and valid are views
-    of the zone arrays, so outputs do not depend on tile_pixels or workers. A failed band fails the tiles its rows
-    overlap, each reporting the band's error; every other tile is produced.
+    of the zone arrays, so outputs do not depend on tile_pixels or workers.
+    A failed band fails the tiles its rows overlap, each reporting the
+    band's error; every other tile is produced.
     """
     _check_bands(composite, net.arch)
     tiles = raster.tile_grid(composite.height, composite.width, tile_pixels)
@@ -501,14 +503,14 @@ def read_mosaic(paths, entries: int) -> RasterGrid:
     pixels; tiles that span more are a FormatError, raised before the
     mosaic is allocated."""
     headers = [raster.read_header(p) for p in paths]
-    zone_id, pixel = headers[0]["zone_id"], headers[0]["pixel_size"]
-    least = np.min([(h["origin_y"], h["origin_x"]) for h in headers], axis=0)
+    zone_id, pixel = headers[0].zone_id, headers[0].pixel_size
+    least = np.min([(h.origin_y, h.origin_x) for h in headers], axis=0)
     places = []
     for path, h in zip(paths, headers):
         # nan, and so off the grid, where an origin is not finite
-        offset = (np.array((h["origin_y"], h["origin_x"])) - least) / pixel
-        if ((h["dtype"], h["bands"], h["nodata"], h["zone_id"],
-             h["pixel_size"]) != ("f32", 1, -1.0, zone_id, pixel)
+        offset = (np.array((h.origin_y, h.origin_x)) - least) / pixel
+        if ((h.dtype, h.bands, h.nodata, h.zone_id, h.pixel_size)
+                != ("f32", 1, -1.0, zone_id, pixel)
                 or not 0 < pixel < np.inf
                 or not (np.abs(offset - np.rint(offset)) <= 1e-6).all()):
             raise FormatError(
@@ -517,9 +519,9 @@ def read_mosaic(paths, entries: int) -> RasterGrid:
                 f"{paths[0]}")
         raster.check_payload_size(path, h)
         r, c = np.rint(offset).astype(np.int64).tolist()
-        places.append((r, c, r + h["height"], c + h["width"]))
+        places.append((r, c, r + h.height, c + h.width))
     height, width = max(p[2] for p in places), max(p[3] for p in places)
-    largest = max(h["height"] * h["width"] for h in headers)
+    largest = max(h.height * h.width for h in headers)
     if height * width > entries * largest:
         raise FormatError(
             f"tiles from {paths[0]} span {height} x {width} pixels, more "
@@ -531,9 +533,9 @@ def read_mosaic(paths, entries: int) -> RasterGrid:
             raise FormatError(f"tile {path} holds a value that is neither "
                               f"a probability nor -1")
         data[0, r0:r1, c0:c1] = tile
-    return RasterGrid(width=width, height=height, bands=1, dtype="f32",
-                      nodata=-1.0, zone_id=zone_id, origin_x=float(least[1]),
-                      origin_y=float(least[0]), pixel_size=pixel, data=data)
+    return replace(headers[0], width=width, height=height,
+                   origin_x=float(least[1]), origin_y=float(least[0]),
+                   data=data)
 
 
 # -- registry ---------------------------------------------------------------
@@ -564,8 +566,25 @@ class ZoneRegistry:
         return cls(entries)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.entries, f, indent=2, sort_keys=True)
+        """Write a temp file and replace path with it, as a run manifest
+        is written, so a crash mid-write leaves no partial registry."""
+        tmp = Path(path).with_name(Path(path).name + ".tmp")
+        tmp.write_text(json.dumps(self.entries, indent=2, sort_keys=True),
+                       encoding="utf-8")
+        os.replace(tmp, path)
+
+    @classmethod
+    def add(cls, path, zone_id: str, model_path: str) -> None:
+        """Record zone_id's model in the registry at path, read again
+        under an exclusive flock on <path>.lock, a file the save does not
+        replace: trainings that share a registry keep each other's
+        entries."""
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(f"{path}.lock", "a") as lock:  # closing it unlocks
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            registry = cls.load(path)
+            registry.record(zone_id, model_path)
+            registry.save(path)
 
     def record(self, zone_id: str, model_path: str) -> None:
         """Register the model trained on zone_id."""

@@ -2,8 +2,9 @@
 
 The GHSR container is a minimal bit-exact raster format: a fixed 80-byte
 little-endian header followed by band-sequential row-major samples.
-RasterGrid keeps the file's band-first order; the rescaled zone is in the
-network's channels-last order, and every 5x5 patch is a window of it.
+RasterGrid keeps the file's band-first order, and a header read alone
+(read_header) is a RasterGrid whose data is None; the rescaled zone is in
+the network's channels-last order, and every 5x5 patch is a window of it.
 Composites hold reflectance as integers times REFLECTANCE_SCALE, as
 Sentinel-2 products do; rescale_reflectance divides by it.
 
@@ -121,9 +122,10 @@ def write_raster(grid: RasterGrid, path) -> None:
         f.write(payload.tobytes())
 
 
-def read_header(path) -> dict:
-    """Parse the 80-byte GHSR header without touching the payload; each
-    FormatError names the file, as check_payload_size's does."""
+def read_header(path) -> RasterGrid:
+    """The 80-byte GHSR header as a RasterGrid without data, the payload
+    not read; each FormatError names the file, as check_payload_size's
+    does."""
     with open(path, "rb") as f:
         raw = f.read(HEADER_SIZE)
     if len(raw) < HEADER_SIZE:
@@ -146,25 +148,17 @@ def read_header(path) -> dict:
     except UnicodeDecodeError as exc:
         raise FormatError(f"zone_id of {path} is not UTF-8 at offset 48: "
                           f"{exc}") from exc
-    return {
-        "version": version,
-        "dtype": DTYPE_NAMES[dcode],
-        "bands": bands,
-        "width": width,
-        "height": height,
-        "nodata": nodata,
-        "origin_x": ox,
-        "origin_y": oy,
-        "pixel_size": psize,
-        "zone_id": zone_id,
-    }
+    return RasterGrid(width=width, height=height, bands=bands,
+                      dtype=DTYPE_NAMES[dcode], nodata=nodata, zone_id=zone_id,
+                      origin_x=ox, origin_y=oy, pixel_size=psize)
 
 
-def check_payload_size(path, hdr: dict) -> int:
-    """The sample count of the payload hdr describes; FormatError unless
-    the file at path holds the header and exactly that payload."""
-    count = hdr["bands"] * hdr["height"] * hdr["width"]
-    expected = HEADER_SIZE + count * DTYPE_NUMPY[hdr["dtype"]].itemsize
+def check_payload_size(path, grid: RasterGrid) -> int:
+    """The sample count of the payload grid's header fields describe;
+    FormatError unless the file at path holds the header and exactly that
+    payload."""
+    count = grid.bands * grid.height * grid.width
+    expected = HEADER_SIZE + count * DTYPE_NUMPY[grid.dtype].itemsize
     size = os.path.getsize(path)
     if size != expected:
         raise FormatError(f"truncated payload of {path} at offset {size}: "
@@ -173,19 +167,14 @@ def check_payload_size(path, hdr: dict) -> int:
 
 
 def read_raster(path) -> RasterGrid:
-    hdr = read_header(path)
-    np_dtype = DTYPE_NUMPY[hdr["dtype"]]
-    count = check_payload_size(path, hdr)
+    grid = read_header(path)
+    count = check_payload_size(path, grid)
     with open(path, "rb") as f:
         f.seek(HEADER_SIZE)
         # read into the array itself: no bytes object beside it
-        data = np.fromfile(f, dtype=np_dtype, count=count).reshape(
-            hdr["bands"], hdr["height"], hdr["width"])
-    return RasterGrid(width=hdr["width"], height=hdr["height"],
-                      bands=hdr["bands"], dtype=hdr["dtype"],
-                      nodata=hdr["nodata"], zone_id=hdr["zone_id"],
-                      origin_x=hdr["origin_x"], origin_y=hdr["origin_y"],
-                      pixel_size=hdr["pixel_size"], data=data)
+        data = np.fromfile(f, dtype=DTYPE_NUMPY[grid.dtype], count=count)
+    grid.data = data.reshape(grid.bands, grid.height, grid.width)
+    return grid
 
 
 def rescale_reflectance(grid: RasterGrid):

@@ -400,17 +400,23 @@ def test_evaluate_creates_the_csv_directory(trained, predicted, tmp_path):
 
 OUTPUT_CASES = ["registry_in_a_new_directory", "train_out_is_a_directory",
                 "synth_out_is_a_file", "predict_out_is_a_file",
-                "report_under_a_file"]
+                "report_under_a_file", "synth_manifest_is_a_directory",
+                "train_manifest_is_a_directory",
+                "predict_manifest_is_a_directory",
+                "transfer_manifest_is_a_directory",
+                "evaluate_manifest_is_a_directory", "history_is_a_directory",
+                "synth_zone_is_a_file", "registry_lock_is_a_directory"]
 
 
 @pytest.mark.parametrize("case", OUTPUT_CASES)
 def test_outputs_are_made_or_refused_before_any_work(
         trained, predicted, tmp_path, monkeypatch, capsys, case):
     """A registry in a new directory is written, as --out and --csv are.
-    An output whose place a file or a directory holds is a config error
-    naming it, raised before the command's work (which here would fail),
-    with a manifest wherever the manifest's directory can exist."""
-    _, data, model, _ = trained
+    An output whose place a file or a directory holds, the command's own
+    manifest included, is a config error naming it, raised before the
+    command's work (which here would fail), with a manifest wherever the
+    manifest can be written, and nothing else is made."""
+    _, data, model, registry = trained
     if case == "registry_in_a_new_directory":
         registry, out = tmp_path / "nodir" / "reg.json", tmp_path / "A.ghsm"
         assert run("train", "--zone", "A", "--data", data, "--out", out,
@@ -425,22 +431,49 @@ def test_outputs_are_made_or_refused_before_any_work(
                          (synth, "synth_zone"),
                          (cli, "_load_prediction_mosaic")):
         monkeypatch.setattr(module, name, work)
-    taken = tmp_path / "taken"
-    argv, manifest = {
+    taken, out = tmp_path / "taken", tmp_path / "out"
+    train = ["train", "--zone", "A", "--data", data, "--out"]
+    predict = ["predict", "--zone", "A", "--data", data, "--model", model,
+               "--out"]
+    transfer = ["transfer", "--zone", "B", "--source-zone", "A", "--data",
+                data, "--registry", registry, "--out"]
+    evaluate = ["evaluate", "--probs", predicted, "--reference", data / "A",
+                "--report"]
+    # (argv, the path taken, whether a directory takes it, the manifest)
+    argv, taken, directory, manifest = {
         "train_out_is_a_directory": (
-            ["train", "--zone", "A", "--data", data, "--out", taken],
+            train + [taken], taken, True,
             tmp_path / "taken.train_manifest.json"),
-        "synth_out_is_a_file": (["synth", "--out", taken], None),
-        "predict_out_is_a_file": (
-            ["predict", "--zone", "A", "--data", data, "--model", model,
-             "--out", taken], None),
-        "report_under_a_file": (
-            ["evaluate", "--probs", predicted, "--reference", data / "A",
-             "--report", taken / "r.json"], None),
+        "synth_out_is_a_file": (["synth", "--out", taken], taken, False, None),
+        "predict_out_is_a_file": (predict + [taken], taken, False, None),
+        "report_under_a_file": (evaluate + [taken / "r.json"], taken, False,
+                                None),
+        "synth_manifest_is_a_directory": (
+            ["synth", "--out", out], out / "synth_manifest.json", True, None),
+        "train_manifest_is_a_directory": (
+            train + [out / "A.ghsm"], out / "A.train_manifest.json", True,
+            None),
+        "predict_manifest_is_a_directory": (
+            predict + [out], out / "predict_manifest.json", True, None),
+        "transfer_manifest_is_a_directory": (
+            transfer + [out], out / "transfer_manifest.json", True, None),
+        "evaluate_manifest_is_a_directory": (
+            evaluate + [out / "r.json"], out / "r.evaluate_manifest.json",
+            True, None),
+        "history_is_a_directory": (
+            train + [out / "A.ghsm"], out / "A.history.json", True,
+            out / "A.train_manifest.json"),
+        "synth_zone_is_a_file": (
+            ["synth", "--out", out], out / "A", False,
+            out / "synth_manifest.json"),
+        "registry_lock_is_a_directory": (
+            train + [out / "A.ghsm", "--registry", out / "reg.json"],
+            out / "reg.json.lock", True, out / "A.train_manifest.json"),
     }[case]
-    if case == "train_out_is_a_directory":
-        taken.mkdir()
+    if directory:
+        taken.mkdir(parents=True)
     else:
+        taken.parent.mkdir(parents=True, exist_ok=True)
         taken.write_text("kept", encoding="utf-8")
     capsys.readouterr()
     assert run(*argv) == 5
@@ -449,10 +482,36 @@ def test_outputs_are_made_or_refused_before_any_work(
     if manifest is not None:
         assert load(manifest)["error"]["message"] == \
             err[len("error[config]: "):].rstrip("\n")
+    if directory:
         assert not any(taken.iterdir())
     else:
         assert taken.read_text(encoding="utf-8") == "kept"
-        assert sorted(tmp_path.iterdir()) == [taken]
+    made = {taken, manifest, *taken.parents} - {None}
+    assert set(tmp_path.rglob("*")) == {p for p in made
+                                        if tmp_path in p.parents}
+
+
+def test_trainings_that_share_a_registry_keep_both_entries(
+        trained, tmp_path, monkeypatch):
+    """A training records its zone in the registry as it is when training
+    ends: a second training that records zone B while the first is still
+    training zone A keeps its entry."""
+    _, data, _, _ = trained
+    registry = tmp_path / "registry.json"
+    models = {zone: tmp_path / f"{zone}.ghsm" for zone in "AB"}
+    train_zone = pipeline.train_zone
+
+    def train_b_meanwhile(*args, **kwargs):
+        monkeypatch.setattr(pipeline, "train_zone", train_zone)
+        assert run("train", "--zone", "B", "--data", data, "--out",
+                   models["B"], "--epochs", 1, "--registry", registry) == 0
+        return train_zone(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_zone", train_b_meanwhile)
+    assert run("train", "--zone", "A", "--data", data, "--out", models["A"],
+               "--epochs", 1, "--registry", registry) == 0
+    assert {zone: entry["model_path"] for zone, entry in
+            load(registry).items()} == {z: str(p) for z, p in models.items()}
 
 
 def test_a_nan_parameter_is_a_format_error(trained, tmp_path):

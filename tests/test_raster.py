@@ -1,5 +1,7 @@
 """GHSR container round trips, tiling, padding, patches and quantization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,7 @@ class TestRoundTrip:
         back = read_raster(path)
         assert (back.zone_id, back.origin_x, back.origin_y, back.pixel_size,
                 back.nodata) == ("Z1", 12.5, -4.0, 10.0, -32768.0)
+        assert read_header(path) == replace(grid, data=None)
 
 
 class TestFormatErrors:
