@@ -153,6 +153,8 @@ def cmd_synth(args, argv) -> int:
             raise GenerationError(f"zones must be >= 1, got {args.zones}")
         for zone_id in _zone_names(args.zones):
             _writable(out / zone_id, "zone directory", directory=True)
+            for path in synth.zone_paths(out / zone_id).values():
+                _writable(path, "zone file")
         params = synth.SceneParams(size=args.size, clusters=args.clusters,
                                    noise_sigma=args.noise_sigma,
                                    nodata_fraction=args.nodata_fraction,
@@ -258,21 +260,30 @@ def cmd_predict(args, argv) -> int:
             model_path = args.model
         model_path = _require_file(model_path, "model file")
         net = model_mod.load_model(model_path)
-        composite = raster.read_raster(comp_path)
+        composite = raster.read_header(comp_path)  # rows are read by band
+        raster.check_payload_size(comp_path, composite)
         # one band worker per usable CPU; outputs do not depend on the count
         workers = pipeline.usable_cpus()
         manifest.data["workers"] = workers
+        for tile in raster.tile_grid(composite.height, composite.width,
+                                     args.tile_size):
+            for path in pipeline.tile_paths(out_dir, tile):
+                _writable(path, "tile file")
+        tile_rows = pipeline.predict_tile_rows(net, composite, args.tile_size,
+                                               workers=workers, path=comp_path)
+        manifest.data["inputs"] = _hash_paths([comp_path, model_path])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # each tile row is written once its bands are done, so the predict
+        # time includes the tile writes
         t0 = time.perf_counter()
-        predictions = pipeline.predict_zone(net, composite, args.tile_size,
-                                            workers=workers)
+        statuses = []
+        for row in tile_rows:
+            statuses += pipeline.write_tiles(row, composite, out_dir)
+            del row  # its arrays go before the next row's are made
         seconds = manifest.time("predict", t0)
         manifest.data["predict_px_per_s"] = round(
             composite.width * composite.height / seconds
         )
-
-        manifest.data["inputs"] = _hash_paths([comp_path, model_path])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        statuses = pipeline.write_tiles(predictions, composite, out_dir)
         manifest.data["tiles"] = statuses
         manifest.data["outputs"] = _hash_paths(
             [s["prob"] for s in statuses if s["status"] == "ok"]
@@ -283,10 +294,10 @@ def cmd_predict(args, argv) -> int:
     return 0
 
 
-def _load_prediction_mosaic(probs_dir: Path) -> raster.RasterGrid:
-    """pipeline.read_mosaic of the ok tiles of the prediction manifest in
-    probs_dir, read from probs_dir whatever directory the prediction ran
-    from; UndefinedStatisticError when no tile is ok."""
+def _prediction_tiles(probs_dir: Path):
+    """(manifest path, ok tile paths, tile count) of the prediction
+    manifest in probs_dir, the tiles found in probs_dir whatever directory
+    the prediction ran from; UndefinedStatisticError when no tile is ok."""
     manifest_path = None
     for name in ("predict_manifest.json", "transfer_manifest.json"):
         if (probs_dir / name).exists():
@@ -316,7 +327,7 @@ def _load_prediction_mosaic(probs_dir: Path) -> raster.RasterGrid:
     if not paths:
         raise UndefinedStatisticError(
             f"{manifest_path}: no tile was predicted, nothing to score")
-    return pipeline.read_mosaic(paths, len(info["tiles"]))
+    return manifest_path, paths, len(info["tiles"])
 
 
 def cmd_evaluate(args, argv) -> int:
@@ -331,19 +342,25 @@ def cmd_evaluate(args, argv) -> int:
         ref_dir = _require(args.reference, "reference directory")
         fp_path = _require_file(Path(ref_dir) / "footprints.json",
                                 "footprints")
-        mosaic = _load_prediction_mosaic(Path(probs_dir))
+        manifest_path, paths, entries = _prediction_tiles(Path(probs_dir))
+        mosaic, places = pipeline.mosaic_layout(paths, entries)
         footprints = synth.load_footprints(fp_path)
         aoi_id = footprints.get("aoi_id", "")
         if aoi_id and aoi_id != mosaic.zone_id:
             raise ConfigError(f"{fp_path} is the reference of zone {aoi_id!r}, "
                               f"the tiles are of zone {mosaic.zone_id!r}")
+        manifest.data["inputs"] = _hash_paths([manifest_path, *paths, fp_path])
+
+        def read_rows(r0: int, r1: int):
+            prob = pipeline.read_mosaic_rows(mosaic, places, r0, r1)
+            return prob, prob != mosaic.nodata
+
         t0 = time.perf_counter()
-        report = evaluation.evaluate_probabilities(
-            mosaic.data[0], mosaic.valid_mask(), footprints["rects"],
-            width=mosaic.width, height=mosaic.height,
-            pixel_size=mosaic.pixel_size, origin_x=mosaic.origin_x,
-            origin_y=mosaic.origin_y, thresholds=args.thresholds,
-            aoi_id=aoi_id,
+        report = evaluation.evaluate_rows(
+            read_rows, footprints["rects"], width=mosaic.width,
+            height=mosaic.height, pixel_size=mosaic.pixel_size,
+            origin_x=mosaic.origin_x, origin_y=mosaic.origin_y,
+            thresholds=args.thresholds, aoi_id=aoi_id,
         )
         manifest.time("evaluate", t0)
         report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -353,7 +370,6 @@ def cmd_evaluate(args, argv) -> int:
             Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
             evaluation.report_to_csv([report], args.csv)
             outputs.append(Path(args.csv))
-        manifest.data["inputs"] = _hash_paths([fp_path])
         manifest.data["outputs"] = _hash_paths(outputs)
         manifest.data["metrics"] = report
     return 0

@@ -1,12 +1,28 @@
 """Per-zone training, tiled prediction, its tile files and the zone model
 registry.
 
-The zone is rescaled once into a channels-last float32 array, the
-network's layout, with a zero border of PATCH_MARGIN pixels: training
-gathers 5x5 patches from it, and prediction runs model.inference_stack,
-which is fully convolutional, over it once, in bands of PREDICT_BLOCK rows
-cut into square blocks of at most PREDICT_BLOCK x PREDICT_BLOCK output
-pixels with a 4-pixel halo, so the working set does not grow with the zone.
+Training rescales the zone once into a channels-last float32 array, the
+network's layout, with a zero border of PATCH_MARGIN pixels, and gathers
+5x5 patches from it. Prediction runs model.inference_stack, which is fully
+convolutional, over the zone once, as a stream of bands of PREDICT_BLOCK
+rows cut into square blocks of at most PREDICT_BLOCK x PREDICT_BLOCK
+output pixels with a 4-pixel halo. Each band rescales its own window, its
+rows and a PATCH_MARGIN halo, with the element-wise float operations that
+rescale a whole zone, so the window holds the whole-zone array's bits.
+
+Memory. Prediction holds the bands in flight, one per worker and the one
+whose rows are being taken, and the tile row they fill, not the zone: a
+band is its f32 window, 68 x (W + 4) x bands x 4 bytes, and one i16 plane
+of its rows at a time, and a tile row is tile x W x 5 bytes, so both grow
+with the zone's width W only. CLI predict and transfer read each band's
+rows from the composite file (raster.read_rows: one read per spectral
+plane, into a plane buffer each thread reuses), not through np.memmap,
+whose touched pages would count in the process's RSS, and write each tile
+row as soon as it is done (predict_tile_rows). predict_zone collects the
+stream for callers that hold the zone anyway. With a desk model on 2
+vCPUs, CLI predict's peak RSS reads 61.5 MB at 2048 x 2048 against 54.2 MB
+at 512 x 512; it read 171.8 against 56.6 when the composite, its rescaled
+copy and the mosaic were held whole.
 
 Every block starts at a multiple of PREDICT_BLOCK from the zone origin
 and tiles only slice the finished mosaic, so a pixel comes from the same
@@ -47,9 +63,11 @@ from __future__ import annotations
 import ctypes
 import fcntl
 import glob
+import itertools
 import json
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -413,50 +431,140 @@ class TilePrediction:
         return self.error is None
 
 
-def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
-                 workers: int = 1):
-    """Per-tile probabilities for a whole zone composite (raw i16 input).
+@dataclass
+class _Band:
+    """Zone rows r0..r1 predicted: prob (-1 where invalid) and valid, or
+    the error that failed their pass."""
+    r0: int
+    r1: int
+    prob: Optional[np.ndarray]
+    valid: np.ndarray
+    error: Optional[str] = None
+
+
+def _predict_bands(net: Model, composite: RasterGrid, workers: int,
+                   path=None):
+    """The zone's bands of PREDICT_BLOCK rows, in order, from the zone
+    origin. Each band rescales its own window of the composite, its rows
+    and a PATCH_MARGIN halo (raster.rescale_window), read from the GHSR
+    file at path, whose header composite is, when given, else sliced from
+    composite.data. At most workers bands run at once, on as many threads
+    with one OpenBLAS thread, while the caller takes the finished ones."""
+    stack = inference_stack(net)
+    height, m = composite.height, PATCH_MARGIN
+    buffers = threading.local()  # each thread reads into its own
+
+    def planes(a: int, b: int):
+        if path is None:
+            yield from composite.data[:, a:b]
+            return
+        if not hasattr(buffers, "plane"):
+            buffers.plane = np.empty(
+                (PREDICT_BLOCK + 2 * m, composite.width),
+                dtype=raster.DTYPE_NUMPY[composite.dtype])
+        for band in range(composite.bands):
+            yield raster.read_rows(path, composite, band, a, b,
+                                   out=buffers.plane[:b - a])
+
+    def run_band(r0: int) -> _Band:
+        r1 = min(r0 + PREDICT_BLOCK, height)
+        a, b = max(r0 - m, 0), min(r1 + m, height)
+        window, valid = raster.rescale_window(
+            planes(a, b), (composite.bands, b - a, composite.width),
+            composite.nodata, m - (r0 - a), m - (b - r1))
+        valid = valid[r0 - a:r1 - a]
+        try:
+            prob = _predict_padded(stack, window)
+        except Exception as exc:  # noqa: BLE001 - per-tile isolation
+            return _Band(r0, r1, None, valid, f"{type(exc).__name__}: {exc}")
+        prob[~valid] = -1.0
+        return _Band(r0, r1, prob, valid)
+
+    starts = iter(range(0, height, PREDICT_BLOCK))
+    with _one_blas_thread():
+        if workers <= 1:
+            # one worker runs here: on a pool thread paper benched ~7% slower
+            yield from map(run_band, starts)
+            return
+        with ThreadPoolExecutor(workers) as pool:
+            running = deque(pool.submit(run_band, r0)
+                            for r0 in itertools.islice(starts, workers))
+            while running:
+                band = running.popleft().result()
+                running.extend(pool.submit(run_band, r0)
+                               for r0 in itertools.islice(starts, 1))
+                yield band
+
+
+def predict_tile_rows(net: Model, composite: RasterGrid, tile_pixels: int,
+                      workers: int = 1, path=None):
+    """Per-tile probabilities of a zone composite (raw i16 input), one
+    tile row at a time: an iterator over the TilePredictions of each tile
+    row, each ready as soon as the row's last band is done, each tile's
+    prob and valid views of that row's arrays. The band count and the
+    tile size are checked when it is called.
 
     The zone is computed once by net's inference stack, built at the start
     of the call without modifying net and shared read-only by the workers,
-    in zone-aligned bands of PREDICT_BLOCK rows run in parallel on the
-    workers with one OpenBLAS thread; each tile's prob and valid are views
-    of the zone arrays, so outputs do not depend on tile_pixels or workers.
-    A failed band fails the tiles its rows overlap, each reporting the
-    band's error; every other tile is produced.
+    in zone-aligned bands of PREDICT_BLOCK rows (_predict_bands), so
+    outputs do not depend on tile_pixels or workers, and memory holds a
+    tile row and the bands in flight, not the zone. With path, composite
+    is the header of the GHSR file there and the bands are read from the
+    file. A failed band fails the tiles its rows overlap, each reporting
+    the first such band's error; every other tile is produced.
     """
     _check_bands(composite, net.arch)
     tiles = raster.tile_grid(composite.height, composite.width, tile_pixels)
-    padded, valid = raster.rescale_reflectance(composite)
-    prob = np.empty(valid.shape, dtype=np.float32)
-    stack = inference_stack(net)
+    return _tile_rows(tiles, _predict_bands(net, composite, workers, path),
+                      composite.width)
 
-    def run_band(r0: int) -> Optional[str]:
-        try:  # the last band's slices end at the zone's edge
-            prob[r0:r0 + PREDICT_BLOCK] = _predict_padded(
-                stack, padded[r0:r0 + PREDICT_BLOCK + 2 * PATCH_MARGIN])
-        except Exception as exc:  # noqa: BLE001 - per-tile isolation
-            return f"{type(exc).__name__}: {exc}"
-        return None
 
-    band_starts = range(0, composite.height, PREDICT_BLOCK)
-    with _one_blas_thread(), ThreadPoolExecutor(max(workers, 1)) as pool:
-        # one worker runs here: on a pool thread paper benched ~7% slower
-        run = pool.map if workers > 1 else map
-        band_errors = list(run(run_band, band_starts))
-    prob[~valid] = -1.0
+def _tile_rows(tiles: list, bands, width: int):
+    """Lists of TilePredictions, a tile row each, from the bands, which
+    cover the zone in order; tiles is tile_grid's row-major list."""
+    if not tiles:  # a zone without columns has bands but no tile
+        return
+    rows = (list(row) for _, row in
+            itertools.groupby(tiles, key=lambda t: t.tile_row))
+    end = 0
+    for band in bands:
+        r = band.r0
+        while r < band.r1:
+            if r == end:  # the next tile row starts here
+                row = next(rows)
+                top, end = r, r + row[0].rows
+                prob = valid = None  # drop the last row's before making these
+                prob = np.empty((end - top, width), dtype=np.float32)
+                valid = np.empty(prob.shape, dtype=bool)
+                error = None
+            b = min(band.r1, end)
+            valid[r - top:b - top] = band.valid[r - band.r0:b - band.r0]
+            if band.error is None:
+                prob[r - top:b - top] = band.prob[r - band.r0:b - band.r0]
+            error = error or band.error
+            if b == end:
+                yield [TilePrediction(tile=t, prob=None, valid=None,
+                                      error=error) if error else
+                       TilePrediction(tile=t,
+                                      prob=prob[:, t.col0:t.col0 + t.cols],
+                                      valid=valid[:, t.col0:t.col0 + t.cols])
+                       for t in row]
+            r = b
 
-    predictions = []
-    for t in tiles:
-        bands = slice(t.row0 // PREDICT_BLOCK,
-                      (t.row0 + t.rows - 1) // PREDICT_BLOCK + 1)
-        failed = [e for e in band_errors[bands] if e is not None]
-        window = np.s_[t.row0:t.row0 + t.rows, t.col0:t.col0 + t.cols]
-        predictions.append(
-            TilePrediction(tile=t, prob=None, valid=None, error=failed[0])
-            if failed else
-            TilePrediction(tile=t, prob=prob[window], valid=valid[window]))
-    return predictions
+
+def predict_zone(net: Model, composite: RasterGrid, tile_pixels: int,
+                 workers: int = 1) -> list:
+    """Every TilePrediction of predict_tile_rows for a whole zone
+    composite held in memory."""
+    return [p for row in predict_tile_rows(net, composite, tile_pixels,
+                                           workers)
+            for p in row]
+
+
+def tile_paths(out_dir: Path, tile: TileIndex):
+    """(probability, quantized) raster paths of a tile in out_dir."""
+    stem = f"tile_{tile.tile_row:03d}_{tile.tile_col:03d}"
+    return out_dir / f"{stem}_prob.ghsr", out_dir / f"{stem}_quant.ghsr"
 
 
 def write_tiles(predictions, composite: RasterGrid, out_dir: Path) -> list:
@@ -470,7 +578,6 @@ def write_tiles(predictions, composite: RasterGrid, out_dir: Path) -> list:
             "row0": t.row0, "col0": t.col0, "rows": t.rows, "cols": t.cols,
         }
         if pred.ok:
-            stem = f"tile_{t.tile_row:03d}_{t.tile_col:03d}"
             prob_grid = raster.make_grid(
                 pred.prob, "f32", -1.0, zone_id=composite.zone_id,
                 origin_x=composite.origin_x + t.col0 * composite.pixel_size,
@@ -479,8 +586,7 @@ def write_tiles(predictions, composite: RasterGrid, out_dir: Path) -> list:
             quant = raster.quantize_probability(pred.prob, pred.valid)
             quant_grid = replace(prob_grid, data=quant[None], dtype="u8",
                                  nodata=255.0)
-            prob_path = out_dir / f"{stem}_prob.ghsr"
-            quant_path = out_dir / f"{stem}_quant.ghsr"
+            prob_path, quant_path = tile_paths(out_dir, t)
             raster.write_raster(prob_grid, prob_path)
             raster.write_raster(quant_grid, quant_path)
             entry.update(status="ok", prob=str(prob_path),
@@ -491,17 +597,19 @@ def write_tiles(predictions, composite: RasterGrid, out_dir: Path) -> list:
     return entries
 
 
-def read_mosaic(paths, entries: int) -> RasterGrid:
-    """The probability tiles at paths, each placed by its own header, as one
-    f32 band with nodata -1; FormatError unless they are such bands of one
-    zone_id and pixel size, whole pixels apart, holding probabilities, each
-    file as long as its header says.
+def mosaic_layout(paths, entries: int):
+    """(mosaic, places) of the probability tiles at paths, each placed by
+    its own header: mosaic is the header of the one f32 band, nodata -1,
+    that they make (data None), and places holds a (path, header, row,
+    col) per tile. FormatError unless they are such bands of one zone_id
+    and pixel size, whole pixels apart, each file as long as its header
+    says.
 
     entries is the number of tiles the prediction made, failed ones
     included. A prediction's tiles cover its zone and fail by whole tile
     rows, so honest tiles span at most entries times the largest one's
-    pixels; tiles that span more are a FormatError, raised before the
-    mosaic is allocated."""
+    pixels; tiles that span more are a FormatError, raised before any
+    pixel is read."""
     headers = [raster.read_header(p) for p in paths]
     zone_id, pixel = headers[0].zone_id, headers[0].pixel_size
     least = np.min([(h.origin_y, h.origin_x) for h in headers], axis=0)
@@ -518,24 +626,34 @@ def read_mosaic(paths, entries: int) -> RasterGrid:
                 f"{zone_id!r} at pixel size {pixel}, whole pixels from tile "
                 f"{paths[0]}")
         raster.check_payload_size(path, h)
-        r, c = np.rint(offset).astype(np.int64).tolist()
-        places.append((r, c, r + h.height, c + h.width))
-    height, width = max(p[2] for p in places), max(p[3] for p in places)
+        places.append((path, h, *np.rint(offset).astype(np.int64).tolist()))
+    height = max(r + h.height for _, h, r, _ in places)
+    width = max(c + h.width for _, h, _, c in places)
     largest = max(h.height * h.width for h in headers)
     if height * width > entries * largest:
         raise FormatError(
             f"tiles from {paths[0]} span {height} x {width} pixels, more "
             f"than {entries} tiles of at most {largest} pixels cover")
-    data = np.full((1, height, width), -1.0, dtype=np.float32)
-    for path, (r0, c0, r1, c1) in zip(paths, places):  # one at a time
-        tile = raster.read_raster(path).data[0]
+    return replace(headers[0], width=width, height=height,
+                   origin_x=float(least[1]), origin_y=float(least[0])), places
+
+
+def read_mosaic_rows(mosaic: RasterGrid, places, r0: int,
+                     r1: int) -> np.ndarray:
+    """Rows r0..r1 of the mosaic mosaic_layout gave, -1 where no tile
+    lies, reading each tile's rows there once; FormatError where a tile
+    holds a value that is neither a probability nor -1."""
+    out = np.full((r1 - r0, mosaic.width), -1.0, dtype=np.float32)
+    for path, h, row, col in places:
+        a, b = max(row, r0), min(row + h.height, r1)
+        if a >= b:
+            continue
+        tile = raster.read_rows(path, h, 0, a - row, b - row)
         if not ((tile == -1.0) | ((tile >= 0.0) & (tile <= 1.0))).all():
             raise FormatError(f"tile {path} holds a value that is neither "
                               f"a probability nor -1")
-        data[0, r0:r1, c0:c1] = tile
-    return replace(headers[0], width=width, height=height,
-                   origin_x=float(least[1]), origin_y=float(least[0]),
-                   data=data)
+        out[a - r0:b - r0, col:col + h.width] = tile
+    return out
 
 
 # -- registry ---------------------------------------------------------------

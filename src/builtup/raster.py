@@ -3,8 +3,9 @@
 The GHSR container is a minimal bit-exact raster format: a fixed 80-byte
 little-endian header followed by band-sequential row-major samples.
 RasterGrid keeps the file's band-first order, and a header read alone
-(read_header) is a RasterGrid whose data is None; the rescaled zone is in
-the network's channels-last order, and every 5x5 patch is a window of it.
+(read_header) is a RasterGrid whose data is None; read_rows reads some rows
+of one band. The rescaled zone, or a window of its rows, is in the
+network's channels-last order, and every 5x5 patch is a window of it.
 Composites hold reflectance as integers times REFLECTANCE_SCALE, as
 Sentinel-2 products do; rescale_reflectance divides by it.
 
@@ -177,24 +178,58 @@ def read_raster(path) -> RasterGrid:
     return grid
 
 
-def rescale_reflectance(grid: RasterGrid):
-    """Map integer reflectance to f32 in [0,1] by value/REFLECTANCE_SCALE,
-    clamped, inside a zero border of PATCH_MARGIN pixels.
+def read_rows(path, grid: RasterGrid, band: int, r0: int, r1: int,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows r0..r1 of one band of the GHSR file at path, whose header is
+    grid, as a (r1 - r0, width) array, in one read: into out, C-contiguous,
+    where given, else into a new array. FormatError when the file ends
+    before them."""
+    dtype = DTYPE_NUMPY[grid.dtype]
+    if out is None:
+        out = np.empty((r1 - r0, grid.width), dtype=dtype)
+    row_bytes = grid.width * dtype.itemsize
+    with open(path, "rb", buffering=0) as f:
+        f.seek(HEADER_SIZE + (band * grid.height + r0) * row_bytes)
+        view = memoryview(out).cast("B")
+        if f.readinto(view) != view.nbytes:
+            raise FormatError(f"truncated payload of {path}: rows {r0}-{r1} "
+                              f"of band {band} are missing")
+    return out
 
-    Returns (padded, valid): padded is C-contiguous (H+4, W+4, bands)
-    float32, channels-last, with nodata cells zeroed; valid the (H, W) mask.
+
+def rescale_window(planes, shape, nodata: float, top: int, bottom: int):
+    """Map integer reflectance to f32 in [0,1] by value/REFLECTANCE_SCALE,
+    clamped, inside a zero border: top rows above, bottom rows below and
+    PATCH_MARGIN columns on either side.
+
+    planes gives the (h, W) planes of some zone rows in band order, shape
+    (bands, h, W) their count and size; each plane is used before the next
+    is taken, so an iterator may read them all into one buffer. Returns
+    (padded, valid): padded is C-contiguous (top + h + bottom, W + 4,
+    bands) float32, channels-last, with nodata cells zeroed; valid the
+    (h, W) mask, false where any band holds nodata. Every operation is
+    element-wise, so a window of some rows of a zone holds the bits that
+    rescaling the whole zone gives those rows.
     """
-    valid = grid.valid_mask()
+    bands, h, w = shape
     m = PATCH_MARGIN
-    padded = np.zeros((grid.height + 2 * m, grid.width + 2 * m, grid.bands),
-                      dtype=np.float32)
-    interior = padded[m:m + grid.height, m:m + grid.width]
-    for b, band in enumerate(grid.data):
-        np.divide(band, np.float32(REFLECTANCE_SCALE), out=interior[..., b],
+    padded = np.zeros((top + h + bottom, w + 2 * m, bands), dtype=np.float32)
+    interior = padded[top:top + h, m:m + w]
+    invalid = np.zeros((h, w), dtype=bool)
+    for b, plane in enumerate(planes):
+        invalid |= plane == nodata
+        np.divide(plane, np.float32(REFLECTANCE_SCALE), out=interior[..., b],
                   dtype=np.float32)
     np.clip(interior, 0.0, 1.0, out=interior)
-    interior[~valid] = 0.0
-    return padded, valid
+    interior[invalid] = 0.0
+    return padded, ~invalid
+
+
+def rescale_reflectance(grid: RasterGrid):
+    """rescale_window of a whole zone, PATCH_MARGIN zero rows above and
+    below: (padded, valid), padded (H+4, W+4, bands)."""
+    return rescale_window(grid.data, grid.data.shape, grid.nodata,
+                          PATCH_MARGIN, PATCH_MARGIN)
 
 
 def gather_patches(padded: np.ndarray, rows: np.ndarray,

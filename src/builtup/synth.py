@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -133,17 +134,17 @@ def zone_stats(zone: Zone) -> dict:
     }
 
 
+def zone_paths(out_dir) -> dict:
+    """The composite, labels and footprints paths of a zone in out_dir."""
+    d = Path(out_dir)
+    return {"composite": d / "composite.ghsr", "labels": d / "labels.ghsr",
+            "footprints": d / "footprints.json"}
+
+
 def save_zone(zone: Zone, out_dir) -> dict:
     """Write composite.ghsr, labels.ghsr and footprints.json; returns paths."""
-    from pathlib import Path
-
-    d = Path(out_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "composite": d / "composite.ghsr",
-        "labels": d / "labels.ghsr",
-        "footprints": d / "footprints.json",
-    }
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = zone_paths(out_dir)
     write_raster(zone.composite, paths["composite"])
     write_raster(zone.labels, paths["labels"])
     with open(paths["footprints"], "w", encoding="utf-8") as f:

@@ -1,13 +1,15 @@
 """The command-line pipeline end to end on a small synthetic zone pair."""
 
 import argparse
+import hashlib
 import json
 import struct
 from dataclasses import replace
 
 import pytest
 
-from builtup import cli, errors, model as model_mod, pipeline, raster, synth
+from builtup import (cli, errors, evaluation, model as model_mod, pipeline,
+                     raster, synth)
 
 
 def run(*argv):
@@ -398,6 +400,42 @@ def test_evaluate_creates_the_csv_directory(trained, predicted, tmp_path):
     assert csv_path.read_text(encoding="utf-8").startswith("aoi_id,r,")
 
 
+def test_evaluate_manifest_hashes_what_it_scored(trained, predicted,
+                                                 tmp_path):
+    """evaluate's inputs are the prediction manifest, every tile it read
+    and the footprints, each with its sha256."""
+    _, data, _, _ = trained
+    assert run("evaluate", "--probs", predicted, "--reference", data / "A",
+               "--report", tmp_path / "r.json") == 0
+    read = [predicted / "predict_manifest.json",
+            *sorted(predicted.glob("*_prob.ghsr")),
+            data / "A" / "footprints.json"]
+    assert load(tmp_path / "r.evaluate_manifest.json")["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in read}
+
+
+@pytest.mark.parametrize("band_pixels", [64 * 10, None],
+                         ids=["10_row_bands", "one_band"])
+def test_evaluation_bands_do_not_follow_the_tiles(trained, tmp_path,
+                                                  monkeypatch, band_pixels):
+    """evaluate reads the tiles in zone-aligned bands of a fixed pixel
+    count, whatever the tile size: the tile-48 and tile-256 predictions of
+    one zone give byte-equal reports, with 10-row bands that cut the
+    48-row tiles and with the default, one band for the 64 x 64 zone."""
+    _, data, model, _ = trained
+    if band_pixels is not None:
+        monkeypatch.setattr(evaluation, "EVAL_BAND_PIXELS", band_pixels)
+    reports = []
+    for tile in (48, 256):
+        pred, report = tmp_path / f"pred{tile}", tmp_path / f"r{tile}.json"
+        assert run("predict", "--zone", "A", "--data", data, "--model",
+                   model, "--out", pred, "--tile-size", tile) == 0
+        assert run("evaluate", "--probs", pred, "--reference", data / "A",
+                   "--report", report) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
 OUTPUT_CASES = ["registry_in_a_new_directory", "train_out_is_a_directory",
                 "synth_out_is_a_file", "predict_out_is_a_file",
                 "report_under_a_file", "synth_manifest_is_a_directory",
@@ -405,7 +443,8 @@ OUTPUT_CASES = ["registry_in_a_new_directory", "train_out_is_a_directory",
                 "predict_manifest_is_a_directory",
                 "transfer_manifest_is_a_directory",
                 "evaluate_manifest_is_a_directory", "history_is_a_directory",
-                "synth_zone_is_a_file", "registry_lock_is_a_directory"]
+                "synth_zone_is_a_file", "registry_lock_is_a_directory",
+                "tile_is_a_directory", "zone_file_is_a_directory"]
 
 
 @pytest.mark.parametrize("case", OUTPUT_CASES)
@@ -427,9 +466,9 @@ def test_outputs_are_made_or_refused_before_any_work(
     def work(*args, **kwargs):
         raise AssertionError("the command's work ran")
 
-    for module, name in ((pipeline, "train_zone"), (pipeline, "predict_zone"),
-                         (synth, "synth_zone"),
-                         (cli, "_load_prediction_mosaic")):
+    for module, name in ((pipeline, "train_zone"),
+                         (pipeline, "predict_tile_rows"),
+                         (synth, "synth_zone"), (cli, "_prediction_tiles")):
         monkeypatch.setattr(module, name, work)
     taken, out = tmp_path / "taken", tmp_path / "out"
     train = ["train", "--zone", "A", "--data", data, "--out"]
@@ -469,6 +508,12 @@ def test_outputs_are_made_or_refused_before_any_work(
         "registry_lock_is_a_directory": (
             train + [out / "A.ghsm", "--registry", out / "reg.json"],
             out / "reg.json.lock", True, out / "A.train_manifest.json"),
+        "tile_is_a_directory": (
+            predict + [out, "--tile-size", 32], out / "tile_000_000_prob.ghsr",
+            True, out / "predict_manifest.json"),
+        "zone_file_is_a_directory": (
+            ["synth", "--out", out], out / "A" / "composite.ghsr", True,
+            out / "synth_manifest.json"),
     }[case]
     if directory:
         taken.mkdir(parents=True)

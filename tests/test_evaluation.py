@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from builtup import evaluation, pipeline
 from builtup.errors import MetricError, ShapeError, UndefinedStatisticError
+from builtup.synth import SceneParams, synth_zone
 from builtup.evaluation import (
     ConfusionCounts,
     accuracy_metrics,
@@ -175,6 +176,96 @@ class TestRegressDensity:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             regress_density(np.zeros(3), np.zeros(4), np.ones(3, dtype=bool))
+
+
+def two_pass_regression(prob, density, valid):
+    """Whole-zone reference: OLS and Pearson r from the means of all valid
+    pixels first, then the einsum sums of their centred values."""
+    x = prob[valid].astype(np.float64)
+    y = density[valid].astype(np.float64)
+    xc, yc = x - x.mean(), y - y.mean()
+    sxx, syy, sxy = (float(np.einsum("i,i", a, b))
+                     for a, b in ((xc, xc), (yc, yc), (xc, yc)))
+    slope = sxy / sxx
+    return {"r": sxy / np.sqrt(sxx * syy), "slope": slope,
+            "intercept": float(y.mean() - slope * x.mean()),
+            "n": int(x.size)}
+
+
+@pytest.fixture(scope="module")
+def scored_zone():
+    """A 128 x 128 zone's footprints, its density, and noisy probabilities
+    of it, -1 on a nodata pattern."""
+    zone = synth_zone(SceneParams(size=128, seed=2), zone_id="A")
+    dens = rasterize_density(zone.footprints, 128, 128)
+    rng = np.random.default_rng(3)
+    prob = np.clip(dens + 0.3 * rng.standard_normal(dens.shape), 0.0, 1.0)
+    prob = prob.astype(np.float32)
+    valid = zone.composite.valid_mask()
+    prob[~valid] = -1.0
+    return prob, valid, zone.footprints, dens
+
+
+def banded_report(scored_zone, bands=None):
+    """evaluate_rows of scored_zone, recording each band read in bands."""
+    prob, valid, rects, _ = scored_zone
+
+    def read_rows(r0, r1):
+        if bands is not None:
+            bands.append((r0, r1))
+        return prob[r0:r1], valid[r0:r1]
+
+    return evaluation.evaluate_rows(read_rows, rects, 128, 128,
+                                    thresholds=(0.2, 0.5, 0.5), aoi_id="A")
+
+
+class TestEvaluationBands:
+    """Evaluation reads zone-aligned bands of at most EVAL_BAND_PIXELS
+    pixels; the counts are exact, and the regression's band sums merge by
+    Chan et al.'s pairwise update."""
+
+    def test_one_band_is_the_two_pass_regression(self, scored_zone):
+        prob, valid, rects, dens = scored_zone
+        bands = []
+        report = banded_report(scored_zone, bands)
+        assert bands == [(0, 128)]
+        assert report["regression"] == two_pass_regression(prob, dens, valid)
+        counts = report["thresholds"]["0.5"]["counts"]
+        assert sum(counts.values()) == valid.sum()  # 0.5 is counted once
+        assert evaluate_probabilities(prob, valid, rects, 128, 128,
+                                      thresholds=(0.2, 0.5, 0.5),
+                                      aoi_id="A") == report
+
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_bands_merge_to_the_whole_zone_figures(self, scored_zone,
+                                                   monkeypatch, rows):
+        prob, valid, _, dens = scored_zone
+        whole = banded_report(scored_zone)
+        monkeypatch.setattr(evaluation, "EVAL_BAND_PIXELS", 128 * rows)
+        bands = []
+        banded = banded_report(scored_zone, bands)
+        assert len(bands) >= 3 and bands[0][0] == 0 and bands[-1][1] == 128
+        assert all(r1 - r0 <= rows and r1 == next_r0 for (r0, r1), (next_r0, _)
+                   in zip(bands, bands[1:] + [(128, None)]))
+        assert banded["thresholds"] == whole["thresholds"]
+        reference = two_pass_regression(prob, dens, valid)
+        assert banded["regression"]["n"] == reference["n"]
+        for key in ("r", "slope", "intercept"):
+            assert banded["regression"][key] == pytest.approx(
+                reference[key], rel=1e-12, abs=0), key
+
+    def test_constancy_is_checked_over_the_whole_zone(self, monkeypatch):
+        """One-row bands, each of one probability: the zone varies, so
+        the regression is defined; a zone of one probability is not."""
+        monkeypatch.setattr(evaluation, "EVAL_BAND_PIXELS", 1)
+        rects = [(0.0, 0.0, 5.0, 30.0)]
+        prob = np.repeat(np.float32([[0.2], [0.4], [0.6]]), 2, axis=1)
+        valid = np.ones(prob.shape, dtype=bool)
+        report = evaluate_probabilities(prob, valid, rects, 2, 3)
+        assert report["regression"]["n"] == 6
+        with pytest.raises(UndefinedStatisticError, match="zero variance"):
+            evaluate_probabilities(np.full_like(prob, 0.3), valid, rects,
+                                   2, 3)
 
 
 class TestAccuracyMetrics:

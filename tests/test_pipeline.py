@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builtup import pipeline
+from builtup import pipeline, raster
 from builtup.errors import ConfigError, RegistryError, ShapeError
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            inference_stack, run_layers, save_model)
@@ -70,6 +70,13 @@ def test_mosaic_independent_of_tiling_and_workers(zone, net):
             assert got.tobytes() == reference.tobytes(), (tile, workers)
 
 
+def read_mosaic(paths, entries):
+    """The mosaic of the probability tiles at paths, read whole."""
+    grid, places = pipeline.mosaic_layout(paths, entries)
+    return replace(grid, data=pipeline.read_mosaic_rows(
+        grid, places, 0, grid.height)[None])
+
+
 def test_tiles_are_placed_by_their_headers(zone, net, tmp_path):
     """read_mosaic of the tiles write_tiles wrote is the zone's mosaic at
     the composite's origin; without the first tile row it starts a tile
@@ -77,19 +84,19 @@ def test_tiles_are_placed_by_their_headers(zone, net, tmp_path):
     mosaic spans them, with -1 in the rows between."""
     preds = predict_zone(net, zone.composite, 24)
     entries = pipeline.write_tiles(preds, zone.composite, tmp_path)
-    whole = pipeline.read_mosaic([e["prob"] for e in entries], len(entries))
+    whole = read_mosaic([e["prob"] for e in entries], len(entries))
     comp = zone.composite
     assert (whole.origin_x, whole.origin_y, whole.pixel_size,
             whole.zone_id) == (comp.origin_x, comp.origin_y,
                                comp.pixel_size, "A")
     assert whole.data[0].tobytes() == mosaic(preds).tobytes()
-    lower = pipeline.read_mosaic([e["prob"] for e in entries
+    lower = read_mosaic([e["prob"] for e in entries
                                   if e["tile_row"] > 0], len(entries))
     assert lower.origin_y == comp.origin_y + 24 * comp.pixel_size
     assert lower.data[0].tobytes() == mosaic(preds)[24:].tobytes()
     for n in (1, 2):
         for kept in itertools.combinations(range(3), n):
-            part = pipeline.read_mosaic([e["prob"] for e in entries
+            part = read_mosaic([e["prob"] for e in entries
                                          if e["tile_row"] in kept],
                                         len(entries))
             want = mosaic(preds)[24 * kept[0]:24 * kept[-1] + 24].copy()
@@ -170,6 +177,46 @@ def test_a_failed_band_fails_only_the_tiles_it_covers(zone160, net,
             assert pred.prob.tobytes() == ref.prob.tobytes()
             assert np.array_equal(pred.valid, ref.valid)
     assert sum(not p.ok for p in got) == 3 * 5
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tile_rows_read_from_the_file_are_the_zone_in_memory(
+        zone160, net, tmp_path, monkeypatch, workers):
+    """predict_tile_rows with a path reads each band's rows from the GHSR
+    file and gives the tiles predict_zone gives from the composite in
+    memory, one tile row at a time, each as soon as its last band is done
+    (on one worker, the bands a row needs and no more)."""
+    path = tmp_path / "composite.ghsr"
+    raster.write_raster(zone160, path)
+    passes = []
+
+    def counting(stack, window):
+        passes.append(window.shape[0])
+        return _predict_padded(stack, window)
+
+    monkeypatch.setattr(pipeline, "_predict_padded", counting)
+    rows, seen = [], []
+    for row in pipeline.predict_tile_rows(net, raster.read_header(path), 37,
+                                          workers=workers, path=path):
+        rows.append(row)
+        seen.append(len(passes))
+    assert [{p.tile.tile_row for p in row} for row in rows] == \
+        [{i} for i in range(5)]
+    if workers == 1:  # tile rows end at 37, 74, 111, 148 and 160
+        assert seen == [1, 2, 2, 3, 3]
+    reference = predict_zone(net, zone160, 37)
+    got = [p for row in rows for p in row]
+    assert [p.tile for p in got] == [p.tile for p in reference]
+    for pred, ref in zip(got, reference):
+        assert pred.prob.tobytes() == ref.prob.tobytes()
+        assert np.array_equal(pred.valid, ref.valid)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_a_zone_without_pixels_has_no_tiles(net, shape):
+    comp = raster.make_grid(np.zeros((4, *shape), np.int16), "i16", -32768)
+    for workers in (1, 2):
+        assert predict_zone(net, comp, 16, workers=workers) == []
 
 
 @pytest.mark.parametrize("size", [63, 64, 128, 130])
