@@ -11,11 +11,9 @@ EVAL_BAND_PIXELS = 2^18 pixels, whatever its tiles, and each band
 rasterizes its reference density in strips of RASTER_STRIP_CELLS = 2^20
 fine cells (a 1 MB uint8 buffer), so neither grows with the zone. Density
 counts and confusion counts are exact integers: no band or strip size
-changes a count, oa, balanced accuracy or kappa. The 1 MB strip, down from
-16 MB, gives the same bits; on a synthetic zone with 364 footprints,
-rasterize_density took 7.0-8.5 -> 5.1 ms at 512 x 512 and 69 -> 62 ms at
-2048 x 2048 (one Xeon vCPU), and at 2048 x 2048 with 5,824 footprints
-107-115 -> 116 ms, as smaller strips cut each footprint into more slices.
+changes a count, oa, balanced accuracy or kappa, and no strip size changes
+a bit. A smaller strip cuts each footprint into more slices, so it costs
+time where footprints are many.
 The regression's band sums merge by the pairwise update of Chan, Golub and
 LeVeque (1979), and one band is the two-pass regression of the whole zone,
 bit for bit. A 512 x 512 zone is 2^18 pixels, one band, so every report of

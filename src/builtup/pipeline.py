@@ -13,7 +13,7 @@ rescale a whole zone, so the window holds the whole-zone array's bits.
 Memory. Prediction holds the bands in flight, one per worker and the one
 whose rows are being taken, and the tile row they fill, not the zone: a
 band is its f32 window, 68 x (W + 4) x bands x 4 bytes, and one i16 plane
-of its rows at a time, and a tile row is tile x W x 5 bytes, so both grow
+of its rows at a time, and a tile row is tile x W x 4 bytes, so both grow
 with the zone's width W only. CLI predict and transfer read each band's
 rows from the composite file (raster.read_rows: one read per spectral
 plane, into a plane buffer each thread reuses), not through np.memmap,
@@ -21,8 +21,8 @@ whose touched pages would count in the process's RSS, and write each tile
 row as soon as it is done (predict_tile_rows). predict_zone collects the
 stream for callers that hold the zone anyway. With a desk model on 2
 vCPUs, CLI predict's peak RSS reads 61.5 MB at 2048 x 2048 against 54.2 MB
-at 512 x 512; it read 171.8 against 56.6 when the composite, its rescaled
-copy and the mosaic were held whole.
+at 512 x 512: neither the composite, nor its rescaled copy, nor the mosaic
+is held whole.
 
 Every block starts at a multiple of PREDICT_BLOCK from the zone origin
 and tiles only slice the finished mosaic, so a pixel comes from the same
@@ -327,9 +327,9 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
                          f"{size[0]} x {size[1]}")
     padded, valid = raster.rescale_reflectance(composite)
     tiles = raster.tile_grid(composite.height, composite.width,
-                             cfg.tile_pixels, valid_mask=valid)
-    selected = sampling.select_training_tiles(tiles, cfg.tile_fraction,
-                                              water_zone=cfg.water_zone)
+                             cfg.tile_pixels)
+    selected = sampling.select_training_tiles(
+        tiles, cfg.tile_fraction, valid if cfg.water_zone else None)
 
     seeds = np.random.SeedSequence([run.seed, 0x7A11])
     sample_rng, split_rng, train_rng = [
@@ -423,22 +423,25 @@ def _predict_padded(stack, window: np.ndarray) -> np.ndarray:
 class TilePrediction:
     tile: TileIndex
     prob: Optional[np.ndarray]  # (rows, cols) f32 view, -1 where invalid
-    valid: Optional[np.ndarray]  # (rows, cols) bool view
     error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def valid(self) -> Optional[np.ndarray]:
+        """(rows, cols) bool: where prob holds a probability, not -1."""
+        return None if self.prob is None else self.prob != -1.0
+
 
 @dataclass
 class _Band:
-    """Zone rows r0..r1 predicted: prob (-1 where invalid) and valid, or
-    the error that failed their pass."""
+    """Zone rows r0..r1 predicted: prob, -1 where invalid, or the error
+    that failed their pass."""
     r0: int
     r1: int
     prob: Optional[np.ndarray]
-    valid: np.ndarray
     error: Optional[str] = None
 
 
@@ -472,13 +475,12 @@ def _predict_bands(net: Model, composite: RasterGrid, workers: int,
         window, valid = raster.rescale_window(
             planes(a, b), (composite.bands, b - a, composite.width),
             composite.nodata, m - (r0 - a), m - (b - r1))
-        valid = valid[r0 - a:r1 - a]
         try:
             prob = _predict_padded(stack, window)
         except Exception as exc:  # noqa: BLE001 - per-tile isolation
-            return _Band(r0, r1, None, valid, f"{type(exc).__name__}: {exc}")
-        prob[~valid] = -1.0
-        return _Band(r0, r1, prob, valid)
+            return _Band(r0, r1, None, f"{type(exc).__name__}: {exc}")
+        prob[~valid[r0 - a:r1 - a]] = -1.0
+        return _Band(r0, r1, prob)
 
     starts = iter(range(0, height, PREDICT_BLOCK))
     with _one_blas_thread():
@@ -501,8 +503,8 @@ def predict_tile_rows(net: Model, composite: RasterGrid, tile_pixels: int,
     """Per-tile probabilities of a zone composite (raw i16 input), one
     tile row at a time: an iterator over the TilePredictions of each tile
     row, each ready as soon as the row's last band is done, each tile's
-    prob and valid views of that row's arrays. The band count and the
-    tile size are checked when it is called.
+    prob a view of that row's array. The band count and the tile size are
+    checked when it is called.
 
     The zone is computed once by net's inference stack, built at the start
     of the call without modifying net and shared read-only by the workers,
@@ -533,21 +535,18 @@ def _tile_rows(tiles: list, bands, width: int):
             if r == end:  # the next tile row starts here
                 row = next(rows)
                 top, end = r, r + row[0].rows
-                prob = valid = None  # drop the last row's before making these
+                prob = None  # drop the last row's before making this one
                 prob = np.empty((end - top, width), dtype=np.float32)
-                valid = np.empty(prob.shape, dtype=bool)
                 error = None
             b = min(band.r1, end)
-            valid[r - top:b - top] = band.valid[r - band.r0:b - band.r0]
             if band.error is None:
                 prob[r - top:b - top] = band.prob[r - band.r0:b - band.r0]
             error = error or band.error
             if b == end:
-                yield [TilePrediction(tile=t, prob=None, valid=None,
-                                      error=error) if error else
+                yield [TilePrediction(tile=t, prob=None, error=error)
+                       if error else
                        TilePrediction(tile=t,
-                                      prob=prob[:, t.col0:t.col0 + t.cols],
-                                      valid=valid[:, t.col0:t.col0 + t.cols])
+                                      prob=prob[:, t.col0:t.col0 + t.cols])
                        for t in row]
             r = b
 

@@ -120,7 +120,7 @@ def write_raster(grid: RasterGrid, path) -> None:
     payload = np.ascontiguousarray(grid.data, dtype=DTYPE_NUMPY[grid.dtype])
     with open(path, "wb") as f:
         f.write(header)
-        f.write(payload.tobytes())
+        f.write(payload)  # the array itself: no bytes object beside it
 
 
 def read_header(path) -> RasterGrid:
@@ -251,15 +251,12 @@ class TileIndex:
     col0: int
     rows: int
     cols: int
-    water_dominated: bool = False  # True when the window has no valid pixel
 
 
-def tile_grid(height: int, width: int, tile_pixels: int,
-              valid_mask: Optional[np.ndarray] = None) -> list:
-    """Partition a zone extent into non-overlapping tiles.
+def tile_grid(height: int, width: int, tile_pixels: int) -> list:
+    """Partition a zone extent into non-overlapping tiles, row-major.
 
-    Last row/column tiles may be smaller. When a validity mask is given,
-    tiles without a single valid pixel are flagged water_dominated.
+    Last row/column tiles may be smaller.
     """
     if tile_pixels < PATCH_SIZE:
         raise ConfigError(
@@ -274,11 +271,8 @@ def tile_grid(height: int, width: int, tile_pixels: int,
             c0 = tc * tile_pixels
             rows = min(tile_pixels, height - r0)
             cols = min(tile_pixels, width - c0)
-            water = False
-            if valid_mask is not None:
-                water = not bool(valid_mask[r0:r0 + rows, c0:c0 + cols].any())
             tiles.append(TileIndex(tile_row=tr, tile_col=tc, row0=r0, col0=c0,
-                                   rows=rows, cols=cols, water_dominated=water))
+                                   rows=rows, cols=cols))
     return tiles
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -22,18 +22,20 @@ from .raster import PATCH_MARGIN, PATCH_SIZE, RasterGrid
 
 
 def select_training_tiles(tiles, fraction: float,
-                          water_zone: bool = False) -> list:
+                          water: Optional[np.ndarray] = None) -> list:
     """Systematic tile selection over the anti-diagonals k = tile_row +
     tile_col: a diagonal is taken when floor(k * fraction) steps up from
     floor((k - 1) * fraction), so diagonal 0 always is, fraction 0.5 is the
     parity checkerboard, 1.0 takes every tile, and of the first K diagonals
-    floor((K - 1) * fraction) + 1 are taken. Water-dominated zones keep all
-    tiles that contain valid data, whatever the (still checked) fraction.
+    floor((K - 1) * fraction) + 1 are taken. For a water-dominated zone,
+    water is its (H, W) validity mask, and every tile whose window of it
+    holds a valid pixel is kept, whatever the (still checked) fraction.
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    if water_zone:
-        return [t for t in tiles if not t.water_dominated]
+    if water is not None:
+        return [t for t in tiles if water[t.row0:t.row0 + t.rows,
+                                          t.col0:t.col0 + t.cols].any()]
 
     def taken(k: int) -> bool:
         return math.floor(k * fraction) > math.floor((k - 1) * fraction)

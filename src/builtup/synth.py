@@ -98,12 +98,17 @@ def synth_zone(params: SceneParams, zone_id: str = "A") -> Zone:
     for r0, c0, r1, c1 in rects:
         mask[r0:r1, c0:c1] = True
 
-    bands = np.empty((4, size, size), dtype=np.float64)
+    # one float64 plane at a time: the bands' noise, drawn in turn, is the
+    # one (4, size, size) draw in order
+    composite = np.empty((4, size, size), dtype=np.int16)
+    plane = np.empty((size, size), dtype=np.float64)
     for b in range(4):
-        bands[b] = BAND_BACKGROUND[b]
-        bands[b][mask] += BAND_BUILT_OFFSET[b]
-    bands += rng.normal(0.0, params.noise_sigma, size=bands.shape)
-    composite = np.clip(np.rint(bands), 0, 32767).astype(np.int16)
+        plane.fill(BAND_BACKGROUND[b])
+        plane[mask] += BAND_BUILT_OFFSET[b]
+        plane += rng.normal(0.0, params.noise_sigma, size=plane.shape)
+        np.rint(plane, out=plane)
+        np.clip(plane, 0, 32767, out=plane)
+        composite[b] = plane
 
     if params.nodata_fraction > 0:
         holes = rng.random((size, size)) < params.nodata_fraction

@@ -160,6 +160,22 @@ def failing_second_band(zone):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_tile_validity_is_the_composite_mask(zone160, net, workers):
+    """Each tile's valid, read from its prob, is its window of the
+    composite's mask, and prob is exactly -1 off it, at a tile size that
+    cuts through the 64-row bands."""
+    mask = zone160.valid_mask()
+    assert not mask.all()
+    for pred in predict_zone(net, zone160, 37, workers=workers):
+        assert pred.ok, pred.error
+        t = pred.tile
+        window = mask[t.row0:t.row0 + t.rows, t.col0:t.col0 + t.cols]
+        assert np.array_equal(pred.valid, window)
+        assert np.all(pred.prob[~window] == -1.0)
+        assert np.all((pred.prob[window] >= 0.0) & (pred.prob[window] <= 1.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_band_fails_only_the_tiles_it_covers(zone160, net,
                                                       monkeypatch, workers):
     clean = predict_zone(net, zone160, 37, workers=workers)

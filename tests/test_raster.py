@@ -23,6 +23,7 @@ from builtup.raster import (
     tile_grid,
     write_raster,
 )
+from builtup.sampling import select_training_tiles
 
 
 def random_grid(rng, dtype, bands=3, h=6, w=7, nodata=None):
@@ -371,12 +372,17 @@ class TestTileGrid:
             assert np.all(cover == 1)
 
     def test_water_dominated_flag(self):
+        """A water zone trains on the tiles whose window of the validity
+        mask holds a valid pixel, here only the first."""
         valid = np.zeros((10, 10), dtype=bool)
         valid[:5, :5] = True  # only the first tile has data
-        tiles = tile_grid(10, 10, 5, valid_mask=valid)
-        flags = {(t.tile_row, t.tile_col): t.water_dominated for t in tiles}
-        assert flags == {(0, 0): False, (0, 1): True,
-                         (1, 0): True, (1, 1): True}
+        tiles = tile_grid(10, 10, 5)
+        assert [(t.tile_row, t.tile_col) for t in
+                select_training_tiles(tiles, 0.5, water=valid)] == [(0, 0)]
+        valid[9, 9] = True  # one valid pixel in the last tile
+        assert [(t.tile_row, t.tile_col) for t in
+                select_training_tiles(tiles, 0.5, water=valid)] == [
+                    (0, 0), (1, 1)]
 
     def test_tile_smaller_than_patch(self):
         with pytest.raises(ConfigError):

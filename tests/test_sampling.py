@@ -60,18 +60,18 @@ class TestSelectTiles:
     def test_water_zone_selects_all_valid(self):
         valid = np.zeros((20, 20), dtype=bool)
         valid[:10, :] = True  # top two tiles have data
-        tiles = tile_grid(20, 20, 10, valid_mask=valid)
-        selected = select_training_tiles(tiles, 0.5, water_zone=True)
+        tiles = tile_grid(20, 20, 10)
+        selected = select_training_tiles(tiles, 0.5, water=valid)
         assert {(t.tile_row, t.tile_col) for t in selected} == {(0, 0), (0, 1)}
 
     def test_bad_fraction(self):
         """Refused also in a water zone, whose selection ignores the
         fraction's value."""
-        for water_zone in (False, True):
+        for water in (None, np.ones((20, 20), dtype=bool)):
             for fraction in (0.0, 7.0):
                 with pytest.raises(ConfigError):
                     select_training_tiles(self.make_tiles(2, 2), fraction,
-                                          water_zone=water_zone)
+                                          water=water)
 
 
 @settings(max_examples=300, deadline=None)
