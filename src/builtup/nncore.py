@@ -3,9 +3,24 @@
 Layers operate on channels-last (N, H, W, C) numpy arrays. ConvLayer's
 forward(x) -> y is the inference pass: model.inference_stack folds the
 network into ConvLayers, BatchNorm becoming a 1x1 conv and Dropout, the
-identity in inference, left out. forward never mutates layer state, so
-threads may share it. param_names and state_names name each layer's
-trainable arrays and its non-trainable statistics.
+identity in inference, left out. forward changes no parameter or
+statistic (a Winograd layer keeps its kernel transform, and buffers per
+thread), so threads may share it. param_names and state_names name each
+layer's trainable arrays and its non-trainable statistics.
+
+forward runs one of two paths, chosen from the kernel and the input's
+shape. A 3x3 ConvLayer of at least WINOGRAD_MIN_CHANNELS inputs runs
+F(2x2, 3x3) on outputs of at least 2 x 2, in chunks of WINOGRAD_TILE_ROWS
+tile rows through two buffers the layer holds for each thread that runs
+it; the first such pass makes the layer's kernel transform, so a layer
+that only sees 1 x 1 outputs never makes one. Every other forward, and
+every forward_train, is im2col and one GEMM. In the network only the
+paper preset's composed bn1.conv3.conv4 (128 -> 256) qualifies, and only
+on prediction windows: desk's (32 -> 64), each conv1.conv2 (the bands)
+and every 5x5-patch pass (training, BatchNorm statistics, validation
+losses) run im2col. On a paper 64x64 block with one BLAS thread the layer
+took 16.5-17 ms against 24.5 ms by im2col, its 16 GEMMs about 10.4 ms of
+that, and its buffers hold 6 MB where im2col's matrix is 18.9 MB.
 
 Model's train pass runs a batch as contiguous row slices, possibly on
 several threads, and each layer's train mode takes the form that allows:
@@ -52,6 +67,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -68,6 +84,25 @@ KERNEL_SIZE = 2  # the network's convolutions; its dense layers are 1x1
 WEIGHT_INIT_BOUND = 0.1065
 PRED_CLIP = 1e-7
 
+# F(2x2, 3x3) (Lavin & Gray 2016, arXiv:1509.09308): a 2x2 output tile of a
+# 3x3 conv is A^T [(G g G^T) * (B^T d B)] A for a 4x4 input tile d, with
+# 16 multiplies per input and output channel pair where im2col's GEMM
+# makes 36. B^T = [[1, 0, -1, 0], [0, 1, 1, 0], [0, -1, 1, 0],
+# [0, 1, 0, -1]] is spelled out as adds in ConvLayer._winograd_forward;
+# WINOGRAD_AA is kron(A^T, A^T), A^T m A of every tile as one GEMM.
+WINOGRAD_G = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.5], [0.5, -0.5, 0.5],
+                       [0.0, 0.0, 1.0]])
+_WINOGRAD_AT = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]])
+WINOGRAD_AA = np.kron(_WINOGRAD_AT, _WINOGRAD_AT) + 0.0  # no -0 entries
+# A 3x3 c -> 2c layer on a 66x66 input, one BLAS thread, im2col time over
+# Winograd time: c = 16 0.83-0.91, 32 1.07-1.10, 48 1.12-1.18, 64 1.32-1.35,
+# 96 1.42-1.52, 128 1.46-1.50. From 64 inputs the gain is clear of the
+# machine's noise; desk's 32 stays on im2col and keeps its bytes.
+WINOGRAD_MIN_CHANNELS = 64  # least input channels of a 3x3 Winograd layer
+# 8 tile rows of a 64-wide block are 256 tiles: the 16 GEMMs' M, at which
+# they ran fastest (10.2 ms per block, against 11.3 at 128 and 10.6 at 512)
+WINOGRAD_TILE_ROWS = 8  # tile rows (two output rows each) per pass chunk
+
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from
@@ -81,12 +116,46 @@ def init_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarra
     return rng.uniform(-WEIGHT_INIT_BOUND, WEIGHT_INIT_BOUND, size=shape).astype(dtype)
 
 
+def winograd_kernel(kernel: np.ndarray) -> np.ndarray:
+    """The F(2x2, 3x3) transform G g G^T of each (out, in) 3x3 kernel g, as
+    16 contiguous (in, out) matrices, one per place of a 4x4 tile, taken in
+    float64 and cast once to kernel's dtype."""
+    out_ch, in_ch, _, _ = kernel.shape
+    # (G g G^T)[a, b] = sum of G[a, i] G[b, j] g[i, j], over all kernels
+    # at once: kron(G, G) times the 9 taps' (in, out) matrices
+    taps = kernel.transpose(2, 3, 1, 0).reshape(9, in_ch * out_ch)
+    u = np.kron(WINOGRAD_G, WINOGRAD_G) @ taps
+    return u.reshape(16, in_ch, out_ch).astype(kernel.dtype)
+
+
+def _buffer(workspace: threading.local, name: str, shape,
+            dtype) -> np.ndarray:
+    """A C-contiguous `shape` array over the buffer `name` of dtype that
+    workspace holds for the calling thread, grown when it is too small. Its
+    values are the last user's, and every user writes it before reading
+    it, so no pass sees another's data."""
+    arrays = vars(workspace).setdefault("arrays", {})
+    key, size = (name, np.dtype(dtype)), math.prod(shape)
+    if key not in arrays or arrays[key].size < size:
+        arrays[key] = np.empty(size, dtype)
+    return arrays[key][:size].reshape(shape)
+
+
 class ConvLayer:
     """Valid k x k convolution, stride 1, linear, tanh or sigmoid activation.
 
     kernel is (out_ch, in_ch, k, k), and k is read from its shape; forward
     maps (N, H, W, in_ch) to (N, H-k+1, W-k+1, out_ch). With k = 1 this is
     a dense layer applied per pixel.
+
+    A 3x3 kernel of at least WINOGRAD_MIN_CHANNELS inputs makes forward
+    run F(2x2, 3x3) where the output is at least 2 x 2, and im2col
+    elsewhere (a 5x5 patch's 1 x 1 output), as forward_train always does.
+    The first F(2x2, 3x3) pass makes the kernel transform (winograd_kernel)
+    and keeps it; its chunks' buffers are the layer's, one set per thread
+    that runs it, reused by every later pass there and freed with the
+    layer (6 MB a thread for the paper preset's): a prediction's stack,
+    built per call, takes them with it.
     """
 
     param_names = ("kernel", "bias")
@@ -100,6 +169,13 @@ class ConvLayer:
         self.kernel = kernel
         self.bias = bias
         self.activation = activation
+        # F(2x2, 3x3): the kernel transform, made by the first pass that
+        # needs it under the lock, and the buffers of each thread
+        self._winograd = None
+        if kernel.shape[2] == 3 and kernel.shape[1] >= WINOGRAD_MIN_CHANNELS:
+            self._lock, self._workspace = threading.Lock(), threading.local()
+        else:
+            self._lock = self._workspace = None
 
     @property
     def out_channels(self) -> int:
@@ -154,8 +230,73 @@ class ConvLayer:
         return cols.reshape(n * ho * wo, k * k * c)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if (self._workspace is not None and x.ndim == 4
+                and min(x.shape[1:3]) >= 4):
+            self._check_input(x)
+            return self._winograd_forward(x)
         y, _ = self.forward_train(x)
         return y
+
+    def _winograd_forward(self, x: np.ndarray) -> np.ndarray:
+        """forward by F(2x2, 3x3), in chunks of WINOGRAD_TILE_ROWS tile rows.
+
+        An odd output side is zero-padded to whole tiles, input and output,
+        so a pass is a function of its input's shape and values only. Per
+        chunk: B^T d B, its row stage over whole input rows taken with
+        stride-2 row slices, then its column stage over stride-2 column
+        slices; 16 GEMMs of the chunk's tiles by the transformed kernels;
+        the bias added to m[1, 1], which A^T m A adds to each of a tile's
+        four outputs; A^T m A as one GEMM; and the activation written into
+        the chunk's output rows. The chunk's arrays are two buffers of the
+        layer and thread (_buffer): the row stage's, then the GEMM outputs,
+        in one, the transformed input, then the output tiles, in the
+        other."""
+        with self._lock:
+            if self._winograd is None:
+                self._winograd = winograd_kernel(self.kernel)
+        u = self._winograd
+        n, h, w, c = x.shape
+        ho, wo, o = h - 2, w - 2, self.out_channels
+        tr, tc = (ho + 1) // 2, (wo + 1) // 2  # tile rows and columns
+        if ho % 2 or wo % 2:
+            padded = np.zeros((n, 2 * tr + 2, 2 * tc + 2, c), dtype=x.dtype)
+            padded[:, :h, :w] = x
+            x, w = padded, 2 * tc + 2
+        out = np.empty((n, 2 * tr, 2 * tc, o), dtype=x.dtype)
+        aa = WINOGRAD_AA.astype(x.dtype)
+        for r0 in range(0, tr, WINOGRAD_TILE_ROWS):
+            r1 = min(r0 + WINOGRAD_TILE_ROWS, tr)
+            k = r1 - r0
+            t = _buffer(self._workspace, "a", (4, n, k, w, c), x.dtype)
+            d = [x[:, 2 * r0 + i:2 * r1 + i:2] for i in range(4)]
+            np.subtract(d[0], d[2], out=t[0])
+            np.add(d[1], d[2], out=t[1])
+            np.subtract(d[2], d[1], out=t[2])
+            np.subtract(d[1], d[3], out=t[3])
+            v = _buffer(self._workspace, "b", (4, 4, n, k, tc, c), x.dtype)
+            e = [t[:, :, :, j:j + 2 * tc:2] for j in range(4)]
+            np.subtract(e[0], e[2], out=v[:, 0])
+            np.add(e[1], e[2], out=v[:, 1])
+            np.subtract(e[2], e[1], out=v[:, 2])
+            np.subtract(e[1], e[3], out=v[:, 3])
+            m = _buffer(self._workspace, "a", (4, 4, n, k, tc, o), x.dtype)
+            np.matmul(v.reshape(16, -1, c), u,
+                      out=m.reshape(16, -1, o))
+            m[1, 1] += self.bias
+            z = _buffer(self._workspace, "b", (2, 2, n, k, tc, o), x.dtype)
+            np.matmul(aa, m.reshape(16, -1), out=z.reshape(4, -1))
+            # output pixel (2 r + a, 2 c + b) is z[a, b, :, r, c]
+            y = out[:, 2 * r0:2 * r1].reshape(n, k, 2, tc, 2, o).transpose(
+                2, 4, 0, 1, 3, 5)
+            if self.activation == "tanh":
+                np.tanh(z, out=y)
+            elif self.activation == "sigmoid":
+                y[...] = sigmoid(z)
+            else:
+                y[...] = z
+        if out.shape[1:3] != (ho, wo):
+            out = np.ascontiguousarray(out[:, :ho, :wo])
+        return out
 
     def forward_train(self, x: np.ndarray):
         self._check_input(x)

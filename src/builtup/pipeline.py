@@ -10,6 +10,17 @@ output pixels with a 4-pixel halo. Each band rescales its own window, its
 rows and a PATCH_MARGIN halo, with the element-wise float operations that
 rescale a whole zone, so the window holds the whole-zone array's bits.
 
+The stack's layers take one of nncore.ConvLayer's two paths, decided by
+the layer and the block's shape alone: the paper preset's bn1.conv3.conv4
+runs F(2x2, 3x3) on every block of at least 2 x 2 outputs, and every
+other layer, all of desk and tiny included, runs im2col. Training, the
+BatchNorm statistics and the validation losses see 5x5 patches, whose
+3x3 layers have 1 x 1 outputs, so they run im2col and keep their bits.
+A paper map therefore differs from the map of its patches by float32
+rounding (max |dp| 2.0e-6 on the golden chain's zone B, against an
+all-im2col map of the same model), and is byte for byte the same at
+every tiling and worker count.
+
 Memory. Prediction holds the bands in flight, one per worker and the one
 whose rows are being taken, and the tile row they fill, not the zone: a
 band is its f32 window, 68 x (W + 4) x bands x 4 bytes, and one i16 plane
@@ -45,7 +56,8 @@ the rows that round differently.
 
 Why blocks of 64. Each pass allocates an im2col matrix and an output per
 layer; for a 64x64 block the largest is the second 3x3 layer's im2col,
-4096 x 9 f_a floats: 4.7 MB (desk preset) or 18.9 MB (paper preset). That
+4096 x 9 f_a floats: 4.7 MB (desk preset; paper's layer runs F(2x2, 3x3)
+through 6 MB of buffers per thread instead of an 18.9 MB matrix). That
 is under glibc's 32 MB ceiling for its mmap threshold, so freed arrays
 return to the heap and the next block reuses them while they are still in
 cache. Row strips of 32768 pixels made conv4 im2col matrices of 33 MB

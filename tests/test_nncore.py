@@ -1,5 +1,9 @@
 """Unit tests for the layer/loss/optimizer kernel."""
 
+import gc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +218,115 @@ class TestInputGradient:
         skipped, *same = layer.backward(dout, cache, input_grad=False)
         assert dx.shape == x.shape and skipped is None
         assert [g.tobytes() for g in same] == [g.tobytes() for g in grads]
+
+
+def winograd_conv(seed, cin=128, cout=256, activation="tanh"):
+    """A float32 3x3 ConvLayer (the paper preset's bn1.conv3.conv4 is
+    128 -> 256)."""
+    rng = np.random.default_rng(seed)
+    return ConvLayer(init_uniform(rng, (cout, cin, 3, 3)),
+                     init_uniform(rng, (cout,)), activation)
+
+
+class TestWinograd:
+    """F(2x2, 3x3) in forward: taken by 3x3 layers of at least
+    WINOGRAD_MIN_CHANNELS inputs with outputs of at least 2 x 2, equal to
+    im2col (forward_train) up to float32 rounding."""
+
+    # max |winograd - im2col| read 4.3e-6 on tanh outputs over 4 draws of
+    # winograd_conv and these windows
+    BOUND = 8e-6
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("ho, wo", [(2, 2), (3, 5), (64, 64), (64, 65)])
+    def test_matches_im2col(self, ho, wo, seed):
+        layer = winograd_conv(seed)
+        rng = np.random.default_rng(10 + seed)
+        x = np.tanh(rng.standard_normal((1, ho + 2, wo + 2, 128))).astype(
+            np.float32)
+        before = x.copy()
+        got = layer.forward(x)
+        want, _ = layer.forward_train(x)
+        assert got.shape == want.shape == (1, ho, wo, 256)
+        assert got.flags.c_contiguous and got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= self.BOUND
+        assert x.tobytes() == before.tobytes()
+
+    def test_each_activation_and_a_batch(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 7, 6, 64)).astype(np.float32)
+        for activation in ("linear", "tanh", "sigmoid"):
+            layer = winograd_conv(4, 64, 32, activation)
+            got, (want, _) = layer.forward(x), layer.forward_train(x)
+            assert got.shape == (2, 5, 4, 32)
+            np.testing.assert_allclose(got, want, rtol=0, atol=4e-6)
+
+    def test_a_pass_depends_on_its_window_only(self):
+        """The same window gives the same bytes whatever ran before it on
+        the thread and whatever its chunking left in the buffers."""
+        layer = winograd_conv(5)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((1, 66, 35, 128)).astype(np.float32)
+        first = layer.forward(x).tobytes()
+        layer.forward(rng.standard_normal((1, 9, 70, 128)).astype(np.float32))
+        assert layer.forward(x).tobytes() == first
+
+    def test_threads_share_a_layer(self):
+        """Passes on several threads at once, more than the cores, each on
+        its own window, give each window's one-thread bytes, from the
+        layer's first pass on."""
+        layer = winograd_conv(11)
+        rng = np.random.default_rng(12)
+        xs = [rng.standard_normal((1, 20, 18 + i, 128)).astype(np.float32)
+              for i in range(6)]
+        want = [winograd_conv(11).forward(x).tobytes() for x in xs]
+        with ThreadPoolExecutor(6) as pool:
+            got = [y.tobytes() for y in pool.map(layer.forward, xs * 3)]
+        assert got == want * 3
+
+    def test_buffers_go_with_the_layer(self):
+        layer = winograd_conv(13)
+        layer.forward(np.zeros((1, 6, 6, 128), np.float32))
+        buffers = [weakref.ref(a) for a in
+                   vars(layer._workspace)["arrays"].values()]
+        assert len(buffers) == 2
+        del layer
+        gc.collect()
+        assert all(ref() is None for ref in buffers)
+
+    def test_the_rule(self):
+        """A 3x3 kernel of WINOGRAD_MIN_CHANNELS inputs or more runs
+        F(2x2, 3x3); fewer inputs, or another size, run im2col. A 1 x 1
+        output (a 5x5 patch's) runs im2col, bit for bit, and makes no
+        kernel transform."""
+        least = nncore.WINOGRAD_MIN_CHANNELS
+        rng = np.random.default_rng(8)
+        for shape, taken in (((2, least - 1, 3, 3), False),
+                             ((2, least, 2, 2), False),
+                             ((2, least, 3, 3), True)):
+            layer = ConvLayer(init_uniform(rng, shape), np.zeros(2,
+                              np.float32), "tanh")
+            x = rng.random((1, 6, 6, shape[1])).astype(np.float32)
+            got, (want, _) = layer.forward(x), layer.forward_train(x)
+            assert (layer._winograd is not None) == taken, shape
+            if not taken:
+                assert got.tobytes() == want.tobytes(), shape
+        layer = winograd_conv(7)
+        x = rng.random((3, 3, 3, 128)).astype(np.float32)
+        want, _ = layer.forward_train(x)
+        assert layer.forward(x).tobytes() == want.tobytes()
+        assert layer._winograd is None
+        layer.forward(rng.random((1, 4, 4, 128)).astype(np.float32))
+        assert layer._winograd.tobytes() == nncore.winograd_kernel(
+            layer.kernel).tobytes()
+
+    def test_tile_transform_is_g_g_gt(self):
+        rng = np.random.default_rng(9)
+        kernel = rng.standard_normal((3, 64, 3, 3))
+        u = nncore.winograd_kernel(kernel).reshape(4, 4, 64, 3)
+        g = nncore.WINOGRAD_G
+        want = np.einsum("ak,oikl,bl->abio", g, kernel, g)
+        np.testing.assert_allclose(u, want, rtol=0, atol=1e-14)
 
 
 class TestDense:

@@ -11,7 +11,14 @@ rounds a row by the call's size and the row's place in it. That test
 therefore reads dense2 from one hidden unit (`one_term_dense2`), whose dot
 product has one non-zero term and rounds alike at every size, and leaves
 the paper preset out: its wide GEMMs also round differently at small row
-counts.
+counts, and its bn1.conv3.conv4 runs F(2x2, 3x3) in chunks of tile rows.
+
+The path a layer takes is fixed by the layer and the block's shape: a 3x3
+layer of at least nncore.WINOGRAD_MIN_CHANNELS inputs (paper's
+bn1.conv3.conv4) runs F(2x2, 3x3) on blocks of 2 x 2 outputs or more, and
+every other layer runs im2col, so desk and tiny never take the Winograd
+path, and every preset's mosaic stays byte for byte the same at every
+tiling and worker count.
 """
 
 import itertools
@@ -27,7 +34,7 @@ from builtup import pipeline, raster
 from builtup.errors import ConfigError, RegistryError, ShapeError
 from builtup.model import (PRESETS, ArchitectureConfig, build_model,
                            inference_stack, run_layers, save_model)
-from builtup.nncore import BatchNorm, bce_loss
+from builtup.nncore import BatchNorm, ConvLayer, bce_loss
 from builtup.pipeline import (PREDICT_BLOCK, STATISTICS_CHUNK, _infer_loss,
                               _predict_padded, _set_statistics, predict_zone)
 from builtup.raster import PATCH_MARGIN, gather_patches, rescale_reflectance
@@ -144,6 +151,19 @@ def test_mosaic_across_block_seams():
         for tile, workers in itertools.product((37, 64, 65, 100), (1, 2)):
             got = mosaic(predict_zone(net, comp, tile, workers=workers), size)
             assert got.tobytes() == reference.tobytes(), (arch, tile, workers)
+
+
+def test_desk_and_tiny_prediction_never_runs_winograd(zone160, monkeypatch):
+    def refuse(layer, x):
+        raise AssertionError("F(2x2, 3x3) taken")
+
+    monkeypatch.setattr(ConvLayer, "_winograd_forward", refuse)
+    for arch in (PRESETS["desk"], replace(TINY, bands=zone160.bands)):
+        for pred in predict_zone(build_model(arch, seed=0), zone160, 64):
+            assert pred.ok, pred.error
+    with pytest.raises(AssertionError, match="taken"):
+        run_layers(inference_stack(build_model(PRESETS["paper"], seed=0)),
+                   np.zeros((1, 8, 8, 4), np.float32))
 
 
 def failing_second_band(zone):
