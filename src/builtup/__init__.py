@@ -14,7 +14,6 @@ from .pipeline import (
     EarlyStopping,
     SamplingConfig,
     TrainingRun,
-    ZoneRegistry,
     predict_zone,
     train_zone,
 )

@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import resource
 import sys
 import time
@@ -30,7 +29,8 @@ from pathlib import Path
 
 from . import evaluation, model as model_mod, pipeline, raster, synth
 from .errors import (ConfigError, FormatError, GenerationError,
-                     MissingInputError, ToolkitError, UndefinedStatisticError)
+                     MissingInputError, RegistryError, ToolkitError,
+                     UndefinedStatisticError)
 
 
 def _sha256(path) -> str:
@@ -121,12 +121,8 @@ class Manifest:
                 "class": getattr(exc, "error_class", "error"),
                 "message": str(exc),
             }
-        # Replace the file atomically, so a manifest is never partial.
-        text = json.dumps(self.data, indent=2, sort_keys=True)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, self.path)
+        raster.write_json(self.data, self.path)  # never a partial manifest
 
 
 def _zone_names(n: int):
@@ -188,7 +184,7 @@ def cmd_train(args, argv) -> int:
         manifest.data["inputs"] = _hash_paths([comp_path, label_path])
 
         if args.registry:  # read now, so a bad one is refused before work
-            pipeline.ZoneRegistry.load(args.registry)
+            pipeline.read_registry(args.registry)
             _writable(args.registry, "--registry")
             _writable(f"{args.registry}.lock", "--registry lock")
         composite = raster.read_raster(comp_path)
@@ -232,7 +228,7 @@ def cmd_train(args, argv) -> int:
         manifest.data["final_validation_loss"] = history.validation_loss[kept]
         manifest.data["outputs"] = _hash_paths([out, history_path])
         if args.registry:
-            pipeline.ZoneRegistry.add(args.registry, args.zone, str(out))
+            pipeline.record_model(args.registry, args.zone, out)
     return 0
 
 
@@ -246,13 +242,11 @@ def cmd_predict(args, argv) -> int:
                                   "composite raster")
         if command == "transfer":
             # a transfer is a predict with the source zone's registered model
-            registry = pipeline.ZoneRegistry.load(
-                _require(args.registry, "registry")
-            )
-            model_path = registry.model_path(args.source_zone)
+            model_path = pipeline.registered_model(
+                _require(args.registry, "registry"), args.source_zone)
             manifest.data["transfer"] = {
-                "mode": (pipeline.CLOSE_RANGE if args.source_zone == args.zone
-                         else pipeline.FAR_RANGE),
+                "mode": ("close_range" if args.source_zone == args.zone
+                         else "far_range"),
                 "source_zone": args.source_zone,
                 "target_zone": args.zone,
             }
@@ -260,6 +254,10 @@ def cmd_predict(args, argv) -> int:
             model_path = args.model
         model_path = _require_file(model_path, "model file")
         net = model_mod.load_model(model_path)
+        if command == "transfer" and net.zone_id != args.source_zone:
+            raise RegistryError(
+                f"{model_path}, registered for zone {args.source_zone!r}, "
+                f"holds a model of zone {net.zone_id!r}")
         composite = raster.read_header(comp_path)  # rows are read by band
         raster.check_payload_size(comp_path, composite)
         # one band worker per usable CPU; outputs do not depend on the count
@@ -364,7 +362,7 @@ def cmd_evaluate(args, argv) -> int:
         )
         manifest.time("evaluate", t0)
         report_path.parent.mkdir(parents=True, exist_ok=True)
-        evaluation.report_to_json(report, report_path)
+        raster.write_json(report, report_path)
         outputs = [report_path]
         if args.csv:
             Path(args.csv).parent.mkdir(parents=True, exist_ok=True)

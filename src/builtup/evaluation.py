@@ -24,7 +24,6 @@ intercept move by float rounding only (1e-14 relative in r at 2048 x 2048).
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -193,15 +192,6 @@ def _check_shapes(*grids) -> None:
                          + ", ".join(str(g.shape) for g in grids))
 
 
-def regress_density(prob: np.ndarray, density: np.ndarray,
-                    valid: np.ndarray) -> dict:
-    """OLS of density (response) on probability (predictor) plus Pearson r."""
-    _check_shapes(prob, density, valid)
-    sums = _RegressionSums()
-    sums.add(prob[valid].astype(np.float64), density[valid].astype(np.float64))
-    return sums.result()
-
-
 def binarize(prob: np.ndarray, threshold: float) -> np.ndarray:
     """Built-up iff probability >= threshold (inclusive)."""
     return np.asarray(prob) >= threshold
@@ -319,11 +309,6 @@ def evaluate_probabilities(prob: np.ndarray, valid: np.ndarray, rects,
                          width, height, pixel_size=pixel_size,
                          origin_x=origin_x, origin_y=origin_y,
                          thresholds=thresholds, aoi_id=aoi_id)
-
-
-def report_to_json(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
 
 
 def report_to_csv(reports, path) -> None:

@@ -326,17 +326,23 @@ def train_zone(composite: RasterGrid, label_grid: RasterGrid,
     do not depend on the worker count or on the process's BLAS thread
     setting.
 
+    The label raster must lie on the composite's grid (size, origin, pixel
+    size and zone_id), or a ShapeError is raised before any rescaling.
+
     Returns (model, history, info) where info carries the sampling manifest
     and the selected tile windows.
     """
     run.validate()
     cfg.validate()
     _check_bands(composite, arch)
-    size = (composite.height, composite.width)
-    if (label_grid.height, label_grid.width) != size:
-        raise ShapeError(f"label raster is {label_grid.height} x "
-                         f"{label_grid.width} pixels, the composite "
-                         f"{size[0]} x {size[1]}")
+    grid = ("height", "width", "origin_x", "origin_y", "pixel_size", "zone_id")
+    label, comp = ([getattr(g, f) for f in grid]
+                   for g in (label_grid, composite))
+    if label != comp:
+        raise ShapeError(
+            "label raster is {0} x {1} pixels, the composite {6} x {7}; "
+            "origins ({2}, {3}) and ({8}, {9}), pixel sizes {4} and {10}, "
+            "zones {5!r} and {11!r}".format(*label, *comp))
     padded, valid = raster.rescale_reflectance(composite)
     tiles = raster.tile_grid(composite.height, composite.width,
                              cfg.tile_pixels)
@@ -668,64 +674,47 @@ def read_mosaic_rows(mosaic: RasterGrid, places, r0: int,
 
 
 # -- registry ---------------------------------------------------------------
+# A JSON object: zone_id -> {"model_path": the absolute path of the model
+# trained on that zone}. Training writes it; a transfer only reads it.
 
-CLOSE_RANGE = "close_range"
-FAR_RANGE = "far_range"
+
+def read_registry(path) -> dict:
+    """The entries of the registry at path, {} when there is none;
+    RegistryError when it is not a readable JSON object."""
+    p = Path(path)
+    if not p.exists():
+        return {}
+    try:
+        entries = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RegistryError(f"unreadable registry {p}: {exc}") from exc
+    if not isinstance(entries, dict):
+        raise RegistryError(f"registry {p} is not a JSON object")
+    return entries
 
 
-class ZoneRegistry:
-    """Trained models: zone_id -> {model_path, mode, source_zone_id},
-    persisted as JSON. Each entry is the zone's own model (close range);
-    transfers read the registry and never write it."""
+def record_model(path, zone_id: str, model_path) -> None:
+    """Record model_path, made absolute, as zone_id's model in the registry
+    at path, read again under an exclusive flock on <path>.lock, a file the
+    write does not replace: trainings that share a registry keep each
+    other's entries."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(f"{path}.lock", "a") as lock:  # closing it unlocks
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        entries = read_registry(path)
+        entries[zone_id] = {"model_path": os.path.abspath(model_path)}
+        raster.write_json(entries, path)
 
-    def __init__(self, entries: Optional[dict] = None):
-        self.entries = entries or {}
 
-    @classmethod
-    def load(cls, path) -> "ZoneRegistry":
-        p = Path(path)
-        if not p.exists():
-            return cls()
-        try:
-            entries = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise RegistryError(f"unreadable registry {p}: {exc}") from exc
-        if not isinstance(entries, dict):
-            raise RegistryError(f"registry {p} is not a JSON object")
-        return cls(entries)
-
-    def save(self, path) -> None:
-        """Write a temp file and replace path with it, as a run manifest
-        is written, so a crash mid-write leaves no partial registry."""
-        tmp = Path(path).with_name(Path(path).name + ".tmp")
-        tmp.write_text(json.dumps(self.entries, indent=2, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-
-    @classmethod
-    def add(cls, path, zone_id: str, model_path: str) -> None:
-        """Record zone_id's model in the registry at path, read again
-        under an exclusive flock on <path>.lock, a file the save does not
-        replace: trainings that share a registry keep each other's
-        entries."""
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(f"{path}.lock", "a") as lock:  # closing it unlocks
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            registry = cls.load(path)
-            registry.record(zone_id, model_path)
-            registry.save(path)
-
-    def record(self, zone_id: str, model_path: str) -> None:
-        """Register the model trained on zone_id."""
-        self.entries[zone_id] = {"model_path": str(model_path),
-                                 "mode": CLOSE_RANGE, "source_zone_id": zone_id}
-
-    def model_path(self, zone_id: str) -> str:
-        if zone_id not in self.entries:
-            raise RegistryError(f"no trained model registered for {zone_id!r}")
-        entry = self.entries[zone_id]
-        path = entry.get("model_path") if isinstance(entry, dict) else None
-        if not isinstance(path, str):
-            raise RegistryError(f"registry entry for {zone_id!r} has no "
-                                f"model_path string: {entry!r}")
-        return path
+def registered_model(path, zone_id: str) -> str:
+    """The model path the registry at path holds for zone_id; RegistryError
+    when it holds none. Fields beside model_path are ignored."""
+    entries = read_registry(path)
+    if zone_id not in entries:
+        raise RegistryError(f"no trained model registered for {zone_id!r}")
+    entry = entries[zone_id]
+    model_path = entry.get("model_path") if isinstance(entry, dict) else None
+    if not isinstance(model_path, str):
+        raise RegistryError(f"registry entry for {zone_id!r} has no "
+                            f"model_path string: {entry!r}")
+    return model_path

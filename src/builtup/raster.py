@@ -1,4 +1,5 @@
-"""Raster container, GHSR file I/O, tiling, padding and patch extraction.
+"""Raster container, GHSR file I/O, tiling, padding and patch extraction,
+and write_json, the one writer of the JSON files the toolkit makes.
 
 The GHSR container is a minimal bit-exact raster format: a fixed 80-byte
 little-endian header followed by band-sequential row-major samples.
@@ -26,9 +27,11 @@ Header layout (offsets in bytes):
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -121,6 +124,17 @@ def write_raster(grid: RasterGrid, path) -> None:
     with open(path, "wb") as f:
         f.write(header)
         f.write(payload)  # the array itself: no bytes object beside it
+
+
+def write_json(obj, path) -> None:
+    """obj as JSON, indented by 2 with sorted keys, written to a temp file
+    beside path that then replaces path, so a crash mid-write leaves no
+    partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True),
+                   encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def read_header(path) -> RasterGrid:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, GenerationError
-from .raster import RasterGrid, make_grid, write_raster
+from .raster import RasterGrid, make_grid, write_json, write_raster
 
 COMPOSITE_NODATA = -32768
 LABEL_NODATA = 255
@@ -152,14 +152,13 @@ def save_zone(zone: Zone, out_dir) -> dict:
     paths = zone_paths(out_dir)
     write_raster(zone.composite, paths["composite"])
     write_raster(zone.labels, paths["labels"])
-    with open(paths["footprints"], "w", encoding="utf-8") as f:
-        json.dump({
-            "aoi_id": zone.zone_id,
-            "pixel_size": zone.composite.pixel_size,
-            "origin_x": zone.composite.origin_x,
-            "origin_y": zone.composite.origin_y,
-            "rects": [list(r) for r in zone.footprints],
-        }, f, indent=2, sort_keys=True)
+    write_json({
+        "aoi_id": zone.zone_id,
+        "pixel_size": zone.composite.pixel_size,
+        "origin_x": zone.composite.origin_x,
+        "origin_y": zone.composite.origin_y,
+        "rects": [list(r) for r in zone.footprints],
+    }, paths["footprints"])
     return {k: str(v) for k, v in paths.items()}
 
 

@@ -74,10 +74,7 @@ def test_commands_exit_zero_with_ok_manifests(trained, capsys):
     assert load(manifests["transfer"])["transfer"]["mode"] == "far_range"
     assert "thresholds" in load(root / "reports" / "A.json")
 
-    assert load(registry) == {
-        "A": {"model_path": str(model), "mode": "close_range",
-              "source_zone_id": "A"},
-    }
+    assert load(registry) == {"A": {"model_path": str(model)}}
 
 
 def test_maps_match_the_model_training_optimised(tmp_path):
@@ -555,8 +552,8 @@ def test_trainings_that_share_a_registry_keep_both_entries(
     monkeypatch.setattr(pipeline, "train_zone", train_b_meanwhile)
     assert run("train", "--zone", "A", "--data", data, "--out", models["A"],
                "--epochs", 1, "--registry", registry) == 0
-    assert {zone: entry["model_path"] for zone, entry in
-            load(registry).items()} == {z: str(p) for z, p in models.items()}
+    assert load(registry) == {z: {"model_path": str(p)}
+                              for z, p in models.items()}
 
 
 def test_a_nan_parameter_is_a_format_error(trained, tmp_path):
@@ -812,6 +809,49 @@ def test_transfer_with_a_deleted_registered_model_is_missing_input(trained,
     info = load(tmp_path / "BA" / "transfer_manifest.json")
     assert info["error"]["class"] == "missing_input"
     assert info["transfer"]["mode"] == "far_range"
+
+
+def test_transfer_finds_the_model_from_another_directory(trained, tmp_path,
+                                                         monkeypatch):
+    """A training with a relative --out and --registry records the model's
+    absolute path, so a transfer run from another directory loads that
+    model: its manifest's model hash is the trained model's."""
+    _, data, _, _ = trained
+    (tmp_path / "train").mkdir()
+    (tmp_path / "transfer").mkdir()
+    monkeypatch.chdir(tmp_path / "train")
+    assert run("train", "--zone", "A", "--data", data, "--out",
+               "models/A.ghsm", "--epochs", 1, "--registry",
+               "models/registry.json") == 0
+    model = tmp_path / "train" / "models" / "A.ghsm"
+    assert load("models/registry.json") == {"A": {"model_path": str(model)}}
+    monkeypatch.chdir(tmp_path / "transfer")
+    assert run("transfer", "--zone", "B", "--source-zone", "A", "--data",
+               data, "--registry", "../train/models/registry.json", "--out",
+               "BA") == 0
+    inputs = load("BA/transfer_manifest.json")["inputs"]
+    assert inputs[str(model)] == hashlib.sha256(model.read_bytes()).hexdigest()
+
+
+def test_transfer_refuses_a_registered_model_of_another_zone(
+        trained, tmp_path, capsys):
+    """A registered model file that a training of another zone has since
+    overwritten is a registry error naming both zones and the path, not a
+    transfer of the wrong model."""
+    _, data, _, _ = trained
+    model, registry = tmp_path / "A.ghsm", tmp_path / "registry.json"
+    pipeline.record_model(registry, "A", model)
+    assert run("train", "--zone", "B", "--data", data, "--out", model,
+               "--epochs", 1) == 0
+    capsys.readouterr()
+    assert run("transfer", "--zone", "B", "--source-zone", "A", "--data",
+               data, "--registry", registry, "--out", tmp_path / "BA") == 9
+    err = capsys.readouterr().err
+    assert err.startswith("error[registry]: ")
+    assert str(model) in err and "'A'" in err and "'B'" in err
+    info = load(tmp_path / "BA" / "transfer_manifest.json")
+    assert info["error"]["class"] == "registry"
+    assert not list((tmp_path / "BA").glob("*.ghsr"))
 
 
 def test_corrupt_registry_is_a_registry_error(trained, tmp_path):

@@ -18,7 +18,6 @@ from builtup.evaluation import (
     binarize,
     confusion,
     evaluate_probabilities,
-    regress_density,
     rasterize_density,
     report_to_csv,
 )
@@ -140,6 +139,14 @@ class TestRasterizeDensityStrips:
         np.testing.assert_array_equal(out, full_grid_density(rects, 2, 3))
 
 
+def regress_density(prob, density, valid):
+    """The regression of one band: _RegressionSums over the valid pixels."""
+    sums = evaluation._RegressionSums()
+    sums.add(prob[valid].astype(np.float64),
+             density[valid].astype(np.float64))
+    return sums.result()
+
+
 class TestRegressDensity:
     def test_exact_line(self):
         prob = np.array([[0.0, 0.25], [0.5, 1.0]])
@@ -174,8 +181,12 @@ class TestRegressDensity:
                             np.array([True, False]))
 
     def test_shape_mismatch(self):
+        """A band whose probabilities are not the density's shape."""
+        def read_rows(r0, r1):
+            return np.zeros((r1 - r0, 4)), np.ones((r1 - r0, 3), dtype=bool)
+
         with pytest.raises(ShapeError):
-            regress_density(np.zeros(3), np.zeros(4), np.ones(3, dtype=bool))
+            evaluation.evaluate_rows(read_rows, [], width=3, height=2)
 
 
 def two_pass_regression(prob, density, valid):

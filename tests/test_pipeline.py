@@ -23,6 +23,7 @@ tiling and worker count.
 
 import itertools
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -316,6 +317,29 @@ def test_training_refuses_labels_of_another_size(zone, monkeypatch):
                             pipeline.SamplingConfig())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("origin_x", 5.0), ("origin_y", -10.0), ("pixel_size", 20.0),
+    ("zone_id", "B")])
+def test_training_refuses_labels_on_another_grid(zone, monkeypatch, field,
+                                                 value):
+    """A label raster of the composite's size but another origin, pixel
+    size or zone_id is refused as a size mismatch is: before the composite
+    is rescaled, naming both values."""
+    def fail(composite):
+        raise AssertionError("rescaled before the label check")
+
+    monkeypatch.setattr(pipeline.raster, "rescale_reflectance", fail)
+    labels = replace(zone.labels, **{field: value})
+    with pytest.raises(ShapeError) as caught:
+        pipeline.train_zone(zone.composite, labels, PRESETS["desk"],
+                            pipeline.TrainingRun("A", epochs=1),
+                            pipeline.SamplingConfig())
+    message = str(caught.value)
+    assert "64 x 64 pixels, the composite 64 x 64" in message
+    assert repr(value) in message
+    assert repr(getattr(zone.composite, field)) in message
+
+
 def test_early_stopping_counts_epochs_since_the_best(zone, monkeypatch):
     """Patience counts the epochs since the last improvement, so a later
     improvement starts the count again: with patience 2, validation losses
@@ -519,24 +543,36 @@ ZONES = st.sampled_from(["A", "B", "C", "AB"])
                       max_size=12))
 def test_the_registry_holds_the_last_model_of_each_trained_zone(
         tmp_path_factory, calls):
-    """After record(zone, path) calls, some followed by a save/load round
-    trip, model_path(z) is the last path recorded for z, a zone never
-    recorded is a RegistryError, and the saved JSON holds exactly the
-    recorded zones."""
+    """After record_model(zone, path) calls, each with a relative path or
+    that path made absolute, registered_model(z) is the absolute path last
+    recorded for z, a zone never recorded is a RegistryError, and the
+    registry holds exactly the recorded zones, each with its path alone."""
     path = tmp_path_factory.mktemp("registry") / "registry.json"
-    registry, last = pipeline.ZoneRegistry.load(path), {}
-    for zone, model_path, round_trip in calls:
-        registry.record(zone, model_path)
-        last[zone] = model_path
-        if round_trip:
-            registry.save(path)
-            registry = pipeline.ZoneRegistry.load(path)
-    registry.save(path)
-    assert set(json.loads(path.read_text(encoding="utf-8"))) == set(last)
-    for loaded in (registry, pipeline.ZoneRegistry.load(path)):
-        for zone in ["A", "B", "C", "AB"]:
-            if zone in last:
-                assert loaded.model_path(zone) == last[zone]
-            else:
-                with pytest.raises(RegistryError):
-                    loaded.model_path(zone)
+    last = {}
+    for zone, model_path, absolute in calls:
+        if absolute:
+            model_path = os.path.abspath(model_path)
+        pipeline.record_model(path, zone, model_path)
+        last[zone] = os.path.abspath(model_path)
+    assert pipeline.read_registry(path) == {
+        zone: {"model_path": p} for zone, p in last.items()}
+    for zone in ["A", "B", "C", "AB"]:
+        if zone in last:
+            assert pipeline.registered_model(path, zone) == last[zone]
+        else:
+            with pytest.raises(RegistryError):
+                pipeline.registered_model(path, zone)
+
+
+def test_a_registry_entry_of_the_old_format_still_resolves(tmp_path):
+    """Entries that also carry mode and source_zone_id, as registries
+    written before them did, resolve to their model_path, and recording
+    another zone keeps them."""
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"A": {
+        "model_path": "/models/A.ghsm", "mode": "close_range",
+        "source_zone_id": "A"}}), encoding="utf-8")
+    assert pipeline.registered_model(path, "A") == "/models/A.ghsm"
+    pipeline.record_model(path, "B", tmp_path / "B.ghsm")
+    assert pipeline.registered_model(path, "A") == "/models/A.ghsm"
+    assert pipeline.registered_model(path, "B") == str(tmp_path / "B.ghsm")
